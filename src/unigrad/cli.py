@@ -12,6 +12,7 @@ field; check-bounds exits 1 when a bound is violated.
 
 import argparse
 import json
+import os
 import sys
 
 from .harness import (
@@ -101,7 +102,9 @@ def _problem_descriptor(args) -> dict:
     if kind == "lasso-csv":
         if not args.data:
             raise ValueError("data is required when problem is lasso-csv (flag --data)")
-        return {"kind": kind, "path": args.data, "mu": args.mu, "ridge": args.ridge}
+        # absolute, so check-bounds can rebuild the problem from any directory
+        path = os.path.abspath(args.data)
+        return {"kind": kind, "path": path, "mu": args.mu, "ridge": args.ridge}
     if kind == "steiner":
         return {"kind": kind, "p": args.p, "m": args.m, "seed": args.seed}
     raise ValueError(f"unknown problem: {kind!r}")

@@ -394,6 +394,7 @@ def run_experiment(cfg: RunConfig) -> dict:
         "problem": cfg.problem,
         "seed": cfg.seed,
         "order": cfg.order,
+        "extra": {"tol": cfg.tol},
     }
     reference = reference_solution(problem, tol=cfg.tol)
 
@@ -583,13 +584,16 @@ def _write_bound_curve(path, rows) -> None:
 def check_bounds(trace_path) -> tuple[dict, bool]:
     """Rebuild the problem from trace metadata and re-run the bound checks.
 
-    Returns (report, ok).  ok is True when every applicable bound holds.
+    The reference is solved at the tol the run recorded (1e-10 for traces
+    without one), so both judge against the same f*.  Returns (report, ok);
+    ok is True when every applicable bound holds.
     """
     trace = parse_trace_csv(trace_path)
     if not trace.problem_meta:
         raise ValueError(f"{trace_path}: trace has no problem descriptor metadata")
     problem = problem_from_descriptor(trace.problem_meta)
-    reference = reference_solution(problem)
+    tol = float(trace.extra_meta.get("tol", 1e-10))
+    reference = reference_solution(problem, tol=tol)
     if trace.algorithm in ("oupgm", "oudgm"):
         rep = evaluate_regret(trace, problem, reference.x)
         report = rep.to_dict()

@@ -17,6 +17,16 @@ import numpy as np
 
 from .geometry import ProxFunction
 
+# Size cap, in bytes, of each temporary a batched evaluation allocates; it
+# bounds the memory of the full-objective pass whatever the horizon or the
+# sample count.
+BLOCK_BYTES = 1 << 19
+
+
+def block_len(row_bytes: int) -> int:
+    """Rows of row_bytes bytes each that one BLOCK_BYTES temporary holds."""
+    return max(1, BLOCK_BYTES // row_bytes)
+
 
 class UnsupportedRegularizer(ValueError):
     """Raised when a closed-form path needs a prox the structure lacks."""
@@ -105,6 +115,18 @@ class Regularizer:
             return self.l1_weight * float(np.abs(x).sum()) + 0.5 * self.ridge_weight * float(x @ x)
         return float(self.value_fn(x))  # type: ignore[misc]
 
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """h at each row of the (k, p) array X."""
+        X = np.asarray(X, dtype=float)
+        if self.structure == "zero":
+            return np.zeros(X.shape[0])
+        if self.structure == "custom":
+            return np.array([self.value(x) for x in X], dtype=float)
+        out = self.l1_weight * np.abs(X).sum(axis=1)
+        if self.structure == "elastic_net":
+            out += 0.5 * self.ridge_weight * np.einsum("ij,ij->i", X, X)
+        return out
+
     def prox(self, z: np.ndarray, tau: float) -> np.ndarray:
         """argmin_y 0.5 * ||y - z||^2 + tau * h(y), closed form.
 
@@ -137,7 +159,9 @@ class CompositeProblem:
 
     mean_value_fn / mean_grad_fn, when supplied by a constructor, evaluate
     the smooth average (1/n) sum_i g_i and its gradient in vectorized form;
-    otherwise a loop over components is used.
+    otherwise a loop over components is used.  mean_values_fn likewise
+    evaluates the smooth average at every row of a (k, p) array at once,
+    keeping each temporary within BLOCK_BYTES.
     """
 
     components: list[ComponentOracle]
@@ -146,6 +170,7 @@ class CompositeProblem:
     dimension: int
     mean_value_fn: Callable[[np.ndarray], float] | None = None
     mean_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    mean_values_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.components:
@@ -193,6 +218,21 @@ class CompositeProblem:
     def value(self, x: np.ndarray) -> float:
         """Full objective f(x) = (1/n) sum_i g_i(x) + h(x)."""
         return self.mean_smooth_value(x) + self.regularizer.value(x)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Full objective at each row of the (k, p) array X.
+
+        Uses mean_values_fn when the problem has one, else value per row.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dimension:
+            raise ValueError(
+                f"points have shape {X.shape}, expected (k, {self.dimension})"
+            )
+        if self.mean_values_fn is None:
+            return np.array([self.value(x) for x in X], dtype=float)
+        smooth = np.asarray(self.mean_values_fn(X), dtype=float)
+        return smooth + self.regularizer.values(X)
 
     def per_sample_value(self, t: int, x: np.ndarray) -> float:
         """Round objective g_t(x) + h(x) seen by the online methods."""

@@ -195,14 +195,13 @@ def sug_run(
     x = x0
     start = time.perf_counter()
     for k in range(cfg.max_iters):
-        f_full = problem.value(x)
         x_next = sug_subproblem(table, regularizer)
         j = int(rng.integers(0, table.n))
         f_j_x = problem.per_sample_value(j, x)
         f_j_next = problem.per_sample_value(j, x_next)
         sug_update(table, j, x_next)
         trace.add_row(
-            k, 0, M_scalar, f_j_x, f_j_next, f_j_next, f_full,
+            k, 0, M_scalar, f_j_x, f_j_next, f_j_next, np.nan,
             time.perf_counter() - start, component=j, x_next=x_next,
         )
         x = x_next
@@ -210,6 +209,7 @@ def sug_run(
             bound = sug_bound(k + 1, cfg.M, mu_h, table.n, cfg.eps, cfg.dist0_sq)
             if bound <= cfg.stop_threshold:
                 break
+    trace.fill_f_full(problem.values)
     return x.copy(), trace
 
 

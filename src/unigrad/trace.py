@@ -6,16 +6,24 @@ the fixed column schema
     t,i_t,L_next,f_gt_xt,f_gt_xnext,f_gt_yt,f_full,elapsed_s
 
 Floats are written with shortest round-trip formatting, so writing and
-re-parsing a trace reproduces it exactly.  In-memory traces additionally
-record the visited component index, the post-round iterate, and (dual
-method only) the model minimum, which the prefix-bound checks need; those
-extras are not part of the CSV schema.
+re-parsing a trace reproduces it exactly.
+
+f_full is the full objective f(x_t) at the iterate round t starts from.
+The solvers compute it after the rounds, in one blocked batch pass over
+the stored iterates (RunTrace.fill_f_full), so elapsed_s is solver-only
+wall time: it excludes that diagnostic.
+
+In-memory traces additionally record the visited component index, the
+post-round iterate, and (dual method only) the model minimum, which the
+prefix-bound checks need; those extras are not part of the CSV schema.
 """
 
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .oracles import block_len
 
 CSV_COLUMNS = ("t", "i_t", "L_next", "f_gt_xt", "f_gt_xnext", "f_gt_yt", "f_full", "elapsed_s")
 
@@ -78,6 +86,24 @@ class RunTrace:
     @property
     def n_rows(self) -> int:
         return len(self.t)
+
+    def fill_f_full(self, values) -> None:
+        """Set f_full[t] = f(x_t) for every row, x_0 = x0, x_t = x_next[t-1].
+
+        values maps a (k, p) stack of points to their k objective values
+        (CompositeProblem.values); the iterates are stacked a block at a
+        time, so no temporary outgrows BLOCK_BYTES.
+        """
+        points = [self.x0, *self.x_next][: self.n_rows]
+        if len(points) != self.n_rows:
+            raise ValueError("trace lacks the stored iterates f_full needs")
+        # at most 256 iterates a block: wide enough for efficient matrix
+        # products, small enough to leave the budget to values' temporaries
+        step = min(256, block_len(8 * len(self.x0)))
+        f_full = []
+        for s in range(0, len(points), step):
+            f_full.extend(values(np.stack(points[s:s + step])).tolist())
+        self.f_full = f_full
 
     def weight_sum(self) -> float:
         """S = sum_t 1 / L_next[t]."""

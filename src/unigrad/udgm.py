@@ -185,7 +185,6 @@ def udgm_run(
     start = time.perf_counter()
     for t in range(T + 1):
         k = int(order[t])
-        f_full = problem.value(state.x)
         record = udgm_step(state, problem.components[k], problem.regularizer, eps)
         trace.add_row(
             t,
@@ -194,12 +193,13 @@ def udgm_run(
             record.f_gt_xt,
             record.f_gt_xnext,
             record.f_gt_yt,
-            f_full,
+            np.nan,
             time.perf_counter() - start,
             component=k,
             x_next=state.x,
             phi_star=record.phi_star,
         )
+    trace.fill_f_full(problem.values)
     return state.x.copy(), trace
 
 
@@ -236,7 +236,6 @@ def udgm_fixed_step_run(
     for t in range(T + 1):
         k = int(order[t])
         gt = problem.components[k]
-        f_full = problem.value(x)
         g_value = float(gt.value(x))
         g_grad = np.asarray(gt.grad(x), dtype=float)
         candidate = model.argmin(regularizer, coeff, g_grad)
@@ -246,10 +245,11 @@ def udgm_fixed_step_run(
         phi_star = model.value(candidate, regularizer)
         x = candidate
         trace.add_row(
-            t, 0, step_L, f_xt, f_next, f_next, f_full,
+            t, 0, step_L, f_xt, f_next, f_next, np.nan,
             time.perf_counter() - start, component=k, x_next=x,
             phi_star=phi_star,
         )
+    trace.fill_f_full(problem.values)
     return x.copy(), trace
 
 

@@ -116,7 +116,6 @@ def upgm_run(
     start = time.perf_counter()
     for t in range(T + 1):
         k = int(order[t])
-        f_full = problem.value(state.x)
         record = upgm_step(state, problem.components[k], problem.regularizer, eps)
         trace.add_row(
             t,
@@ -125,11 +124,12 @@ def upgm_run(
             record.f_gt_xt,
             record.f_gt_xnext,
             record.f_gt_yt,
-            f_full,
+            np.nan,
             time.perf_counter() - start,
             component=k,
             x_next=state.x,
         )
+    trace.fill_f_full(problem.values)
     return state.averaged_iterate(), trace
 
 
@@ -169,7 +169,6 @@ def upgm_fixed_step_run(
     for t in range(T + 1):
         k = int(order[t])
         gt = problem.components[k]
-        f_full = problem.value(x)
         g_value = float(gt.value(x))
         g_grad = gt.grad(x)
         mv = bregman_map(geometry, regularizer, x, g_value, g_grad, 2.0 * step_L)
@@ -179,9 +178,10 @@ def upgm_fixed_step_run(
         weight_sum += 1.0 / step_L
         weighted_x += x / step_L
         trace.add_row(
-            t, 0, step_L, f_xt, f_next, f_next, f_full,
+            t, 0, step_L, f_xt, f_next, f_next, np.nan,
             time.perf_counter() - start, component=k, x_next=x,
         )
+    trace.fill_f_full(problem.values)
     return weighted_x / weight_sum, trace
 
 

@@ -5,6 +5,7 @@ conftest.py (2 families x 2 algorithms x 10 seeds x 2 accuracy levels).
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -102,6 +103,19 @@ def test_criterion_02_line_search_modulus_cap(online_battery):
         v, Mv = run.problem.holder_constants()
         cap = gamma(Mv, v, run.eps)
         assert 2.0 * max(run.trace.L_next) <= 2.0 * cap, (
+            f"{run.family}/{run.algorithm} seed {run.seed} eps {run.eps}"
+        )
+
+
+def test_line_search_trial_count_identity(online_battery):
+    """L_{t+1} = 2^(i_t - 1) L_t makes the trial count exact over the whole
+    run: sum_t (i_t + 1) = 2 (T + 1) + log2(L_{T+1} / L0)."""
+    for run in online_battery.runs:
+        trace = run.trace
+        doublings = math.log2(trace.L_next[-1] / trace.L0)
+        trials = sum(i + 1 for i in trace.i_t)
+        assert doublings == int(doublings)
+        assert trials == 2 * (trace.T + 1) + int(doublings), (
             f"{run.family}/{run.algorithm} seed {run.seed} eps {run.eps}"
         )
 

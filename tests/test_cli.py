@@ -123,3 +123,30 @@ def test_reference_with_csv_data(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(out["x_star"], inst.x_true, atol=1e-6)
+
+
+def test_check_bounds_uses_the_run_reference_tol(tmp_path, capsys):
+    out = tmp_path / "art"
+    assert main([
+        "run", "--algorithm", "oupgm", "--problem", "synth-lasso",
+        "--T", "200", "--tol", "1e-3", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert main(["check-bounds", str(out / "trace.csv")]) == 0
+    checked = json.loads(capsys.readouterr().out)
+    assert checked["f_star"] == report["f_star"]
+
+
+def test_lasso_csv_trace_checks_from_another_directory(tmp_path, monkeypatch, capsys):
+    inst = synth_lasso(p=3, n=40, sparsity=1, noise=0.1, seed=6)
+    save_samples(inst, tmp_path / "d.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "run", "--algorithm", "oupgm", "--problem", "lasso-csv",
+        "--data", "d.csv", "--T", "30", "--out", "out",
+    ]) == 0
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    monkeypatch.chdir(sub)
+    assert main(["check-bounds", "../out/trace.csv"]) == 0
