@@ -150,3 +150,21 @@ def test_lasso_csv_trace_checks_from_another_directory(tmp_path, monkeypatch, ca
     sub.mkdir()
     monkeypatch.chdir(sub)
     assert main(["check-bounds", "../out/trace.csv"]) == 0
+
+
+def test_check_bounds_judges_the_sug_run_dist0(tmp_path, capsys):
+    # the bound fails for this tiny --dist0; check-bounds must judge the
+    # dist0 the run used, not one recomputed from the reference
+    out = tmp_path / "art"
+    assert main([
+        "run", "--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10",
+        "--M", "1", "--eps", "1e-2", "--T", "300", "--dist0", "1e-6",
+        "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["bound_satisfied"] is False
+    assert main(["check-bounds", str(out / "trace.csv")]) == 1
+    checked = json.loads(capsys.readouterr().out)
+    assert checked["dist0_sq"] == 1e-6
+    assert checked["ok"] is False

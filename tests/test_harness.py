@@ -1,6 +1,7 @@
 """Reference solver, regret evaluation, orders, run configs, artifacts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from unigrad.harness import (
     run_experiment,
     sample_order,
 )
+from unigrad.oracles import CompositeProblem, Regularizer
 from unigrad.problems import (
     LassoInstance,
     SteinerInstance,
@@ -24,7 +26,7 @@ from unigrad.problems import (
     steiner_problem,
     synth_lasso,
 )
-from unigrad.trace import RunTrace
+from unigrad.trace import RunTrace, parse_trace_csv, write_trace_csv
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +52,36 @@ def test_reference_validates_tolerance():
     prob = lasso_problem(synth_lasso(p=2, n=3, sparsity=1, noise=0.0, seed=0))
     with pytest.raises(ValueError, match="tol"):
         reference_solution(prob, tol=0.0)
+
+
+def test_batch_solver_evaluates_the_smooth_average_once_per_trial(tmp_path, monkeypatch):
+    # every backtracking trial is one prox call; the accepted trial's smooth
+    # value must serve as the next iterate's, so trials + 1 calls suffice
+    calls = {"value": 0, "prox": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(CompositeProblem, "mean_smooth_value",
+                        counted("value", CompositeProblem.mean_smooth_value))
+    monkeypatch.setattr(Regularizer, "prox", counted("prox", Regularizer.prox))
+    desc = {"kind": "synth-lasso", "p": 20, "n": 500, "sparsity": 5,
+            "noise": 0.1, "seed": 0, "mu": 0.1, "ridge": 1.0}
+    reference_solution(problem_from_descriptor(desc), tol=1e-10)
+    ref_calls = dict(calls)
+    assert ref_calls["value"] <= ref_calls["prox"] + 1
+
+    calls.update(value=0, prox=0)
+    paths = run_experiment(_cfg(algorithm="batch", problem=desc, T=1000, tol=1e-10,
+                                out=str(tmp_path / "run")))
+    trace = parse_trace_csv(paths["trace"])
+    trials = sum(i + 1 for i in trace.i_t)
+    # the run's own reference solve repeats the calls counted above
+    assert calls["prox"] - ref_calls["prox"] == trials
+    assert calls["value"] - ref_calls["value"] <= trials + 1
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +277,15 @@ def test_resolve_eps():
 # experiment runner and bound re-checking
 
 
+def _recheck(paths) -> dict:
+    """check_bounds on the saved trace; it must reproduce report.json."""
+    report = json.loads(Path(paths["report"]).read_text())
+    rep, ok = check_bounds(paths["trace"])
+    assert rep == report
+    assert ok is report["ok"]
+    return rep
+
+
 def test_run_experiment_online_artifacts(tmp_path):
     cfg = _cfg(out=str(tmp_path / "run"), eps=1e-2, T=50, order="random", seed=1)
     paths = run_experiment(cfg)
@@ -261,39 +302,59 @@ def test_run_experiment_online_artifacts(tmp_path):
         _, gap, bound = line.split(",")
         assert float(gap) <= float(bound) + 1e-9
 
-    rep, ok = check_bounds(tmp_path / "run" / "trace.csv")
-    assert ok and rep["checked"] == "thm1"
+    rep = _recheck(paths)
+    assert rep["ok"] and rep["checked"] == "thm1"
 
 
 def test_run_experiment_dual_and_recheck(tmp_path):
     cfg = _cfg(algorithm="oudgm", out=str(tmp_path / "run"), eps=1e-2, T=50,
                order="random", seed=2)
-    run_experiment(cfg)
-    rep, ok = check_bounds(tmp_path / "run" / "trace.csv")
-    assert ok and rep["checked"] == "thm2"
+    rep = _recheck(run_experiment(cfg))
+    assert rep["ok"] and rep["checked"] == "thm2"
 
 
-def test_run_experiment_fixed_step_and_recheck(tmp_path):
-    cfg = _cfg(out=str(tmp_path / "run"), eps=1e-1, T=40, order="random",
-               seed=3, fixed_step=True)
+@pytest.mark.parametrize("algorithm", ["oupgm", "oudgm"])
+def test_run_experiment_fixed_step_and_recheck(tmp_path, algorithm):
+    cfg = _cfg(algorithm=algorithm, out=str(tmp_path / "run"), eps=1e-1, T=40,
+               order="random", seed=3, fixed_step=True)
     paths = run_experiment(cfg)
     report = json.loads(open(paths["report"]).read())
     assert report["fixed_step"] is True
     assert report["corollary_satisfied"] is True
-    rep, ok = check_bounds(paths["trace"])
-    assert ok and rep["checked"] == "fixed-step regret corollary"
+    rep = _recheck(paths)
+    assert rep["ok"] and rep["checked"] == "fixed-step regret corollary"
 
 
-def test_run_experiment_sug_and_recheck(tmp_path):
+@pytest.mark.parametrize("dist0_sq", [None, 1e-6], ids=["reference-dist0", "dist0-override"])
+def test_run_experiment_sug_and_recheck(tmp_path, dist0_sq):
+    desc = dict(SYNTH_DESC, ridge=20.0)
+    cfg = _cfg(algorithm="sug", problem=desc, out=str(tmp_path / "run"),
+               eps=1e-2, T=100, M=1.0, seed=4, dist0_sq=dist0_sq)
+    paths = run_experiment(cfg)
+    report = json.loads(open(paths["report"]).read())
+    assert report["rho"] is not None and report["rho"] < 1.0
+    assert report["bound_satisfied"] is True
+    if dist0_sq is not None:
+        assert report["dist0_sq"] == dist0_sq
+    rep = _recheck(paths)
+    assert rep["ok"] and rep["checked"] == "sug bound curve"
+
+
+def test_check_bounds_sug_trace_without_dist0_or_final_value(tmp_path):
+    # traces that predate the dist0_sq and f_final keys: dist0_sq comes from
+    # the reference, and only the recorded rows are judged
     desc = dict(SYNTH_DESC, ridge=20.0)
     cfg = _cfg(algorithm="sug", problem=desc, out=str(tmp_path / "run"),
                eps=1e-2, T=100, M=1.0, seed=4)
     paths = run_experiment(cfg)
     report = json.loads(open(paths["report"]).read())
-    assert report["rho"] is not None and report["rho"] < 1.0
-    assert report["bound_satisfied"] is True
+    trace = parse_trace_csv(paths["trace"])
+    del trace.extra_meta["dist0_sq"], trace.extra_meta["f_final"]
+    write_trace_csv(trace, paths["trace"])
     rep, ok = check_bounds(paths["trace"])
     assert ok and rep["checked"] == "sug bound curve"
+    assert rep["dist0_sq"] == report["dist0_sq"]
+    assert "final_gap" not in rep
 
 
 def test_run_experiment_sug_vacuous_bound(tmp_path):
@@ -304,8 +365,8 @@ def test_run_experiment_sug_vacuous_bound(tmp_path):
     paths = run_experiment(cfg)
     report = json.loads(open(paths["report"]).read())
     assert report["bound_vacuous"] is True
-    rep, ok = check_bounds(paths["trace"])
-    assert ok and rep["checked"] == "none (bound vacuous)"
+    rep = _recheck(paths)
+    assert rep["ok"] and rep["checked"] == "none (bound vacuous)"
 
 
 def test_run_experiment_batch(tmp_path):
@@ -317,13 +378,11 @@ def test_run_experiment_batch(tmp_path):
     assert report["final_gap"] <= 1e-6
     lines = (tmp_path / "run" / "bounds.csv").read_text().strip().splitlines()
     assert lines[1].endswith(",")  # no bound column for batch runs
-    rep, ok = check_bounds(paths["trace"])
-    assert ok and rep["checked"] == "none"
+    rep = _recheck(paths)
+    assert rep["ok"] and rep["checked"] == "none"
 
 
 def test_check_bounds_needs_problem_metadata(tmp_path):
-    from unigrad.trace import write_trace_csv
-
     trace = RunTrace(algorithm="oupgm", eps=0.1, T=0, x0=np.zeros(1), L0=1.0)
     trace.add_row(0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, component=0)
     path = tmp_path / "trace.csv"
