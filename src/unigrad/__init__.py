@@ -13,7 +13,6 @@ from .bregman import (
     backtrack,
     bregman_map,
     bregman_map_numeric,
-    check_descent_condition,
     gamma,
     soft_threshold,
 )
@@ -32,6 +31,7 @@ from .harness import (
 from .oracles import (
     ComponentOracle,
     CompositeProblem,
+    NonFiniteOracleValue,
     Regularizer,
     UnsupportedRegularizer,
 )
@@ -64,16 +64,8 @@ from .sug import (
     sug_update,
 )
 from .trace import CSV_COLUMNS, RunTrace, parse_trace_csv, write_trace_csv
-from .udgm import (
-    DualModel,
-    UdgmState,
-    check_dual_target_bound,
-    model_argmin,
-    udgm_fixed_step_run,
-    udgm_run,
-    udgm_step,
-)
-from .upgm import UpgmState, upgm_fixed_step_run, upgm_run, upgm_step
+from .udgm import DualModel, check_dual_target_bound, udgm_fixed_step_run, udgm_run
+from .upgm import upgm_fixed_step_run, upgm_run
 
 __version__ = "0.1.0"
 
@@ -86,6 +78,7 @@ __all__ = [
     "LineSearchOverflow",
     "ModelSolveError",
     "ModelValue",
+    "NonFiniteOracleValue",
     "ProxFunction",
     "ReferenceSolution",
     "RegretReport",
@@ -95,14 +88,11 @@ __all__ = [
     "SteinerInstance",
     "SugConfig",
     "SurrogateTable",
-    "UdgmState",
     "UnsupportedRegularizer",
-    "UpgmState",
     "backtrack",
     "bregman_map",
     "bregman_map_numeric",
     "check_bounds",
-    "check_descent_condition",
     "check_dual_target_bound",
     "evaluate_regret",
     "gamma",
@@ -111,7 +101,6 @@ __all__ = [
     "lasso_dual_average",
     "lasso_problem",
     "load_samples",
-    "model_argmin",
     "parse_trace_csv",
     "problem_from_descriptor",
     "reference_solution",
@@ -136,9 +125,7 @@ __all__ = [
     "synth_steiner",
     "udgm_fixed_step_run",
     "udgm_run",
-    "udgm_step",
     "upgm_fixed_step_run",
     "upgm_run",
-    "upgm_step",
     "write_trace_csv",
 ]

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import ProxFunction
-from .oracles import ComponentOracle, Regularizer
+from .oracles import Regularizer
 
 
 class LineSearchOverflow(RuntimeError):
@@ -145,28 +145,13 @@ def bregman_map_numeric(
     return ModelValue(minimizer=y, psi_star=psi)
 
 
-def check_descent_condition(
-    gt: ComponentOracle,
-    x: np.ndarray,
-    x_hat: np.ndarray,
-    M: float,
-    eps: float,
-    geometry: ProxFunction,
-) -> bool:
+def _descent_ok(g_value, g_grad, g_value_hat, x, x_hat, M, eps, geometry):
     """Inexact descent test with slack eps/2:
 
         g(x_hat) <= g(x) + <grad g(x), x_hat - x> + M * dist(x, x_hat) + eps/2.
 
     Guaranteed to hold whenever M exceeds gamma(M_v, v, eps).
     """
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    gx = float(gt.value(x))
-    grad = np.asarray(gt.grad(x), dtype=float)
-    return _descent_ok(gx, grad, float(gt.value(x_hat)), x, x_hat, M, eps, geometry)
-
-
-def _descent_ok(g_value, g_grad, g_value_hat, x, x_hat, M, eps, geometry):
     bound = (
         g_value
         + float(g_grad @ (x_hat - x))

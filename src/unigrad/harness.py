@@ -328,6 +328,8 @@ class RunConfig:
                 raise ValueError("M must be a positive float for the sug algorithm")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.dist0_sq is not None and not 0 < self.dist0_sq < math.inf:
+            raise ValueError(f"dist0 must be positive and finite, got {self.dist0_sq}")
 
 
 def resolve_eps(cfg: RunConfig, problem: CompositeProblem) -> float:
@@ -364,23 +366,13 @@ def run_experiment(cfg: RunConfig) -> dict:
 
     if cfg.algorithm in ("oupgm", "oudgm"):
         order = sample_order(cfg.order, problem.n_components, cfg.T, cfg.seed)
-        runners = {
-            ("oupgm", False): lambda: upgm_run(
-                problem, order, x0, cfg.L0, eps, cfg.T, trace_meta
-            ),
-            ("oupgm", True): lambda: upgm_fixed_step_run(
-                problem, order, x0, eps, cfg.T,
-                cfg.holder_modulus, cfg.holder_degree, trace_meta,
-            ),
-            ("oudgm", False): lambda: udgm_run(
-                problem, order, x0, cfg.L0, eps, cfg.T, trace_meta
-            ),
-            ("oudgm", True): lambda: udgm_fixed_step_run(
-                problem, order, x0, eps, cfg.T,
-                cfg.holder_modulus, cfg.holder_degree, trace_meta,
-            ),
-        }
-        _, trace = runners[(cfg.algorithm, cfg.fixed_step)]()
+        if cfg.fixed_step:
+            run = upgm_fixed_step_run if cfg.algorithm == "oupgm" else udgm_fixed_step_run
+            _, trace = run(problem, order, x0, eps, cfg.T, cfg.holder_modulus,
+                           cfg.holder_degree, trace_meta)
+        else:
+            run = upgm_run if cfg.algorithm == "oupgm" else udgm_run
+            _, trace = run(problem, order, x0, cfg.L0, eps, cfg.T, trace_meta)
     elif cfg.algorithm == "sug":
         dist0_sq = cfg.dist0_sq
         if dist0_sq is None:

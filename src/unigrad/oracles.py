@@ -32,6 +32,10 @@ class UnsupportedRegularizer(ValueError):
     """Raised when a closed-form path needs a prox the structure lacks."""
 
 
+class NonFiniteOracleValue(ValueError):
+    """A component oracle returned NaN or an infinite value."""
+
+
 @dataclass(frozen=True)
 class ComponentOracle:
     """One smooth component g_i with its Holder-continuity certificate."""

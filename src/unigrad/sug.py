@@ -175,18 +175,9 @@ def sug_run(
     and the sampled component's round values.
     """
     x0 = np.asarray(x0, dtype=float).copy()
-    meta = dict(trace_meta or {})
-    trace = RunTrace(
-        algorithm="sug",
-        eps=cfg.eps,
-        T=cfg.max_iters,
-        x0=x0,
-        L0=None,
-        seed=cfg.seed,
-        order_kind=meta.get("order"),
-        problem_meta=meta.get("problem", {}),
-        extra_meta={"M": cfg.M, **meta.get("extra", {})},
-    )
+    trace = RunTrace.start("sug", cfg.eps, cfg.max_iters, x0, trace_meta=trace_meta)
+    trace.seed = cfg.seed
+    trace.extra_meta = {"M": cfg.M, **trace.extra_meta}
     regularizer = problem.regularizer
     mu_h = regularizer.strong_convexity
     table = sug_init(problem, x0, cfg.M)

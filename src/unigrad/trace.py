@@ -54,6 +54,23 @@ class RunTrace:
     x_next: list = field(default_factory=list)
     phi_star: list = field(default_factory=list)
 
+    @classmethod
+    def start(cls, algorithm, eps, T, x0, L0=None, trace_meta=None) -> "RunTrace":
+        """An empty trace; trace_meta may carry the "problem" descriptor, the
+        "seed", the "order" kind and "extra" metadata."""
+        meta = trace_meta or {}
+        return cls(
+            algorithm=algorithm,
+            eps=eps,
+            T=T,
+            x0=np.asarray(x0, dtype=float).copy(),
+            L0=L0,
+            seed=meta.get("seed"),
+            order_kind=meta.get("order"),
+            problem_meta=meta.get("problem", {}),
+            extra_meta=dict(meta.get("extra", {})),
+        )
+
     def add_row(
         self,
         t: int,

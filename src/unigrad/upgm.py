@@ -1,4 +1,5 @@
-"""Online universal primal gradient method.
+"""Online universal primal gradient method, and the round driver it shares
+with the dual method (udgm).
 
 Each round t receives one component g_t, backtracks a modulus M = 2^i * L_t
 until the inexact descent condition with slack eps/2 holds at the Bregman
@@ -8,92 +9,19 @@ mapping, then steps to that mapping:
 
 The running output is the step-size weighted average of the produced
 iterates, xbar = sum_t x_{t+1} / L_{t+1} / sum_t 1 / L_{t+1}.  The doubling
-cap guarantees 2 L_{t+1} <= 2 gamma(M_v, v, eps) for every round.
+cap guarantees 2 L_{t+1} <= 2 gamma(M_v, v, eps) for every round.  The
+fixed-step variant replaces the search by one always-accepted trial at
+M = 2 gamma(M_v, v, eps), recorded as i_t = 0 and L_{t+1} = gamma.
 """
 
+import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bregman import backtrack, bregman_map, gamma, _descent_ok
-from .geometry import ProxFunction
-from .oracles import ComponentOracle, CompositeProblem, Regularizer
+from .oracles import CompositeProblem, NonFiniteOracleValue
 from .trace import RunTrace
-
-
-@dataclass
-class UpgmState:
-    """Mutable solver state between rounds."""
-
-    x: np.ndarray
-    L: float
-    geometry: ProxFunction
-    t: int = 0
-    weight_sum: float = 0.0
-    weighted_x: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).copy()
-        if self.L <= 0:
-            raise ValueError(f"L must be positive, got {self.L}")
-        if self.weighted_x is None:
-            self.weighted_x = np.zeros_like(self.x)
-
-    def averaged_iterate(self) -> np.ndarray:
-        if self.weight_sum <= 0:
-            raise ValueError("no rounds have run yet; average undefined")
-        return self.weighted_x / self.weight_sum
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-round scalars produced by one solver step."""
-
-    i_t: int
-    L_next: float
-    f_gt_xt: float
-    f_gt_xnext: float
-    f_gt_yt: float
-
-
-def upgm_step(
-    state: UpgmState,
-    gt: ComponentOracle,
-    regularizer: Regularizer,
-    eps: float,
-) -> StepRecord:
-    """Run one adaptive round on component gt, mutating state in place."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    geometry = state.geometry
-    x = state.x
-    g_value = float(gt.value(x))
-    g_grad = np.asarray(gt.grad(x), dtype=float)
-
-    def trial(M: float):
-        mv = bregman_map(geometry, regularizer, x, g_value, g_grad, M)
-        g_hat = float(gt.value(mv.minimizer))
-        ok = _descent_ok(g_value, g_grad, g_hat, x, mv.minimizer, M, eps, geometry)
-        return (mv, g_hat), ok
-
-    i_t, L_next, (mv, g_hat) = backtrack(state.L, trial)
-    h_x = regularizer.value(x)
-    h_hat = regularizer.value(mv.minimizer)
-    record = StepRecord(
-        i_t=i_t,
-        L_next=L_next,
-        f_gt_xt=g_value + h_x,
-        f_gt_xnext=g_hat + h_hat,
-        f_gt_yt=g_hat + h_hat,
-    )
-    state.x = mv.minimizer
-    state.L = L_next
-    state.t += 1
-    weight = 1.0 / L_next
-    state.weight_sum += weight
-    state.weighted_x = state.weighted_x + weight * mv.minimizer
-    return record
 
 
 def upgm_run(
@@ -110,27 +38,7 @@ def upgm_run(
     Returns (xbar, trace) where xbar is the weighted average iterate and the
     trace holds one row per round.
     """
-    order = _check_order(order, problem.n_components, T)
-    trace = _new_trace("oupgm", eps, T, x0, L0, trace_meta)
-    state = UpgmState(x=x0, L=L0, geometry=problem.geometry)
-    start = time.perf_counter()
-    for t in range(T + 1):
-        k = int(order[t])
-        record = upgm_step(state, problem.components[k], problem.regularizer, eps)
-        trace.add_row(
-            t,
-            record.i_t,
-            record.L_next,
-            record.f_gt_xt,
-            record.f_gt_xnext,
-            record.f_gt_yt,
-            np.nan,
-            time.perf_counter() - start,
-            component=k,
-            x_next=state.x,
-        )
-    trace.fill_f_full(problem.values)
-    return state.averaged_iterate(), trace
+    return _run_rounds(problem, order, x0, eps, T, trace_meta, L0=L0)
 
 
 def upgm_fixed_step_run(
@@ -148,64 +56,95 @@ def upgm_fixed_step_run(
 
     Holder constants default to the problem's stream-level certificate.
     """
+    return _run_rounds(problem, order, x0, eps, T, trace_meta,
+                       holder_modulus=holder_modulus, holder_degree=holder_degree)
+
+
+def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
+                holder_modulus=None, holder_degree=None, model=None):
+    """The round loop of both online methods and their fixed-step variants.
+
+    With L0 each round backtracks from L_t; without it each round takes one
+    accepted trial at 2 gamma(M_v, v, eps), the Holder constants defaulting
+    to the problem's.  Without a model (oupgm) the Bregman point is the next
+    iterate and the weighted average is returned.  With a DualModel (oudgm)
+    the next iterate is the model's minimizer after folding in the round's
+    linearization at the accepted modulus, and the final iterate is returned;
+    the fixed-step dual round computes no Bregman point.
+    """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if holder_modulus is None or holder_degree is None:
-        degree, modulus = problem.holder_constants()
-        holder_degree = degree if holder_degree is None else holder_degree
-        holder_modulus = modulus if holder_modulus is None else holder_modulus
-    order = _check_order(order, problem.n_components, T)
-    step_L = gamma(holder_modulus, holder_degree, eps)
-    trace = _new_trace("oupgm", eps, T, x0, None, trace_meta)
-    trace.extra_meta.update(
-        {"fixed_step": True, "Mv": holder_modulus, "v": holder_degree}
-    )
+    order = np.asarray(order, dtype=int)
+    if order.shape != (T + 1,):
+        raise ValueError(f"order has shape {order.shape}, expected ({T + 1},)")
+    if order.size and (order.min() < 0 or order.max() >= problem.n_components):
+        raise ValueError(
+            f"order indexes components outside [0, {problem.n_components})"
+        )
+    algorithm = "oupgm" if model is None else "oudgm"
+    trace = RunTrace.start(algorithm, eps, T, x0, L0, trace_meta)
+    fixed = L0 is None
+    if fixed:
+        if holder_modulus is None or holder_degree is None:
+            degree, modulus = problem.holder_constants()
+            holder_degree = degree if holder_degree is None else holder_degree
+            holder_modulus = modulus if holder_modulus is None else holder_modulus
+        L = gamma(holder_modulus, holder_degree, eps)
+        trace.extra_meta.update(
+            {"fixed_step": True, "Mv": holder_modulus, "v": holder_degree}
+        )
+    elif L0 <= 0:
+        raise ValueError(f"L0 must be positive, got {L0}")
+    else:
+        L = L0
     geometry = problem.geometry
     regularizer = problem.regularizer
-    x = np.asarray(x0, dtype=float).copy()
+    x = trace.x0.copy()
     weight_sum = 0.0
     weighted_x = np.zeros_like(x)
+    phi_star = None
     start = time.perf_counter()
     for t in range(T + 1):
         k = int(order[t])
         gt = problem.components[k]
-        g_value = float(gt.value(x))
-        g_grad = gt.grad(x)
-        mv = bregman_map(geometry, regularizer, x, g_value, g_grad, 2.0 * step_L)
+        g_value = _oracle_value(gt, x, t, k)
+        g_grad = np.asarray(gt.grad(x), dtype=float)
+        i_t = 0
+        if not fixed:
+            def trial(M: float):
+                y = bregman_map(geometry, regularizer, x, g_value, g_grad, M).minimizer
+                g_y = _oracle_value(gt, y, t, k)
+                return (y, g_y), _descent_ok(g_value, g_grad, g_y, x, y, M, eps, geometry)
+
+            i_t, L, (y, g_y) = backtrack(L, trial)
+        elif model is None:
+            y = bregman_map(geometry, regularizer, x, g_value, g_grad, 2.0 * L).minimizer
+            g_y = _oracle_value(gt, y, t, k)
         f_xt = g_value + regularizer.value(x)
-        f_next = float(gt.value(mv.minimizer)) + regularizer.value(mv.minimizer)
-        x = mv.minimizer
-        weight_sum += 1.0 / step_L
-        weighted_x += x / step_L
+        if model is None:
+            x = y
+            f_next = f_y = g_y + regularizer.value(y)
+            weight = 1.0 / L
+            weight_sum += weight
+            weighted_x = weighted_x + weight * y
+        else:
+            coeff = 0.5 / L  # the accepted modulus is 2 L, so coeff = 1 / M
+            x_next = model.argmin(regularizer, coeff, g_grad)
+            model.fold(coeff, g_value, g_grad, x)
+            x = x_next
+            f_next = _oracle_value(gt, x, t, k) + regularizer.value(x)
+            f_y = f_next if fixed else g_y + regularizer.value(y)
+            phi_star = model.value(x, regularizer)
         trace.add_row(
-            t, 0, step_L, f_xt, f_next, f_next, np.nan,
-            time.perf_counter() - start, component=k, x_next=x,
+            t, i_t, L, f_xt, f_next, f_y, np.nan, time.perf_counter() - start,
+            component=k, x_next=x, phi_star=phi_star,
         )
     trace.fill_f_full(problem.values)
-    return weighted_x / weight_sum, trace
+    return (weighted_x / weight_sum if model is None else x), trace
 
 
-def _check_order(order, n_components: int, T: int) -> np.ndarray:
-    order = np.asarray(order, dtype=int)
-    if order.shape != (T + 1,):
-        raise ValueError(f"order has shape {order.shape}, expected ({T + 1},)")
-    if order.size and (order.min() < 0 or order.max() >= n_components):
-        raise ValueError(
-            f"order indexes components outside [0, {n_components})"
-        )
-    return order
-
-
-def _new_trace(algorithm, eps, T, x0, L0, trace_meta) -> RunTrace:
-    meta = dict(trace_meta or {})
-    return RunTrace(
-        algorithm=algorithm,
-        eps=eps,
-        T=T,
-        x0=np.asarray(x0, dtype=float).copy(),
-        L0=L0,
-        seed=meta.get("seed"),
-        order_kind=meta.get("order"),
-        problem_meta=meta.get("problem", {}),
-        extra_meta=dict(meta.get("extra", {})),
-    )
+def _oracle_value(gt, x: np.ndarray, t: int, k: int) -> float:
+    value = float(gt.value(x))
+    if not math.isfinite(value):
+        raise NonFiniteOracleValue(f"component {k} returned {value} at round {t}")
+    return value

@@ -9,13 +9,21 @@ from unigrad.bregman import (
     backtrack,
     bregman_map,
     bregman_map_numeric,
-    check_descent_condition,
     gamma,
     soft_threshold,
+    _descent_ok,
 )
 from unigrad.geometry import squared_euclidean
 from unigrad.oracles import ComponentOracle, Regularizer
 from unigrad.problems import LassoInstance, lasso_problem
+
+
+def check_descent_condition(gt, x, x_hat, M, eps, geometry):
+    """The online rounds' descent test, with g and its gradient read at x."""
+    x = np.asarray(x, dtype=float)
+    x_hat = np.asarray(x_hat, dtype=float)
+    return _descent_ok(float(gt.value(x)), np.asarray(gt.grad(x), dtype=float),
+                       float(gt.value(x_hat)), x, x_hat, M, eps, geometry)
 
 
 def _lasso_component(a, b):

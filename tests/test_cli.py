@@ -168,3 +168,15 @@ def test_check_bounds_judges_the_sug_run_dist0(tmp_path, capsys):
     checked = json.loads(capsys.readouterr().out)
     assert checked["dist0_sq"] == 1e-6
     assert checked["ok"] is False
+
+
+@pytest.mark.parametrize("dist0", ["0", "-1", "nan"])
+def test_run_rejects_bad_dist0_before_running(tmp_path, capsys, dist0):
+    out = tmp_path / "art"
+    code = main([
+        "run", "--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10",
+        "--M", "1", "--dist0", dist0, "--T", "10", "--out", str(out),
+    ])
+    assert code == 2
+    assert "dist0" in capsys.readouterr().err
+    assert not out.exists()

@@ -318,7 +318,7 @@ def test_run_experiment_fixed_step_and_recheck(tmp_path, algorithm):
     cfg = _cfg(algorithm=algorithm, out=str(tmp_path / "run"), eps=1e-1, T=40,
                order="random", seed=3, fixed_step=True)
     paths = run_experiment(cfg)
-    report = json.loads(open(paths["report"]).read())
+    report = json.loads(Path(paths["report"]).read_text())
     assert report["fixed_step"] is True
     assert report["corollary_satisfied"] is True
     rep = _recheck(paths)
@@ -331,7 +331,7 @@ def test_run_experiment_sug_and_recheck(tmp_path, dist0_sq):
     cfg = _cfg(algorithm="sug", problem=desc, out=str(tmp_path / "run"),
                eps=1e-2, T=100, M=1.0, seed=4, dist0_sq=dist0_sq)
     paths = run_experiment(cfg)
-    report = json.loads(open(paths["report"]).read())
+    report = json.loads(Path(paths["report"]).read_text())
     assert report["rho"] is not None and report["rho"] < 1.0
     assert report["bound_satisfied"] is True
     if dist0_sq is not None:
@@ -347,7 +347,7 @@ def test_check_bounds_sug_trace_without_dist0_or_final_value(tmp_path):
     cfg = _cfg(algorithm="sug", problem=desc, out=str(tmp_path / "run"),
                eps=1e-2, T=100, M=1.0, seed=4)
     paths = run_experiment(cfg)
-    report = json.loads(open(paths["report"]).read())
+    report = json.loads(Path(paths["report"]).read_text())
     trace = parse_trace_csv(paths["trace"])
     del trace.extra_meta["dist0_sq"], trace.extra_meta["f_final"]
     write_trace_csv(trace, paths["trace"])
@@ -363,7 +363,7 @@ def test_run_experiment_sug_vacuous_bound(tmp_path):
     cfg = _cfg(algorithm="sug", problem=desc, out=str(tmp_path / "run"),
                eps=1e-1, T=20, M=1.0, seed=0)
     paths = run_experiment(cfg)
-    report = json.loads(open(paths["report"]).read())
+    report = json.loads(Path(paths["report"]).read_text())
     assert report["bound_vacuous"] is True
     rep = _recheck(paths)
     assert rep["ok"] and rep["checked"] == "none (bound vacuous)"
@@ -373,7 +373,7 @@ def test_run_experiment_batch(tmp_path):
     cfg = _cfg(algorithm="batch", out=str(tmp_path / "run"), eps=1e-2, T=500,
                tol=1e-8)
     paths = run_experiment(cfg)
-    report = json.loads(open(paths["report"]).read())
+    report = json.loads(Path(paths["report"]).read_text())
     assert report["algorithm"] == "batch"
     assert report["final_gap"] <= 1e-6
     lines = (tmp_path / "run" / "bounds.csv").read_text().strip().splitlines()

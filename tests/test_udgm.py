@@ -5,7 +5,12 @@ import pytest
 
 from unigrad.bregman import gamma
 from unigrad.geometry import squared_euclidean
-from unigrad.oracles import ComponentOracle, Regularizer, UnsupportedRegularizer
+from unigrad.oracles import (
+    ComponentOracle,
+    CompositeProblem,
+    Regularizer,
+    UnsupportedRegularizer,
+)
 from unigrad.problems import (
     LassoInstance,
     lasso_problem,
@@ -17,12 +22,9 @@ from unigrad.problems import (
 from unigrad.trace import parse_trace_csv, write_trace_csv
 from unigrad.udgm import (
     DualModel,
-    UdgmState,
     check_dual_target_bound,
-    model_argmin,
     udgm_fixed_step_run,
     udgm_run,
-    udgm_step,
 )
 
 
@@ -37,7 +39,7 @@ def _fresh_model(dim=2, x0=None):
 
 def test_empty_model_minimized_at_anchor():
     model = _fresh_model(x0=np.array([1.5, -2.0]))
-    got = model_argmin(model, Regularizer.zero())
+    got = model.argmin(Regularizer.zero())
     np.testing.assert_array_equal(got, np.array([1.5, -2.0]))
 
 
@@ -117,7 +119,7 @@ def test_model_strong_convexity_around_its_minimizer():
 
 
 # ---------------------------------------------------------------------------
-# udgm_step
+# one round at a time
 
 
 def _zero_problem(dim=2):
@@ -127,47 +129,62 @@ def _zero_problem(dim=2):
         holder_degree=1.0,
         holder_modulus=1.0,
     )
-    return comp
+    return CompositeProblem(
+        components=[comp],
+        regularizer=Regularizer.zero(),
+        geometry=squared_euclidean(dim),
+        dimension=dim,
+    )
 
 
-def test_step_on_zero_objective_stays_at_anchor():
-    comp = _zero_problem()
+def _record_folds(monkeypatch):
+    """Record (model, model.A) after every DualModel.fold a run makes."""
+    folds = []
+    fold = DualModel.fold
+
+    def spy(self, *args):
+        fold(self, *args)
+        folds.append((self, self.A))
+
+    monkeypatch.setattr(DualModel, "fold", spy)
+    return folds
+
+
+def test_step_on_zero_objective_stays_at_anchor(monkeypatch):
+    folds = _record_folds(monkeypatch)
     x0 = np.array([0.7, -0.3])
-    model = _fresh_model(x0=x0)
-    state = UdgmState(x=x0, L=4.0, model=model)
-    rec = udgm_step(state, comp, Regularizer.zero(), eps=1e-2)
-    assert rec.i_t == 0
-    assert rec.L_next == pytest.approx(2.0)
-    np.testing.assert_array_equal(state.x, x0)
+    x_final, trace = udgm_run(_zero_problem(), np.array([0]), x0, 4.0, 1e-2, 0)
+    assert trace.i_t == [0]
+    assert trace.L_next[0] == pytest.approx(2.0)
+    np.testing.assert_array_equal(x_final, x0)
+    [(model, A)] = folds
     np.testing.assert_array_equal(model.s, np.zeros(2))
-    assert model.A > 0.0
+    assert A > 0.0
 
 
 def test_step_quadratic_equality_case():
     inst = LassoInstance(A=np.array([[1.0]]), b=np.array([0.0]))
     prob = lasso_problem(inst)
-    x0 = np.array([1.0])
-    state = UdgmState(x=x0, L=2.0, model=_fresh_model(1, x0))
-    rec = udgm_step(state, prob.components[0], prob.regularizer, eps=1e-12)
-    assert rec.i_t == 0
-    assert rec.L_next == pytest.approx(1.0)
+    _, trace = udgm_run(prob, np.array([0]), np.array([1.0]), 2.0, 1e-12, 0)
+    assert trace.i_t == [0]
+    assert trace.L_next[0] == pytest.approx(1.0)
 
 
 def test_state_requires_positive_modulus():
-    with pytest.raises(ValueError):
-        UdgmState(x=np.zeros(2), L=-1.0, model=_fresh_model())
+    with pytest.raises(ValueError, match="L0"):
+        udgm_run(_zero_problem(), np.array([0]), np.zeros(2), -1.0, 1e-2, 0)
 
 
-def test_aggregated_coefficient_is_half_the_weight_sum():
+def test_aggregated_coefficient_is_half_the_weight_sum(monkeypatch):
     prob = lasso_problem(synth_lasso(p=4, n=25, sparsity=2, noise=0.2, seed=3,
                                      l1_weight=0.1))
-    x0 = np.zeros(4)
-    state = UdgmState(x=x0, L=1.0, model=_fresh_model(4, x0))
-    rng = np.random.default_rng(4)
-    for _ in range(40):
-        udgm_step(state, prob.components[int(rng.integers(0, 25))],
-                  prob.regularizer, eps=1e-2)
-        assert state.model.A == state.weight_sum / 2.0
+    folds = _record_folds(monkeypatch)
+    order = np.random.default_rng(4).integers(0, 25, size=40)
+    _, trace = udgm_run(prob, order, np.zeros(4), 1.0, 1e-2, 39)
+    weight_sum = 0.0
+    for (_, A), L_next in zip(folds, trace.L_next, strict=True):
+        weight_sum += 1.0 / L_next
+        assert A == weight_sum / 2.0
 
 
 def test_accepted_moduli_capped_on_lasso_stream():

@@ -15,7 +15,7 @@ from unigrad.problems import (
     synth_lasso,
     synth_steiner,
 )
-from unigrad.upgm import UpgmState, upgm_fixed_step_run, upgm_run, upgm_step
+from unigrad.upgm import upgm_fixed_step_run, upgm_run
 
 
 def _zero_problem(dim=2):
@@ -35,12 +35,11 @@ def _zero_problem(dim=2):
 
 def test_step_on_zero_objective_keeps_point_and_halves_modulus():
     prob = _zero_problem()
-    state = UpgmState(x=np.array([1.0, -2.0]), L=4.0, geometry=prob.geometry)
-    rec = upgm_step(state, prob.components[0], prob.regularizer, eps=1e-2)
-    assert rec.i_t == 0
-    assert rec.L_next == pytest.approx(2.0)
-    assert state.L == pytest.approx(2.0)
-    np.testing.assert_array_equal(state.x, np.array([1.0, -2.0]))
+    xbar, trace = upgm_run(prob, np.array([0]), np.array([1.0, -2.0]), 4.0, 1e-2, 0)
+    assert trace.i_t == [0]
+    assert trace.L_next[0] == pytest.approx(2.0)
+    np.testing.assert_array_equal(trace.x_next[0], np.array([1.0, -2.0]))
+    np.testing.assert_array_equal(xbar, np.array([1.0, -2.0]))
 
 
 def test_step_one_dim_quadratic_equality_case():
@@ -48,29 +47,22 @@ def test_step_one_dim_quadratic_equality_case():
     curvature exactly, so i = 0 is accepted and the step lands at 0."""
     inst = LassoInstance(A=np.array([[1.0]]), b=np.array([0.0]))
     prob = lasso_problem(inst)
-    state = UpgmState(x=np.array([1.0]), L=2.0, geometry=prob.geometry)
-    rec = upgm_step(state, prob.components[0], prob.regularizer, eps=1e-12)
-    assert rec.i_t == 0
-    np.testing.assert_allclose(state.x, np.array([0.0]), atol=1e-15)
-    assert state.L == pytest.approx(1.0)
+    _, trace = upgm_run(prob, np.array([0]), np.array([1.0]), 2.0, 1e-12, 0)
+    assert trace.i_t == [0]
+    np.testing.assert_allclose(trace.x_next[0], np.array([0.0]), atol=1e-15)
+    assert trace.L_next[0] == pytest.approx(1.0)
 
 
 def test_step_rejects_nonpositive_eps():
     prob = _zero_problem()
-    state = UpgmState(x=np.zeros(2), L=1.0, geometry=prob.geometry)
-    with pytest.raises(ValueError):
-        upgm_step(state, prob.components[0], prob.regularizer, eps=0.0)
+    with pytest.raises(ValueError, match="eps"):
+        upgm_run(prob, np.array([0]), np.zeros(2), 1.0, 0.0, 0)
 
 
 def test_state_requires_positive_modulus():
-    with pytest.raises(ValueError):
-        UpgmState(x=np.zeros(2), L=0.0, geometry=squared_euclidean(2))
-
-
-def test_average_undefined_before_first_round():
-    state = UpgmState(x=np.zeros(2), L=1.0, geometry=squared_euclidean(2))
-    with pytest.raises(ValueError):
-        state.averaged_iterate()
+    prob = _zero_problem()
+    with pytest.raises(ValueError, match="L0"):
+        upgm_run(prob, np.array([0]), np.zeros(2), 0.0, 1e-2, 0)
 
 
 def test_accepted_moduli_capped_on_nonsmooth_stream():
