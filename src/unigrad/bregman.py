@@ -5,33 +5,22 @@ The Bregman mapping of a smooth component g at x with modulus M is
     B_{M,g}(x) = argmin_y  g(x) + <grad g(x), y - x> + M * dist(x, y) + h(y)
 
 where dist is the geometry's Bregman distance.  For the squared Euclidean
-geometry the minimizer is prox_{h/M}(x - grad g(x) / M).  The model value
-at the minimizer, psi_star, certifies per-round progress.
+geometry the minimizer is prox_{h/M}(x - grad g(x) / M).
 
 gamma(M_v, v, eps) is the adaptive step-size ceiling: once a trial modulus
 exceeds it, the inexact descent condition with slack eps/2 is guaranteed,
 so the backtracking doubling always terminates with 2 L_next <= 2 gamma.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geometry import ProxFunction
 from .oracles import Regularizer
 
 
 class LineSearchOverflow(RuntimeError):
     """Backtracking exceeded the doubling cap; oracle or geometry misfit."""
-
-
-class ModelSolveError(RuntimeError):
-    """Numeric model minimization failed to reach the residual tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 MAX_DOUBLINGS = 64
@@ -53,38 +42,17 @@ def gamma(holder_modulus: float, holder_degree: float, eps: float) -> float:
     return (1.0 / eps) ** ((1.0 - v) / (1.0 + v)) * holder_modulus ** (2.0 / (1.0 + v))
 
 
-def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
-    """Componentwise sign(z) * max(|z| - tau, 0)."""
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
-    z = np.asarray(z, dtype=float)
-    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
-
-
-@dataclass(frozen=True)
-class ModelValue:
-    """Bregman-mapping result: the minimizer and the model value there."""
-
-    minimizer: np.ndarray
-    psi_star: float
-
-
 def bregman_map(
-    geometry: ProxFunction,
     regularizer: Regularizer,
     x: np.ndarray,
-    g_value: float,
     g_grad: np.ndarray,
     M: float,
-) -> ModelValue:
-    """Closed-form Bregman mapping of the linearized model at x.
+) -> np.ndarray:
+    """Closed-form Bregman mapping of the linearized model at x: its
+    minimizer x_hat.
 
-    Parameters take the component's value and gradient at x precomputed so
-    the line search can reuse them across trials.
-
-    Returns the minimizer x_hat and psi_star, the model value
-
-        g(x) + <grad g(x), x_hat - x> + M * dist(x, x_hat) + h(x_hat).
+    The gradient at x is precomputed so the line search can reuse it across
+    trials.
     """
     if M <= 0:
         raise ValueError(f"modulus M must be positive, got {M}")
@@ -92,57 +60,7 @@ def bregman_map(
     g_grad = np.asarray(g_grad, dtype=float)
     if g_grad.shape != x.shape:
         raise ValueError(f"gradient shape {g_grad.shape} != point shape {x.shape}")
-    x_hat = regularizer.prox(x - g_grad / M, 1.0 / M)
-    psi = (
-        g_value
-        + float(g_grad @ (x_hat - x))
-        + M * geometry.bregman(x, x_hat)
-        + regularizer.value(x_hat)
-    )
-    return ModelValue(minimizer=x_hat, psi_star=psi)
-
-
-def bregman_map_numeric(
-    geometry: ProxFunction,
-    regularizer: Regularizer,
-    x: np.ndarray,
-    g_value: float,
-    g_grad: np.ndarray,
-    M: float,
-    tol: float = 1e-10,
-    max_iters: int = 10000,
-) -> ModelValue:
-    """Validation oracle: minimize the model by proximal-gradient iteration.
-
-    Runs fixed-step (1/M) proximal-gradient on the model until the iterate
-    moves less than tol.  Not a production path; it exists so closed forms
-    can be cross-checked.
-    """
-    if M <= 0:
-        raise ValueError(f"modulus M must be positive, got {M}")
-    x = np.asarray(x, dtype=float)
-    g_grad = np.asarray(g_grad, dtype=float)
-    y = x.copy()
-    residual = np.inf
-    for _ in range(max_iters):
-        model_grad = g_grad + M * geometry.bregman_grad_y(x, y)
-        y_next = regularizer.prox(y - model_grad / M, 1.0 / M)
-        residual = float(np.linalg.norm(y_next - y))
-        y = y_next
-        if residual <= tol:
-            break
-    else:
-        raise ModelSolveError(
-            f"model minimization stalled at residual {residual:.3e} > {tol:.3e}",
-            residual,
-        )
-    psi = (
-        g_value
-        + float(g_grad @ (y - x))
-        + M * geometry.bregman(x, y)
-        + regularizer.value(y)
-    )
-    return ModelValue(minimizer=y, psi_star=psi)
+    return regularizer.prox(x - g_grad / M, 1.0 / M)
 
 
 def _descent_ok(g_value, g_grad, g_value_hat, x, x_hat, M, eps, geometry):
@@ -162,9 +80,7 @@ def _descent_ok(g_value, g_grad, g_value_hat, x, x_hat, M, eps, geometry):
 
 
 def backtrack(
-    initial_L: float,
-    trial: Callable[[float], tuple[object, bool]],
-    max_doublings: int = MAX_DOUBLINGS,
+    initial_L: float, trial: Callable[[float], tuple[object, bool]]
 ) -> tuple[int, float, object]:
     """Doubling line search over trial moduli M = 2^i * initial_L.
 
@@ -172,17 +88,17 @@ def backtrack(
     for the smallest accepted i, with L_next = 2^(i-1) * initial_L (so the
     accepted modulus equals 2 * L_next).
 
-    Raises LineSearchOverflow after max_doublings rejected trials.
+    Raises LineSearchOverflow after MAX_DOUBLINGS rejected trials.
     """
     if initial_L <= 0:
         raise ValueError(f"initial_L must be positive, got {initial_L}")
-    for i in range(max_doublings + 1):
+    for i in range(MAX_DOUBLINGS + 1):
         M = (2.0**i) * initial_L
         candidate, accepted = trial(M)
         if accepted:
             return i, 0.5 * M, candidate
     raise LineSearchOverflow(
-        f"no accepted modulus after {max_doublings} doublings from L = {initial_L}; "
+        f"no accepted modulus after {MAX_DOUBLINGS} doublings from L = {initial_L}; "
         "check the oracle's Holder certificate and the geometry"
     )
 

@@ -1,4 +1,4 @@
-"""Prox-functions and the Bregman distances they induce.
+"""The prox-function and the Bregman distance it induces.
 
 A prox-function d is 1-strongly convex w.r.t. the Euclidean norm and attains
 its minimum value 0 at its center.  The induced Bregman distance
@@ -6,57 +6,25 @@ its minimum value 0 at its center.  The induced Bregman distance
     dist(x, y) = d(y) - d(x) - <grad d(x), y - x>
 
 therefore satisfies dist(x, y) >= 0.5 * ||x - y||^2.  Only the squared
-Euclidean prox-function ships; every formula below keeps the general
-structure so the contracts stay readable.
+Euclidean prox-function d(x) = 0.5 * ||x - center||^2 ships, for which
+dist(x, y) = 0.5 * ||x - y||^2 whatever the center; the methods use the
+geometry only through dist.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-SQUARED_EUCLIDEAN = "squared-euclidean"
-
-
-@dataclass(frozen=True)
-class GeometrySmoothness:
-    """Smoothness certificate of grad d: Holder degree and modulus."""
-
-    degree: float
-    modulus: float
 
 
 @dataclass(frozen=True)
 class ProxFunction:
-    """d(x) = 0.5 * ||x - center||^2 with its Bregman machinery.
-
-    Attributes
-    ----------
-    dimension : int
-        Ambient dimension; all arguments are checked against it.
-    center : np.ndarray
-        Minimizer of d (prox-center), defaults to the origin.
-    kind : str
-        Identifier of the prox-function family.
-    """
+    """The squared Euclidean geometry of a dimension-`dimension` space."""
 
     dimension: int
-    center: np.ndarray = field(default=None)  # type: ignore[assignment]
-    kind: str = SQUARED_EUCLIDEAN
 
     def __post_init__(self):
         if self.dimension <= 0:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
-        if self.kind != SQUARED_EUCLIDEAN:
-            raise ValueError(f"unsupported prox-function kind: {self.kind!r}")
-        center = self.center
-        if center is None:
-            center = np.zeros(self.dimension)
-        center = np.asarray(center, dtype=float)
-        if center.shape != (self.dimension,):
-            raise ValueError(
-                f"center has shape {center.shape}, expected ({self.dimension},)"
-            )
-        object.__setattr__(self, "center", center)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -64,38 +32,9 @@ class ProxFunction:
             raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
         return x
 
-    def value(self, x: np.ndarray) -> float:
-        """d(x); nonnegative, zero exactly at the center."""
-        x = self._check(x)
-        diff = x - self.center
-        return 0.5 * float(diff @ diff)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        return x - self.center
-
     def bregman(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Bregman distance d(y) - d(x) - <grad d(x), y - x>.
-
-        For the squared Euclidean prox-function this is 0.5 * ||x - y||^2
-        independent of the center.
-        """
+        """Bregman distance dist(x, y) = 0.5 * ||x - y||^2."""
         x = self._check(x)
         y = self._check(y)
         diff = y - x
         return 0.5 * float(diff @ diff)
-
-    def bregman_grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of bregman(x, .) at y, i.e. grad d(y) - grad d(x)."""
-        x = self._check(x)
-        y = self._check(y)
-        return y - x
-
-    def smoothness(self) -> GeometrySmoothness:
-        """grad d is Lipschitz with modulus 1 (Holder degree 1)."""
-        return GeometrySmoothness(degree=1.0, modulus=1.0)
-
-
-def squared_euclidean(dimension: int, center: np.ndarray | None = None) -> ProxFunction:
-    """Standard prox-function 0.5 * ||x - center||^2."""
-    return ProxFunction(dimension=dimension, center=center)

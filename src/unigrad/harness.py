@@ -49,7 +49,7 @@ from .trace import RunTrace, parse_trace_csv, write_trace_csv
 from .udgm import udgm_fixed_step_run, udgm_run
 from .upgm import upgm_fixed_step_run, upgm_run
 
-DEFAULT_SLACK_SCALE = 1e-9
+SLACK_SCALE = 1e-9
 
 
 class ReferenceSolverError(RuntimeError):
@@ -101,20 +101,19 @@ class ReferenceSolution:
 def reference_solution(
     problem: CompositeProblem,
     tol: float = 1e-10,
-    x0: np.ndarray | None = None,
     max_iters: int = 1_000_000,
     L0: float = 1.0,
 ) -> ReferenceSolution:
     """Batch proximal gradient with backtracking on the smooth average.
 
-    Iterates until the fixed-point residual ||x_next - x|| drops to tol.
+    Iterates from the origin until the fixed-point residual ||x_next - x||
+    drops to tol.
     Raises ReferenceSolverError if the cap is hit first.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    x0 = np.zeros(problem.dimension) if x0 is None else x0
     residual = math.inf
-    steps = _prox_grad_steps(problem, x0, L0)
+    steps = _prox_grad_steps(problem, np.zeros(problem.dimension), L0)
     for it, (x, x_next, _, _, _, g_next) in zip(range(1, max_iters + 1), steps):
         residual = float(np.linalg.norm(x_next - x))
         if residual <= tol:
@@ -191,8 +190,6 @@ def evaluate_regret(
     trace: RunTrace,
     problem: CompositeProblem,
     x_star: np.ndarray,
-    eps: float | None = None,
-    slack_scale: float = DEFAULT_SLACK_SCALE,
 ) -> RegretReport:
     """Compute both regret readings and both aggregate theorem checks.
 
@@ -204,13 +201,14 @@ def evaluate_regret(
     and the weights stay order one.  The weighted sum at the raw iterates
     is still reported (weighted_lhs_thm2_iterates) for diagnostics.
 
-    Satisfaction uses the slack slack_scale * (1 + |RHS|).
+    Every reading uses the trace's own eps; satisfaction allows the slack
+    SLACK_SCALE * (1 + |RHS|).
     """
     if trace.n_rows != trace.T + 1:
         raise ValueError(
             f"trace incomplete: {trace.n_rows} rows for T = {trace.T}"
         )
-    eps = trace.eps if eps is None else float(eps)
+    eps = trace.eps
     x_star = np.asarray(x_star, dtype=float)
     comps = _trace_components(trace, problem)
     h_star = problem.regularizer.value(x_star)
@@ -229,8 +227,8 @@ def evaluate_regret(
     lhs2 = float((0.5 * inv_L * (f_yt - f_star_rows)).sum())
     lhs2_iter = float((0.5 * inv_L * (f_xt - f_star_rows)).sum())
     rhs2 = 0.25 * eps * S_T + r0
-    slack1 = slack_scale * (1.0 + abs(rhs1))
-    slack2 = slack_scale * (1.0 + abs(rhs2))
+    slack1 = SLACK_SCALE * (1.0 + abs(rhs1))
+    slack2 = SLACK_SCALE * (1.0 + abs(rhs2))
     return RegretReport(
         algorithm=trace.algorithm,
         eps=eps,
@@ -307,7 +305,6 @@ class RunConfig:
     holder_modulus: float | None = None
     holder_degree: float | None = None
     tol: float = 1e-10
-    stop_threshold: float | None = None
     dist0_sq: float | None = None
 
     def validate(self) -> None:
@@ -383,8 +380,6 @@ def run_experiment(cfg: RunConfig) -> dict:
             eps=eps,
             seed=cfg.seed,
             max_iters=max(cfg.T, 1),
-            stop_threshold=cfg.stop_threshold,
-            dist0_sq=dist0_sq,
         )
         x_out, trace = sug_run(problem, x0, sug_cfg, trace_meta)
         trace.extra_meta["f_final"] = problem.value(x_out)
@@ -448,7 +443,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             step = gamma(float(extra["Mv"]), float(extra["v"]), trace.eps)
             rhs = 0.5 * trace.eps * (trace.T + 1) + 2.0 * rep.r0 * step
             lhs = rep.regret_shifted if primal else rep.regret_as_defined
-            ok = bool(lhs <= rhs + DEFAULT_SLACK_SCALE * (1.0 + abs(rhs)))
+            ok = bool(lhs <= rhs + SLACK_SCALE * (1.0 + abs(rhs)))
             report.update(
                 fixed_step_modulus=step, corollary_lhs=lhs, corollary_rhs=rhs,
                 corollary_satisfied=ok, checked="fixed-step regret corollary",
@@ -493,7 +488,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             for k in range(1, len(gaps))
         ]
         ok = not active or all(
-            gap <= bound + DEFAULT_SLACK_SCALE * (1.0 + abs(bound))
+            gap <= bound + SLACK_SCALE * (1.0 + abs(bound))
             for _, gap, bound in curve
         )
         report.update(

@@ -10,6 +10,7 @@ The composite regularizer h is simple: its proximal operator has a closed
 form for the supported structures (zero, l1, elastic net).
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,10 +27,6 @@ BLOCK_BYTES = 1 << 19
 def block_len(row_bytes: int) -> int:
     """Rows of row_bytes bytes each that one BLOCK_BYTES temporary holds."""
     return max(1, BLOCK_BYTES // row_bytes)
-
-
-class UnsupportedRegularizer(ValueError):
-    """Raised when a closed-form path needs a prox the structure lacks."""
 
 
 class NonFiniteOracleValue(ValueError):
@@ -56,32 +53,44 @@ class ComponentOracle:
             )
 
 
+def oracle_value(component: ComponentOracle, x: np.ndarray, t: int, k: int) -> float:
+    """g_k(x) as a float, read in round t; raises NonFiniteOracleValue,
+    naming the round and the component, when it is NaN or infinite."""
+    value = float(component.value(x))
+    if not math.isfinite(value):
+        raise NonFiniteOracleValue(f"component {k} returned {value} at round {t}")
+    return value
+
+
+def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
+    """Componentwise sign(z) * max(|z| - tau, 0)."""
+    if tau < 0:
+        raise ValueError(f"threshold must be nonnegative, got {tau}")
+    z = np.asarray(z, dtype=float)
+    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+
+
 @dataclass(frozen=True)
 class Regularizer:
     """Simple convex regularizer h with closed-form prox.
 
-    structure is one of "zero", "l1", "elastic_net", "custom".  For
-    elastic_net, h(x) = l1_weight * ||x||_1 + 0.5 * ridge_weight * ||x||^2
-    and the strong-convexity modulus equals ridge_weight.  Custom
-    regularizers supply their own value (and optionally prox) callables.
+    structure is one of "zero", "l1", "elastic_net".  For elastic_net,
+    h(x) = l1_weight * ||x||_1 + 0.5 * ridge_weight * ||x||^2 and the
+    strong-convexity modulus equals ridge_weight.
     """
 
     structure: str
     l1_weight: float = 0.0
     ridge_weight: float = 0.0
-    value_fn: Callable[[np.ndarray], float] | None = None
-    prox_fn: Callable[[np.ndarray, float], np.ndarray] | None = None
     strong_convexity: float = field(init=False)
 
-    _STRUCTURES = ("zero", "l1", "elastic_net", "custom")
+    _STRUCTURES = ("zero", "l1", "elastic_net")
 
     def __post_init__(self):
         if self.structure not in self._STRUCTURES:
             raise ValueError(f"unknown regularizer structure: {self.structure!r}")
         if self.l1_weight < 0 or self.ridge_weight < 0:
             raise ValueError("regularizer weights must be nonnegative")
-        if self.structure == "custom" and self.value_fn is None:
-            raise ValueError("custom regularizer requires value_fn")
         mu = self.ridge_weight if self.structure == "elastic_net" else 0.0
         object.__setattr__(self, "strong_convexity", mu)
 
@@ -99,67 +108,41 @@ class Regularizer:
             structure="elastic_net", l1_weight=l1_weight, ridge_weight=ridge_weight
         )
 
-    @staticmethod
-    def custom(
-        value_fn: Callable[[np.ndarray], float],
-        prox_fn: Callable[[np.ndarray, float], np.ndarray] | None = None,
-        strong_convexity: float = 0.0,
-    ) -> "Regularizer":
-        reg = Regularizer(structure="custom", value_fn=value_fn, prox_fn=prox_fn)
-        object.__setattr__(reg, "strong_convexity", strong_convexity)
-        return reg
-
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         if self.structure == "zero":
             return 0.0
         if self.structure == "l1":
             return self.l1_weight * float(np.abs(x).sum())
-        if self.structure == "elastic_net":
-            return self.l1_weight * float(np.abs(x).sum()) + 0.5 * self.ridge_weight * float(x @ x)
-        return float(self.value_fn(x))  # type: ignore[misc]
+        return self.l1_weight * float(np.abs(x).sum()) + 0.5 * self.ridge_weight * float(x @ x)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """h at each row of the (k, p) array X."""
         X = np.asarray(X, dtype=float)
         if self.structure == "zero":
             return np.zeros(X.shape[0])
-        if self.structure == "custom":
-            return np.array([self.value(x) for x in X], dtype=float)
         out = self.l1_weight * np.abs(X).sum(axis=1)
         if self.structure == "elastic_net":
             out += 0.5 * self.ridge_weight * np.einsum("ij,ij->i", X, X)
         return out
 
     def prox(self, z: np.ndarray, tau: float) -> np.ndarray:
-        """argmin_y 0.5 * ||y - z||^2 + tau * h(y), closed form.
-
-        Raises UnsupportedRegularizer for custom structures without prox_fn.
-        """
+        """argmin_y 0.5 * ||y - z||^2 + tau * h(y), closed form."""
         if tau < 0:
             raise ValueError(f"prox weight must be nonnegative, got {tau}")
         z = np.asarray(z, dtype=float)
         if self.structure == "zero":
             return z.copy()
+        shrunk = soft_threshold(z, tau * self.l1_weight)
         if self.structure == "l1":
-            from .bregman import soft_threshold
-
-            return soft_threshold(z, tau * self.l1_weight)
-        if self.structure == "elastic_net":
-            from .bregman import soft_threshold
-
-            shrunk = soft_threshold(z, tau * self.l1_weight)
-            return shrunk / (1.0 + tau * self.ridge_weight)
-        if self.prox_fn is not None:
-            return np.asarray(self.prox_fn(z, tau), dtype=float)
-        raise UnsupportedRegularizer(
-            "custom regularizer has no prox; closed-form solvers cannot proceed"
-        )
+            return shrunk
+        return shrunk / (1.0 + tau * self.ridge_weight)
 
 
 @dataclass
 class CompositeProblem:
-    """f(x) = (1/n) sum_i g_i(x) + h(x) over a fixed geometry.
+    """f(x) = (1/n) sum_i g_i(x) + h(x) over the squared Euclidean geometry
+    of its dimension.
 
     mean_value_fn / mean_grad_fn, when supplied by a constructor, evaluate
     the smooth average (1/n) sum_i g_i and its gradient in vectorized form;
@@ -170,31 +153,20 @@ class CompositeProblem:
 
     components: list[ComponentOracle]
     regularizer: Regularizer
-    geometry: ProxFunction
     dimension: int
     mean_value_fn: Callable[[np.ndarray], float] | None = None
     mean_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     mean_values_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    geometry: ProxFunction = field(init=False)
 
     def __post_init__(self):
         if not self.components:
             raise ValueError("problem needs at least one component")
-        if self.dimension != self.geometry.dimension:
-            raise ValueError(
-                f"dimension {self.dimension} disagrees with geometry "
-                f"dimension {self.geometry.dimension}"
-            )
+        self.geometry = ProxFunction(self.dimension)
 
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def _check_index(self, t: int) -> int:
-        if not 0 <= t < len(self.components):
-            raise IndexError(
-                f"component index {t} out of range [0, {len(self.components)})"
-            )
-        return t
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -237,17 +209,6 @@ class CompositeProblem:
             return np.array([self.value(x) for x in X], dtype=float)
         smooth = np.asarray(self.mean_values_fn(X), dtype=float)
         return smooth + self.regularizer.values(X)
-
-    def per_sample_value(self, t: int, x: np.ndarray) -> float:
-        """Round objective g_t(x) + h(x) seen by the online methods."""
-        t = self._check_index(t)
-        x = self._check_point(x)
-        return float(self.components[t].value(x)) + self.regularizer.value(x)
-
-    def component_subgradient(self, t: int, x: np.ndarray) -> np.ndarray:
-        t = self._check_index(t)
-        x = self._check_point(x)
-        return np.asarray(self.components[t].grad(x), dtype=float)
 
     def holder_constants(self) -> tuple[float, float]:
         """Stream-level (v, M_v): common degree, max modulus over components.

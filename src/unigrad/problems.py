@@ -4,16 +4,14 @@ Lasso components are squared residuals g_t(x) = (a_t' x - b_t)^2 with
 Lipschitz gradients (Holder degree 1, modulus 2 ||a_t||^2); the composite
 part is l1 or elastic net.  Steiner components are distances to centers,
 g_i(x) = ||x - c_i||, with bounded subgradients (degree 0, modulus 2) and
-no composite part.  Closed-form round updates for both families live here
-so they can be cross-checked against the generic machinery.
+no composite part.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import soft_threshold
-from .geometry import squared_euclidean
 from .oracles import ComponentOracle, CompositeProblem, Regularizer, block_len
 
 
@@ -128,7 +126,6 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
     return CompositeProblem(
         components=components,
         regularizer=_lasso_regularizer(inst.l1_weight, inst.ridge_weight),
-        geometry=squared_euclidean(inst.p),
         dimension=inst.p,
         mean_value_fn=mean_value,
         mean_grad_fn=mean_grad,
@@ -183,7 +180,6 @@ def steiner_problem(inst: SteinerInstance) -> CompositeProblem:
     return CompositeProblem(
         components=components,
         regularizer=Regularizer.zero(),
-        geometry=squared_euclidean(inst.p),
         dimension=inst.p,
         mean_value_fn=mean_value,
         mean_grad_fn=mean_grad,
@@ -226,15 +222,13 @@ def synth_steiner(p: int, m: int, seed: int) -> SteinerInstance:
     return SteinerInstance(centers=rng.normal(size=(m, p)))
 
 
-def load_samples(path, format: str = "csv") -> LassoInstance:
+def load_samples(path) -> LassoInstance:
     """Read samples from CSV rows "b,a_1,...,a_p".
 
     Lines starting with '#' and blank lines are skipped.  Raises ValueError
-    naming the offending file line for ragged rows, non-numeric fields, and
-    empty files.
+    naming the offending file line for ragged rows, non-numeric or
+    non-finite fields, and empty files.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format: {format!r}")
     rows: list[list[float]] = []
     width: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -254,102 +248,14 @@ def load_samples(path, format: str = "csv") -> LassoInstance:
                     f"line {lineno}: ragged row with {len(parts)} fields, expected {width}"
                 )
             try:
-                rows.append([float(v) for v in parts])
+                row = [float(v) for v in parts]
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: non-numeric field") from exc
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"line {lineno}: non-finite field")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     return LassoInstance(A=data[:, 1:], b=data[:, 0])
 
-
-def save_samples(inst: LassoInstance, path) -> None:
-    """Write samples as CSV rows "b,a_1,...,a_p" with round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# b,a_1,...,a_p\n")
-        for t in range(inst.n):
-            fields = [repr(float(inst.b[t]))] + [repr(float(v)) for v in inst.A[t]]
-            fh.write(",".join(fields) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Closed-form round updates (cross-checked against the generic solvers).
-
-
-def lasso_bregman_step(
-    x: np.ndarray, a: np.ndarray, b: float, M: float, l1_weight: float
-) -> np.ndarray:
-    """Single-sample mapping: shrink(x - (2/M)(a'x - b) a, l1_weight / M)."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    r = float(a @ x) - b
-    return soft_threshold(x - (2.0 / M) * r * a, l1_weight / M)
-
-
-def lasso_batch_bregman_step(
-    x: np.ndarray, A: np.ndarray, b: np.ndarray, M: float, l1_weight: float
-) -> np.ndarray:
-    """Batch mapping with the mean gradient over the sample block."""
-    x = np.asarray(x, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = A.shape[0]
-    grad = (2.0 / m) * (A.T @ (A @ x - b))
-    return soft_threshold(x - grad / M, l1_weight / M)
-
-
-def steiner_bregman_step(x: np.ndarray, c: np.ndarray, M: float) -> np.ndarray:
-    """Single-center mapping: x - (1/M) (x - c) / ||x - c|| (x when at c)."""
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    diff = x - c
-    norm = float(np.linalg.norm(diff))
-    if norm == 0.0:
-        return x.copy()
-    return x - diff / (M * norm)
-
-
-def steiner_batch_bregman_step(
-    x: np.ndarray, centers: np.ndarray, M: float
-) -> np.ndarray:
-    """Batch mapping with the averaged unit directions to the centers."""
-    x = np.asarray(x, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    diffs = x - centers
-    norms = np.linalg.norm(diffs, axis=1)
-    dirs = np.zeros_like(diffs)
-    nz = norms > 0
-    dirs[nz] = diffs[nz] / norms[nz, None]
-    return x - dirs.mean(axis=0) / M
-
-
-def lasso_dual_average(
-    x0: np.ndarray, coeffs: np.ndarray, grads: np.ndarray, l1_weight: float
-) -> np.ndarray:
-    """Aggregated-model minimizer for lasso streams:
-
-        shrink(x0 - sum_i coeffs[i] * grads[i], l1_weight * sum_i coeffs[i]).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
-    grads = np.asarray(grads, dtype=float)
-    return soft_threshold(x0 - coeffs @ grads, l1_weight * float(coeffs.sum()))
-
-
-def steiner_dual_average(
-    x0: np.ndarray, coeffs: np.ndarray, iterates: np.ndarray, centers: np.ndarray
-) -> np.ndarray:
-    """Aggregated-model minimizer for Steiner streams:
-
-        x0 - sum_i coeffs[i] * (x_i - c_i) / ||x_i - c_i||.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
-    iterates = np.asarray(iterates, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    diffs = iterates - centers
-    norms = np.linalg.norm(diffs, axis=1)
-    dirs = np.zeros_like(diffs)
-    nz = norms > 0
-    dirs[nz] = diffs[nz] / norms[nz, None]
-    return x0 - coeffs @ dirs

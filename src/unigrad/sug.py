@@ -9,7 +9,15 @@ three O(p) aggregates, so the subproblem argmin_x G^k(x) + h(x) is one
 prox evaluation.  Every iteration re-anchors one uniformly sampled
 surrogate at the fresh iterate.  When each M_i exceeds the Holder
 threshold (2/eps)^((1-v)/(1+v)) M_v^(2/(1+v)), the surrogates overestimate
-g_i up to eps/4, which drives the geometric convergence bound.
+g_i up to eps/4, which drives the geometric convergence bound.  With
+rho = (1/n)(M / mu_h) + 1 - 1/n < 1 the bound reaches eps within
+sug_iteration_estimate iterations; with confidence delta in (0, 1) the
+gap is within eps after
+
+    k >= log[(delta - 3/4 - 3 / (4 (mu_h - M))) eps / (M dist0_sq)]
+         / log(rho) + 1
+
+iterations, where the log argument is positive.
 """
 
 import math
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import CompositeProblem, Regularizer
+from .oracles import CompositeProblem, Regularizer, oracle_value
 from .trace import RunTrace
 
 
@@ -30,8 +38,6 @@ class SugConfig:
     eps: float
     seed: int
     max_iters: int
-    stop_threshold: float | None = None
-    dist0_sq: float | None = None
 
     def __post_init__(self):
         if self.M <= 0:
@@ -96,16 +102,6 @@ class SurrogateTable:
             + self.const_sum / n
         )
 
-    def surrogate_value(self, i: int, x: np.ndarray) -> float:
-        """Individual surrogate g_i^k(x)."""
-        x = np.asarray(x, dtype=float)
-        diff = x - self.anchors[i]
-        return (
-            float(self.values[i])
-            + float(self.grads[i] @ diff)
-            + 0.5 * float(self.moduli[i]) * float(diff @ diff)
-        )
-
 
 def sug_init(problem: CompositeProblem, x0: np.ndarray, M) -> SurrogateTable:
     """Anchor every surrogate at x0 with modulus M (scalar or per-component)."""
@@ -115,7 +111,9 @@ def sug_init(problem: CompositeProblem, x0: np.ndarray, M) -> SurrogateTable:
     if (moduli <= 0).any():
         raise ValueError("surrogate moduli must be positive")
     grads = np.stack([problem.components[i].grad(x0) for i in range(n)])
-    values = np.array([problem.components[i].value(x0) for i in range(n)], dtype=float)
+    values = np.array(
+        [oracle_value(problem.components[i], x0, 0, i) for i in range(n)], dtype=float
+    )
     anchors = np.tile(x0, (n, 1))
     return SurrogateTable(
         problem=problem, anchors=anchors, grads=grads, values=values, moduli=moduli
@@ -135,8 +133,11 @@ def sug_subproblem(table: SurrogateTable, regularizer: Regularizer) -> np.ndarra
     return regularizer.prox(-w / Q, 1.0 / Q)
 
 
-def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray) -> None:
-    """Re-anchor surrogate j at x_new with a fresh value and gradient, O(p)."""
+def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> None:
+    """Re-anchor surrogate j at x_new with a fresh value and gradient, O(p).
+
+    t, the iteration, is named in the error a non-finite value raises.
+    """
     if not 0 <= j < table.n:
         raise IndexError(f"component index {j} out of range [0, {table.n})")
     x_new = np.asarray(x_new, dtype=float)
@@ -149,7 +150,7 @@ def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray) -> None:
     )
     comp = table.problem.components[j]
     new_grad = np.asarray(comp.grad(x_new), dtype=float)
-    new_value = float(comp.value(x_new))
+    new_value = oracle_value(comp, x_new, t, j)
     table.anchors[j] = x_new
     table.grads[j] = new_grad
     table.values[j] = new_value
@@ -167,19 +168,18 @@ def sug_run(
     cfg: SugConfig,
     trace_meta: dict | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
-    """Iterate the surrogate scheme, re-anchoring one sampled component per step.
+    """Iterate the surrogate scheme cfg.max_iters times, re-anchoring one
+    sampled component per step.
 
-    Stops at cfg.max_iters, or earlier when cfg.stop_threshold is set and the
-    convergence bound (needs cfg.dist0_sq and a strongly convex regularizer)
-    drops below it.  Trace row k records f(x^k) in its full-objective column
-    and the sampled component's round values.
+    Trace row k records f(x^k) in its full-objective column and the sampled
+    component's round values; a non-finite component value raises
+    NonFiniteOracleValue naming the iteration and the component.
     """
     x0 = np.asarray(x0, dtype=float).copy()
     trace = RunTrace.start("sug", cfg.eps, cfg.max_iters, x0, trace_meta=trace_meta)
     trace.seed = cfg.seed
     trace.extra_meta = {"M": cfg.M, **trace.extra_meta}
     regularizer = problem.regularizer
-    mu_h = regularizer.strong_convexity
     table = sug_init(problem, x0, cfg.M)
     rng = np.random.default_rng(cfg.seed)
     M_scalar = float(np.max(table.moduli))
@@ -188,18 +188,14 @@ def sug_run(
     for k in range(cfg.max_iters):
         x_next = sug_subproblem(table, regularizer)
         j = int(rng.integers(0, table.n))
-        f_j_x = problem.per_sample_value(j, x)
-        f_j_next = problem.per_sample_value(j, x_next)
-        sug_update(table, j, x_next)
+        f_j_x = oracle_value(problem.components[j], x, k, j) + regularizer.value(x)
+        sug_update(table, j, x_next, k)
+        f_j_next = float(table.values[j]) + regularizer.value(x_next)
         trace.add_row(
             k, 0, M_scalar, f_j_x, f_j_next, f_j_next, np.nan,
             time.perf_counter() - start, component=j, x_next=x_next,
         )
         x = x_next
-        if cfg.stop_threshold is not None and cfg.dist0_sq is not None and mu_h > 0:
-            bound = sug_bound(k + 1, cfg.M, mu_h, table.n, cfg.eps, cfg.dist0_sq)
-            if bound <= cfg.stop_threshold:
-                break
     trace.fill_f_full(problem.values)
     return x.copy(), trace
 
@@ -256,28 +252,3 @@ def sug_iteration_estimate(
     k = math.log(arg) / math.log(rho) + 1.0
     return max(1, math.ceil(k))
 
-
-def sug_high_prob_iters(
-    M: float, mu_h: float, n: int, eps: float, dist0_sq: float, delta: float
-) -> int | None:
-    """High-probability variant with confidence delta in (0, 1):
-
-        k >= log[(delta - 3/4 - 3 / (4 (mu_h - M))) eps / (M dist0_sq)]
-             / log(rho) + 1.
-
-    Returns None when undefined (rho >= 1, mu_h == M, or nonpositive log
-    argument); monotone nonincreasing in delta over the well-posed range.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if eps <= 0 or M <= 0 or dist0_sq <= 0:
-        raise ValueError("need eps > 0, M > 0, dist0_sq > 0")
-    rho = sug_rho(M, mu_h, n)
-    if rho >= 1.0 or mu_h == M:
-        return None
-    factor = delta - 0.75 - 3.0 / (4.0 * (mu_h - M))
-    arg = factor * eps / (M * dist0_sq)
-    if arg <= 0:
-        return None
-    k = math.log(arg) / math.log(rho) + 1.0
-    return max(1, math.ceil(k))

@@ -122,10 +122,6 @@ class RunTrace:
             f_full.extend(values(np.stack(points[s:s + step])).tolist())
         self.f_full = f_full
 
-    def weight_sum(self) -> float:
-        """S = sum_t 1 / L_next[t]."""
-        return float(np.sum(1.0 / np.asarray(self.L_next, dtype=float)))
-
     def check_finite(self) -> None:
         """Raise if any recorded scalar is NaN or infinite."""
         for name in ("L_next", "f_gt_xt", "f_gt_xnext", "f_gt_yt", "f_full", "elapsed_s"):

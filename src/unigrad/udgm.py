@@ -118,14 +118,15 @@ def udgm_fixed_step_run(
                        model=model)
 
 
-def check_dual_target_bound(trace: RunTrace, slack_scale: float = 1e-9):
+def check_dual_target_bound(trace: RunTrace):
     """Prefix bound: for every t,
 
         sum_{i<=t} f_{g_i}(y_i) / (2 L_{i+1}) <= phi*_{t+1} + S_t * eps / 4.
 
     Requires an in-memory trace with recorded model minima.  Returns
     (ok, worst) where worst is the largest normalized violation
-    (lhs - rhs) / (1 + |rhs|) over prefixes.
+    (lhs - rhs) / (1 + |rhs|) over prefixes, and ok says it is at most 1e-9,
+    the relative slack every bound check allows.
     """
     if len(trace.phi_star) != trace.n_rows:
         raise ValueError("trace lacks recorded model minima; run in-memory")
@@ -138,4 +139,4 @@ def check_dual_target_bound(trace: RunTrace, slack_scale: float = 1e-9):
         S += 1.0 / trace.L_next[k]
         rhs = trace.phi_star[k] + S * eps / 4.0
         worst = max(worst, (acc - rhs) / (1.0 + abs(rhs)))
-    return worst <= slack_scale, worst
+    return worst <= 1e-9, worst

@@ -14,13 +14,12 @@ fixed-step variant replaces the search by one always-accepted trial at
 M = 2 gamma(M_v, v, eps), recorded as i_t = 0 and L_{t+1} = gamma.
 """
 
-import math
 import time
 
 import numpy as np
 
 from .bregman import backtrack, bregman_map, gamma, _descent_ok
-from .oracles import CompositeProblem, NonFiniteOracleValue
+from .oracles import CompositeProblem, oracle_value
 from .trace import RunTrace
 
 
@@ -107,19 +106,19 @@ def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
     for t in range(T + 1):
         k = int(order[t])
         gt = problem.components[k]
-        g_value = _oracle_value(gt, x, t, k)
+        g_value = oracle_value(gt, x, t, k)
         g_grad = np.asarray(gt.grad(x), dtype=float)
         i_t = 0
         if not fixed:
             def trial(M: float):
-                y = bregman_map(geometry, regularizer, x, g_value, g_grad, M).minimizer
-                g_y = _oracle_value(gt, y, t, k)
+                y = bregman_map(regularizer, x, g_grad, M)
+                g_y = oracle_value(gt, y, t, k)
                 return (y, g_y), _descent_ok(g_value, g_grad, g_y, x, y, M, eps, geometry)
 
             i_t, L, (y, g_y) = backtrack(L, trial)
         elif model is None:
-            y = bregman_map(geometry, regularizer, x, g_value, g_grad, 2.0 * L).minimizer
-            g_y = _oracle_value(gt, y, t, k)
+            y = bregman_map(regularizer, x, g_grad, 2.0 * L)
+            g_y = oracle_value(gt, y, t, k)
         f_xt = g_value + regularizer.value(x)
         if model is None:
             x = y
@@ -132,7 +131,7 @@ def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
             x_next = model.argmin(regularizer, coeff, g_grad)
             model.fold(coeff, g_value, g_grad, x)
             x = x_next
-            f_next = _oracle_value(gt, x, t, k) + regularizer.value(x)
+            f_next = oracle_value(gt, x, t, k) + regularizer.value(x)
             f_y = f_next if fixed else g_y + regularizer.value(y)
             phi_star = model.value(x, regularizer)
         trace.add_row(
@@ -142,9 +141,3 @@ def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
     trace.fill_f_full(problem.values)
     return (weighted_x / weight_sum if model is None else x), trace
 
-
-def _oracle_value(gt, x: np.ndarray, t: int, k: int) -> float:
-    value = float(gt.value(x))
-    if not math.isfinite(value):
-        raise NonFiniteOracleValue(f"component {k} returned {value} at round {t}")
-    return value

@@ -85,6 +85,6 @@ def online_battery():
 def battery_reports(online_battery):
     """RegretReport per battery run, keyed by list position."""
     return [
-        evaluate_regret(run.trace, run.problem, run.x_star, run.eps)
+        evaluate_regret(run.trace, run.problem, run.x_star)
         for run in online_battery.runs
     ]

@@ -11,25 +11,29 @@ import time
 import numpy as np
 import pytest
 
-from unigrad.bregman import Regularizer, bregman_map_numeric, gamma
+from helpers import (
+    bregman_map_numeric,
+    evaluate_regret,
+    lasso_batch_bregman_step,
+    lasso_bregman_step,
+    lasso_dual_average,
+    steiner_batch_bregman_step,
+    steiner_bregman_step,
+    steiner_dual_average,
+)
+from unigrad.bregman import gamma
 from unigrad.cli import main
-from unigrad.geometry import squared_euclidean
+from unigrad.geometry import ProxFunction as squared_euclidean
 from unigrad.harness import (
     RunConfig,
-    evaluate_regret,
     reference_solution,
     run_experiment,
     sample_order,
 )
+from unigrad.oracles import Regularizer
 from unigrad.problems import (
     LassoInstance,
-    lasso_batch_bregman_step,
-    lasso_bregman_step,
-    lasso_dual_average,
     lasso_problem,
-    steiner_batch_bregman_step,
-    steiner_bregman_step,
-    steiner_dual_average,
     steiner_problem,
     synth_lasso,
     synth_steiner,

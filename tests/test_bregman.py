@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
+from helpers import ModelSolveError, bregman_map_numeric, model_value
 from unigrad.bregman import (
     LineSearchOverflow,
-    ModelSolveError,
     backtrack,
     bregman_map,
-    bregman_map_numeric,
     gamma,
-    soft_threshold,
     _descent_ok,
 )
-from unigrad.geometry import squared_euclidean
-from unigrad.oracles import ComponentOracle, Regularizer
+from unigrad.geometry import ProxFunction
+from unigrad.oracles import Regularizer, soft_threshold
 from unigrad.problems import LassoInstance, lasso_problem
 
 
@@ -86,30 +84,29 @@ def test_soft_threshold_rejects_negative_tau():
 
 
 def test_bregman_map_unregularized_gradient_step():
-    geom = squared_euclidean(2)
     x = np.array([1.0, 1.0])
-    res = bregman_map(geom, Regularizer.zero(), x, 0.7, np.array([2.0, 0.0]), 2.0)
-    np.testing.assert_allclose(res.minimizer, np.array([0.0, 1.0]))
+    got = bregman_map(Regularizer.zero(), x, np.array([2.0, 0.0]), 2.0)
+    np.testing.assert_allclose(got, np.array([0.0, 1.0]))
 
 
 def test_bregman_map_one_dim_lasso_shrinks_to_zero():
-    geom = squared_euclidean(1)
     comp = _lasso_component([1.0], 0.0)
     x = np.array([1.0])
-    res = bregman_map(geom, Regularizer.l1(0.1), x, comp.value(x), comp.grad(x), 2.0)
-    np.testing.assert_allclose(res.minimizer, np.array([0.0]))
+    got = bregman_map(Regularizer.l1(0.1), x, comp.grad(x), 2.0)
+    np.testing.assert_allclose(got, np.array([0.0]))
 
 
 def test_bregman_map_steiner_step():
-    geom = squared_euclidean(2)
     x = np.array([3.0, 4.0])
     grad = np.array([0.6, 0.8])
-    res = bregman_map(geom, Regularizer.zero(), x, 5.0, grad, 1.0)
-    np.testing.assert_allclose(res.minimizer, np.array([2.4, 3.2]))
+    got = bregman_map(Regularizer.zero(), x, grad, 1.0)
+    np.testing.assert_allclose(got, np.array([2.4, 3.2]))
 
 
 def test_bregman_map_model_value_identity():
-    geom = squared_euclidean(3)
+    """The model value at the mapped point is no larger than at any point
+    near it."""
+    geom = ProxFunction(3)
     h = Regularizer.l1(0.3)
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -117,44 +114,46 @@ def test_bregman_map_model_value_identity():
         g_val = float(rng.uniform(0.0, 2.0))
         g_grad = rng.normal(size=3)
         M = float(rng.uniform(0.5, 4.0))
-        res = bregman_map(geom, h, x, g_val, g_grad, M)
-        xh = res.minimizer
-        want = (g_val + float(g_grad @ (xh - x)) + M * geom.bregman(x, xh)
-                + h.value(xh))
-        assert res.psi_star == pytest.approx(want, rel=1e-12, abs=1e-12)
+        xh = bregman_map(h, x, g_grad, M)
+        psi = model_value(geom, h, x, g_val, g_grad, M, xh)
+        for _ in range(20):
+            y = xh + 1e-3 * rng.normal(size=3)
+            assert psi <= model_value(geom, h, x, g_val, g_grad, M, y) + 1e-12
 
 
 def test_bregman_map_minimizer_beats_grid():
     """The mapped point minimizes the model: compare against a dense 1-d grid."""
-    geom = squared_euclidean(1)
+    geom = ProxFunction(1)
     h = Regularizer.l1(0.25)
     grid = np.linspace(-2.0, 2.0, 400001)
     x = np.array([1.0])
     g_val, g_grad, M = 1.0, np.array([2.0]), 2.0
-    res = bregman_map(geom, h, x, g_val, g_grad, M)
+    xh = bregman_map(h, x, g_grad, M)
+    psi = model_value(geom, h, x, g_val, g_grad, M, xh)
     model = (g_val + g_grad[0] * (grid - x[0]) + 0.5 * M * (grid - x[0]) ** 2
              + 0.25 * np.abs(grid))
-    assert res.psi_star <= float(model.min()) + 1e-9
+    assert psi <= float(model.min()) + 1e-9
 
 
 def test_bregman_map_numeric_matches_closed_form():
     rng = np.random.default_rng(1)
     for _ in range(50):
         dim = int(rng.integers(1, 6))
-        geom = squared_euclidean(dim)
+        geom = ProxFunction(dim)
         h = Regularizer.l1(float(rng.uniform(0.0, 1.0)))
         x = rng.normal(size=dim)
         g_val = float(rng.uniform(0.0, 3.0))
         g_grad = rng.normal(size=dim)
         M = float(rng.uniform(0.2, 5.0))
-        closed = bregman_map(geom, h, x, g_val, g_grad, M)
+        closed = bregman_map(h, x, g_grad, M)
         numeric = bregman_map_numeric(geom, h, x, g_val, g_grad, M)
-        np.testing.assert_allclose(numeric.minimizer, closed.minimizer, atol=1e-8)
-        assert numeric.psi_star == pytest.approx(closed.psi_star, abs=1e-8)
+        np.testing.assert_allclose(numeric.minimizer, closed, atol=1e-8)
+        psi = model_value(geom, h, x, g_val, g_grad, M, closed)
+        assert numeric.psi_star == pytest.approx(psi, abs=1e-8)
 
 
 def test_bregman_map_numeric_reports_residual_on_failure():
-    geom = squared_euclidean(2)
+    geom = ProxFunction(2)
     x = np.array([5.0, -5.0])
     with pytest.raises(ModelSolveError) as err:
         bregman_map_numeric(geom, Regularizer.zero(), x, 0.0,
@@ -208,7 +207,7 @@ def test_backtrack_with_descent_trial_respects_modulus_cap():
     """Starting from a tiny modulus, the accepted modulus never exceeds the
     accuracy-matched cap 2 * gamma(M_v, eps)."""
     rng = np.random.default_rng(2)
-    geom = squared_euclidean(3)
+    geom = ProxFunction(3)
     h = Regularizer.l1(0.1)
     eps = 1e-2
     for _ in range(20):
@@ -218,9 +217,8 @@ def test_backtrack_with_descent_trial_respects_modulus_cap():
         x = rng.normal(size=3)
 
         def trial(M, comp=comp, x=x):
-            res = bregman_map(geom, h, x, comp.value(x), comp.grad(x), M)
-            ok = check_descent_condition(comp, x, res.minimizer, M, eps, geom)
-            return res, ok
+            y = bregman_map(h, x, comp.grad(x), M)
+            return y, check_descent_condition(comp, x, y, M, eps, geom)
 
         i, L_next, _ = backtrack(1e-6, trial)
         assert 2.0 * L_next <= 2.0 * cap * (1.0 + 1e-12)
@@ -231,7 +229,7 @@ def test_backtrack_with_descent_trial_respects_modulus_cap():
 
 
 def test_descent_trivially_true_at_same_point():
-    geom = squared_euclidean(2)
+    geom = ProxFunction(2)
     comp = _lasso_component([1.0, -2.0], 0.5)
     x = np.array([0.3, 0.4])
     for M in (1e-6, 1.0, 1e6):
@@ -240,7 +238,7 @@ def test_descent_trivially_true_at_same_point():
 
 def test_descent_equality_case_at_curvature():
     comp = _lasso_component([1.0], 0.0)  # g(x) = x^2, curvature 2
-    geom = squared_euclidean(1)
+    geom = ProxFunction(1)
     x = np.array([1.0])
     xhat = np.array([0.0])
     assert check_descent_condition(comp, x, xhat, 2.0, 0.0, geom)
@@ -248,7 +246,7 @@ def test_descent_equality_case_at_curvature():
 
 def test_descent_fails_below_curvature():
     comp = _lasso_component([1.0], 0.0)
-    geom = squared_euclidean(1)
+    geom = ProxFunction(1)
     x = np.array([1.0])
     xhat = np.array([0.0])
     assert not check_descent_condition(comp, x, xhat, 1.9, 0.0, geom)

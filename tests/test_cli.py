@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from helpers import save_samples
 from unigrad.cli import build_parser, main
-from unigrad.problems import synth_lasso, save_samples
+from unigrad.problems import synth_lasso
 
 
 def test_parser_run_defaults():
@@ -123,6 +124,20 @@ def test_reference_with_csv_data(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(out["x_star"], inst.x_true, atol=1e-6)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--algorithm", "oupgm", "--problem", "lasso-csv", "--T", "2"],
+    ["reference", "lasso-csv"],
+], ids=["run", "reference"])
+def test_non_finite_csv_field_fails_at_load(tmp_path, capsys, command):
+    path = tmp_path / "d.csv"
+    path.write_text("1.0,2.0,0.5\n0.5,nan,1.0\n2.0,1.0,inf\n")
+    out = tmp_path / "art"
+    extra = ["--out", str(out)] if command[0] == "run" else []
+    assert main([*command, "--data", str(path), *extra]) == 2
+    assert "error: line 2: non-finite field" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_bounds_uses_the_run_reference_tol(tmp_path, capsys):

@@ -1,14 +1,11 @@
 """The full-objective column, filled after the rounds by the batched pass."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unigrad import oracles
-from unigrad.geometry import squared_euclidean
 from unigrad.harness import sample_order
 from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer
 from unigrad.problems import lasso_problem, steiner_problem, synth_lasso, synth_steiner
@@ -35,7 +32,6 @@ def _custom_problem(p=3, n=6, seed=5):
     return CompositeProblem(
         components=comps,
         regularizer=Regularizer.l1(0.05),
-        geometry=squared_euclidean(p),
         dimension=p,
     )
 
@@ -113,19 +109,15 @@ def _family_problem(family, n, p, seed):
 @settings(max_examples=60, deadline=None)
 @given(
     family=st.sampled_from(["lasso-l1", "elastic-net", "steiner"]),
-    custom_h=st.booleans(),
     n=st.integers(1, 70),
     p=st.integers(1, 9),
     k=st.integers(1, 40),
     block_bytes=st.sampled_from([1, 24, 200, 1000, oracles.BLOCK_BYTES]),
     seed=st.integers(0, 2**16),
 )
-def test_values_match_per_row_values(family, custom_h, n, p, k, block_bytes, seed):
+def test_values_match_per_row_values(family, n, p, k, block_bytes, seed):
     """Small budgets split the samples and the centers into uneven blocks."""
     problem = _family_problem(family, n, p, seed)
-    if custom_h:
-        h = Regularizer.custom(value_fn=lambda x: float(np.max(np.abs(x))))
-        problem = dataclasses.replace(problem, regularizer=h)
     X = np.random.default_rng(seed + 1).normal(size=(k, p))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "BLOCK_BYTES", block_bytes)

@@ -1,33 +1,13 @@
-"""Prox-function and Bregman-distance behavior."""
+"""Bregman-distance behavior of the squared Euclidean geometry."""
 
 import numpy as np
 import pytest
 
-from unigrad.geometry import GeometrySmoothness, ProxFunction, squared_euclidean
-
-
-def test_value_zero_at_center():
-    d = squared_euclidean(2)
-    assert d.value(np.zeros(2)) == 0.0
-
-
-def test_value_half_squared_norm():
-    d = squared_euclidean(2)
-    assert d.value(np.array([3.0, 4.0])) == pytest.approx(12.5)
-
-
-def test_value_shifted_center():
-    d = squared_euclidean(2, center=np.array([1.0, 1.0]))
-    assert d.value(np.array([1.0, 2.0])) == pytest.approx(0.5)
-
-
-def test_grad_zero_at_center():
-    d = squared_euclidean(3, center=np.array([1.0, -2.0, 0.5]))
-    np.testing.assert_array_equal(d.grad(d.center), np.zeros(3))
+from unigrad.geometry import ProxFunction
 
 
 def test_bregman_zero_iff_equal_points():
-    d = squared_euclidean(4)
+    d = ProxFunction(4)
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = rng.normal(size=4)
@@ -38,68 +18,19 @@ def test_bregman_zero_iff_equal_points():
 
 
 def test_bregman_matches_half_squared_distance():
-    d = squared_euclidean(2)
+    d = ProxFunction(2)
     got = d.bregman(np.zeros(2), np.array([3.0, 4.0]))
     assert got == pytest.approx(12.5)
 
 
 def test_bregman_strong_convexity_lower_bound():
-    d = squared_euclidean(5, center=np.array([0.5, -1.0, 2.0, 0.0, 3.0]))
+    d = ProxFunction(5)
     rng = np.random.default_rng(1)
     for _ in range(1000):
         x = rng.normal(size=5) * 3.0
         y = rng.normal(size=5) * 3.0
         lower = 0.5 * float(np.sum((x - y) ** 2))
         assert d.bregman(x, y) >= lower - 1e-12 * (1.0 + lower)
-
-
-def test_value_dominates_half_squared_distance_to_center():
-    d = squared_euclidean(3, center=np.array([1.0, 2.0, 3.0]))
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        x = rng.normal(size=3) * 4.0
-        assert d.value(x) >= 0.5 * float(np.sum((x - d.center) ** 2)) - 1e-12
-
-
-def test_bregman_grad_y_zero_at_equal_points():
-    d = squared_euclidean(3)
-    x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(d.bregman_grad_y(x, x), np.zeros(3))
-
-
-def test_bregman_grad_y_is_difference():
-    d = squared_euclidean(2)
-    got = d.bregman_grad_y(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    np.testing.assert_allclose(got, np.array([-1.0, 1.0]))
-
-
-def test_bregman_grad_y_matches_finite_differences():
-    d = squared_euclidean(4, center=np.array([0.3, -0.7, 1.1, 0.0]))
-    rng = np.random.default_rng(3)
-    h = 1e-6
-    for _ in range(25):
-        x = rng.normal(size=4)
-        y = rng.normal(size=4)
-        grad = d.bregman_grad_y(x, y)
-        fd = np.zeros(4)
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = h
-            fd[i] = (d.bregman(x, y + e) - d.bregman(x, y - e)) / (2.0 * h)
-        np.testing.assert_allclose(fd, grad, rtol=1e-6, atol=1e-6)
-
-
-def test_smoothness_certificate_holds():
-    d = squared_euclidean(3, center=np.array([1.0, 1.0, 1.0]))
-    cert = d.smoothness()
-    assert cert == GeometrySmoothness(degree=1.0, modulus=1.0)
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        x = rng.normal(size=3)
-        y = rng.normal(size=3)
-        lhs = float(np.linalg.norm(d.grad(x) - d.grad(y)))
-        rhs = cert.modulus * float(np.linalg.norm(x - y)) ** cert.degree
-        assert lhs <= rhs + 1e-12
 
 
 def test_constructor_rejects_bad_dimension():
@@ -109,25 +40,11 @@ def test_constructor_rejects_bad_dimension():
         ProxFunction(dimension=-3)
 
 
-def test_constructor_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        ProxFunction(dimension=2, kind="entropy")
-
-
-def test_constructor_rejects_center_shape_mismatch():
-    with pytest.raises(ValueError):
-        ProxFunction(dimension=2, center=np.zeros(3))
-
-
 def test_operations_reject_dimension_mismatch():
-    d = squared_euclidean(2)
+    d = ProxFunction(2)
     bad = np.zeros(3)
     good = np.zeros(2)
     with pytest.raises(ValueError):
-        d.value(bad)
-    with pytest.raises(ValueError):
-        d.grad(bad)
-    with pytest.raises(ValueError):
         d.bregman(good, bad)
     with pytest.raises(ValueError):
-        d.bregman_grad_y(bad, good)
+        d.bregman(bad, good)

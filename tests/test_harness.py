@@ -17,12 +17,12 @@ from unigrad.harness import (
     run_experiment,
     sample_order,
 )
+from helpers import save_samples
 from unigrad.oracles import CompositeProblem, Regularizer
 from unigrad.problems import (
     LassoInstance,
     SteinerInstance,
     lasso_problem,
-    save_samples,
     steiner_problem,
     synth_lasso,
 )

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from unigrad.oracles import (
-    ComponentOracle,
-    CompositeProblem,
-    Regularizer,
-    UnsupportedRegularizer,
-)
+from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer
 from unigrad.problems import (
     LassoInstance,
     SteinerInstance,
@@ -39,18 +34,24 @@ def test_composite_value_steiner_midpoint():
     assert prob.value(np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
+def _round_value(prob, t, x):
+    """g_t(x) + h(x), the round objective the online methods record."""
+    return prob.components[t].value(x) + prob.regularizer.value(x)
+
+
 def test_per_sample_value_without_regularizer_is_component_value():
-    prob = steiner_problem(SteinerInstance(centers=np.array([[0.0, 0.0], [2.0, 0.0]])))
+    centers = np.array([[0.0, 0.0], [2.0, 0.0]])
+    prob = steiner_problem(SteinerInstance(centers=centers))
     x = np.array([1.0, 3.0])
     for t in range(2):
-        assert prob.per_sample_value(t, x) == pytest.approx(
-            prob.components[t].value(x)
+        assert _round_value(prob, t, x) == pytest.approx(
+            float(np.linalg.norm(x - centers[t]))
         )
 
 
 def test_per_sample_value_includes_regularizer():
     prob = _single_lasso([1.0, 1.0], 1.0, l1_weight=0.5)
-    assert prob.per_sample_value(0, np.array([1.0, 0.0])) == pytest.approx(0.5)
+    assert _round_value(prob, 0, np.array([1.0, 0.0])) == pytest.approx(0.5)
 
 
 def test_per_sample_mean_equals_composite_value():
@@ -59,34 +60,26 @@ def test_per_sample_mean_equals_composite_value():
     rng = np.random.default_rng(8)
     for _ in range(20):
         x = rng.normal(size=6)
-        mean = np.mean([prob.per_sample_value(t, x) for t in range(prob.n_components)])
+        mean = np.mean([_round_value(prob, t, x) for t in range(prob.n_components)])
         assert mean == pytest.approx(prob.value(x), rel=1e-12)
 
 
 def test_component_subgradient_lasso():
     prob = _single_lasso([1.0, 0.0], 0.0)
-    got = prob.component_subgradient(0, np.array([3.0, 0.0]))
+    got = prob.components[0].grad(np.array([3.0, 0.0]))
     np.testing.assert_allclose(got, np.array([6.0, 0.0]))
 
 
 def test_component_subgradient_steiner_unit_direction():
     prob = steiner_problem(SteinerInstance(centers=np.array([[0.0, 0.0]])))
-    got = prob.component_subgradient(0, np.array([3.0, 4.0]))
+    got = prob.components[0].grad(np.array([3.0, 4.0]))
     np.testing.assert_allclose(got, np.array([0.6, 0.8]))
 
 
 def test_component_subgradient_steiner_zero_at_center():
     prob = steiner_problem(SteinerInstance(centers=np.array([[1.0, -1.0]])))
-    got = prob.component_subgradient(0, np.array([1.0, -1.0]))
+    got = prob.components[0].grad(np.array([1.0, -1.0]))
     np.testing.assert_array_equal(got, np.zeros(2))
-
-
-def test_component_index_out_of_range():
-    prob = _single_lasso([1.0, 0.0], 0.0)
-    with pytest.raises(IndexError):
-        prob.per_sample_value(1, np.zeros(2))
-    with pytest.raises(IndexError):
-        prob.component_subgradient(-2, np.zeros(2))
 
 
 def test_component_convexity_and_linearization_error_bounds():
@@ -212,22 +205,13 @@ def test_regularizer_rejects_negative_tau():
         Regularizer.l1(1.0).prox(np.zeros(2), -0.1)
 
 
-def test_custom_regularizer_without_prox_rule():
-    h = Regularizer.custom(value_fn=lambda x: float(np.max(np.abs(x))))
-    assert h.value(np.array([1.0, -3.0])) == 3.0
-    with pytest.raises(UnsupportedRegularizer):
-        h.prox(np.zeros(2), 1.0)
-
-
 def test_composite_problem_rejects_mixed_holder_degrees():
     c1 = ComponentOracle(value=lambda x: 0.0, grad=lambda x: np.zeros(2),
                          holder_degree=1.0, holder_modulus=1.0)
     c0 = ComponentOracle(value=lambda x: 0.0, grad=lambda x: np.zeros(2),
                          holder_degree=0.0, holder_modulus=1.0)
-    from unigrad.geometry import squared_euclidean
-
     prob = CompositeProblem(components=[c1, c0], regularizer=Regularizer.zero(),
-                            geometry=squared_euclidean(2), dimension=2)
+                            dimension=2)
     with pytest.raises(ValueError, match="[Hh]older"):
         prob.holder_constants()
 

@@ -1,22 +1,25 @@
-"""Problem families: instances, generators, CSV I/O, closed-form updates."""
+"""Problem families: instances, generators, CSV input, and the closed-form
+round updates of tests/helpers.py against the generic mapping."""
 
 import numpy as np
 import pytest
 
-from unigrad.bregman import bregman_map, soft_threshold
-from unigrad.oracles import Regularizer
-from unigrad.problems import (
-    LassoInstance,
-    SteinerInstance,
+from helpers import (
     lasso_batch_bregman_step,
     lasso_bregman_step,
     lasso_dual_average,
-    lasso_problem,
-    load_samples,
     save_samples,
     steiner_batch_bregman_step,
     steiner_bregman_step,
     steiner_dual_average,
+)
+from unigrad.bregman import bregman_map
+from unigrad.oracles import soft_threshold
+from unigrad.problems import (
+    LassoInstance,
+    SteinerInstance,
+    lasso_problem,
+    load_samples,
     steiner_problem,
     synth_lasso,
     synth_steiner,
@@ -136,9 +139,12 @@ def test_load_samples_too_few_fields(tmp_path):
         load_samples(path)
 
 
-def test_load_samples_unsupported_format(tmp_path):
-    with pytest.raises(ValueError, match="unsupported format"):
-        load_samples(tmp_path / "d.bin", format="binary")
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+def test_load_samples_non_finite(tmp_path, field):
+    path = tmp_path / "d.csv"
+    path.write_text(f"1.0,2.0\n# comment\n0.5,{field}\n")
+    with pytest.raises(ValueError, match="line 3: non-finite field"):
+        load_samples(path)
 
 
 def test_save_load_round_trip_exact(tmp_path):
@@ -176,8 +182,7 @@ def test_lasso_bregman_step_matches_generic_map():
         inst = LassoInstance(A=a[None, :], b=np.array([b]), l1_weight=mu)
         prob = lasso_problem(inst)
         comp = prob.components[0]
-        want = bregman_map(prob.geometry, prob.regularizer, x,
-                           comp.value(x), comp.grad(x), M).minimizer
+        want = bregman_map(prob.regularizer, x, comp.grad(x), M)
         got = lasso_bregman_step(x, a, b, M, mu)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -215,8 +220,7 @@ def test_steiner_bregman_step_matches_generic_map():
         M = float(rng.uniform(0.5, 10.0))
         prob = steiner_problem(SteinerInstance(centers=c[None, :]))
         comp = prob.components[0]
-        want = bregman_map(prob.geometry, prob.regularizer, x,
-                           comp.value(x), comp.grad(x), M).minimizer
+        want = bregman_map(prob.regularizer, x, comp.grad(x), M)
         got = steiner_bregman_step(x, c, M)
         np.testing.assert_allclose(got, want, atol=1e-12)
 

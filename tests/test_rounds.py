@@ -48,8 +48,7 @@ def test_adaptive_rounds_record_the_accepted_bregman_point(runner):
     points = [trace.x0, *trace.x_next]
     for t in range(T + 1):
         gt, x = prob.components[order[t]], points[t]
-        y = bregman_map(prob.geometry, h, x, gt.value(x), gt.grad(x),
-                        2.0 * trace.L_next[t]).minimizer
+        y = bregman_map(h, x, gt.grad(x), 2.0 * trace.L_next[t])
         assert trace.f_gt_xt[t] == gt.value(x) + h.value(x)
         assert trace.f_gt_yt[t] == gt.value(y) + h.value(y)
         assert trace.f_gt_xnext[t] == gt.value(points[t + 1]) + h.value(points[t + 1])

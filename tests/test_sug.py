@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import surrogate_value
 from unigrad.bregman import gamma, l1_optimality_residual
-from unigrad.oracles import Regularizer
+from unigrad.oracles import ComponentOracle, NonFiniteOracleValue, Regularizer
 from unigrad.problems import (
     LassoInstance,
     SteinerInstance,
@@ -17,7 +18,6 @@ from unigrad.problems import (
 from unigrad.sug import (
     SugConfig,
     sug_bound,
-    sug_high_prob_iters,
     sug_init,
     sug_iteration_estimate,
     sug_rho,
@@ -58,7 +58,7 @@ def test_init_aggregates_match_direct_average():
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = rng.normal(size=4) * 2.0
-        direct = np.mean([table.surrogate_value(i, x) for i in range(7)])
+        direct = np.mean([surrogate_value(table, i, x) for i in range(7)])
         assert table.value(x) == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 
@@ -183,17 +183,27 @@ def test_run_seed_determinism():
     assert ta.component == tb.component
 
 
-def test_run_early_stop_via_bound_threshold():
-    prob = _quadratic_problem(n=4, p=3, seed=16, l1_weight=0.05, ridge_weight=50.0)
-    mu_h = prob.regularizer.strong_convexity
-    M = 2.0
-    assert sug_rho(M, mu_h, 4) < 1.0
-    cfg = SugConfig(M=M, eps=1e-2, seed=3, max_iters=5000,
-                    stop_threshold=5e-2, dist0_sq=9.0)
-    _, trace = sug_run(prob, np.ones(3), cfg)
-    assert trace.n_rows < 5000
-    k_stop = trace.n_rows
-    assert sug_bound(k_stop, M, mu_h, 4, 1e-2, 9.0) <= 5e-2
+@pytest.mark.parametrize(
+    "value_fn, message",
+    [
+        # NaN everywhere: read by sug_init at x0
+        (lambda x: np.nan, "component 1 returned nan at round 0"),
+        # finite at x0 = 0, infinite at every later iterate
+        (lambda x: np.inf if np.any(x != 0) else 1.0,
+         r"component 1 returned inf at round [0-9]+"),
+    ],
+    ids=["at-init", "after-init"],
+)
+def test_run_non_finite_component_names_iteration_and_component(value_fn, message):
+    prob = _quadratic_problem(n=3, p=2, seed=20, ridge_weight=1.0)
+    good = prob.components[1]
+    prob.components[1] = ComponentOracle(
+        value=value_fn, grad=good.grad,
+        holder_degree=good.holder_degree, holder_modulus=good.holder_modulus,
+    )
+    cfg = SugConfig(M=2.0, eps=1e-2, seed=0, max_iters=50)
+    with pytest.raises(NonFiniteOracleValue, match=message):
+        sug_run(prob, np.zeros(2), cfg)
 
 
 def test_run_trace_schema_for_sampled_rounds():
@@ -296,27 +306,6 @@ def test_iteration_estimate_cross_checks_against_bound():
         k = sug_iteration_estimate(M, mu_h, n, eps, d0)
         assert k == want_k
         assert sug_bound(k, M, mu_h, n, eps, d0) <= eps
-
-
-def test_high_prob_iters_undefined_cases():
-    assert sug_high_prob_iters(2.0, 1.0, 3, 1e-2, 1.0, 0.9) is None
-    # delta - 3/4 - 3/(4 (mu_h - M)) <= 0
-    assert sug_high_prob_iters(0.01, 10.0, 2, 1e-3, 4.0, 0.5) is None
-
-
-def test_high_prob_iters_validates_delta():
-    with pytest.raises(ValueError):
-        sug_high_prob_iters(1.0, 2.0, 1, 1e-2, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        sug_high_prob_iters(1.0, 2.0, 1, 1e-2, 1.0, 1.0)
-
-
-def test_high_prob_iters_monotone_in_confidence():
-    M, mu_h, n, eps, d0 = 0.01, 10.0, 2, 1e-3, 4.0
-    deltas = np.linspace(0.84, 0.99, 16)
-    ks = [sug_high_prob_iters(M, mu_h, n, eps, d0, float(d)) for d in deltas]
-    assert all(k is not None for k in ks)
-    assert all(a >= b for a, b in zip(ks, ks[1:]))
 
 
 def test_config_validation():

@@ -139,12 +139,6 @@ def test_write_refuses_non_finite_values(tmp_path):
         write_trace_csv(trace, tmp_path / "trace.csv")
 
 
-def test_weight_sum_is_inverse_modulus_sum():
-    trace = _sample_trace()
-    want = sum(1.0 / L for L in trace.L_next)
-    assert trace.weight_sum() == pytest.approx(want, rel=1e-15)
-
-
 def test_n_rows_tracks_appends():
     trace = _sample_trace()
     assert trace.n_rows == 3

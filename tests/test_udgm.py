@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from unigrad.bregman import gamma
-from unigrad.geometry import squared_euclidean
-from unigrad.oracles import (
-    ComponentOracle,
-    CompositeProblem,
-    Regularizer,
-    UnsupportedRegularizer,
-)
+from helpers import steiner_dual_average
+from unigrad.geometry import ProxFunction
+from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer
 from unigrad.problems import (
     LassoInstance,
     lasso_problem,
-    steiner_dual_average,
     steiner_problem,
     synth_lasso,
     synth_steiner,
@@ -30,7 +25,7 @@ from unigrad.udgm import (
 
 def _fresh_model(dim=2, x0=None):
     x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-    return DualModel(geometry=squared_euclidean(dim), anchor=x0)
+    return DualModel(geometry=ProxFunction(dim), anchor=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +52,7 @@ def test_argmin_without_regularizer_is_anchor_minus_aggregate():
 
 
 def test_argmin_scalar_l1_case():
-    model = DualModel(geometry=squared_euclidean(1), anchor=np.array([2.0]),
+    model = DualModel(geometry=ProxFunction(1), anchor=np.array([2.0]),
                       s=np.array([1.0]), A=0.5)
     got = model.argmin(Regularizer.l1(1.0))
     np.testing.assert_allclose(got, np.array([0.5]))
@@ -69,14 +64,6 @@ def test_argmin_validates_extra_term():
         model.argmin(Regularizer.zero(), -0.1, np.zeros(2))
     with pytest.raises(ValueError):
         model.argmin(Regularizer.zero(), 0.5, None)
-
-
-def test_argmin_requires_prox_rule():
-    model = _fresh_model()
-    h = Regularizer.custom(value_fn=lambda x: float(np.max(np.abs(x))))
-    model.fold(1.0, 0.0, np.array([1.0, 0.0]), np.zeros(2))
-    with pytest.raises(UnsupportedRegularizer):
-        model.argmin(h)
 
 
 def test_model_value_reconstruction():
@@ -91,7 +78,7 @@ def test_model_value_reconstruction():
         x_t = rng.normal(size=3)
         model.fold(coeff, g_val, g_grad, x_t)
         pieces.append((coeff, g_val, g_grad, x_t))
-    geom = squared_euclidean(3)
+    geom = ProxFunction(3)
     for _ in range(20):
         y = rng.normal(size=3)
         want = geom.bregman(model.anchor, y)
@@ -110,7 +97,7 @@ def test_model_strong_convexity_around_its_minimizer():
         model.fold(float(rng.uniform(0.05, 0.6)), float(rng.normal()),
                    rng.normal(size=4), rng.normal(size=4))
     xbar = model.argmin(h)
-    geom = squared_euclidean(4)
+    geom = ProxFunction(4)
     for _ in range(200):
         y = rng.normal(size=4) * 3.0
         lhs = model.value(y, h)
@@ -132,7 +119,6 @@ def _zero_problem(dim=2):
     return CompositeProblem(
         components=[comp],
         regularizer=Regularizer.zero(),
-        geometry=squared_euclidean(dim),
         dimension=dim,
     )
 
