@@ -16,6 +16,7 @@ import os
 import sys
 
 from .harness import (
+    REFERENCE_TOL,
     RunConfig,
     check_bounds,
     problem_from_descriptor,
@@ -39,7 +40,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
                         help="ridge weight (makes the regularizer strongly convex)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for data generation and sampling order")
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=float, default=REFERENCE_TOL,
                         help="fixed-point residual tolerance of the reference solver")
 
 

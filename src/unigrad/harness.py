@@ -51,24 +51,29 @@ from .upgm import upgm_fixed_step_run, upgm_run
 
 SLACK_SCALE = 1e-9
 
+# Fixed-point residual tolerance of the reference solve, unless a run sets
+# its own; also the one check-bounds assumes for traces that record none.
+REFERENCE_TOL = 1e-10
+
 
 class ReferenceSolverError(RuntimeError):
     """Reference solve did not reach the residual tolerance."""
 
 
-def _prox_grad_steps(problem: CompositeProblem, x0: np.ndarray, L0: float):
+def _prox_grad_steps(problem: CompositeProblem, x0: np.ndarray):
     """Backtracking proximal-gradient steps on the smooth average, unending.
 
     Yields (x, x_next, M, doublings, g_x, g_next) per step: x_next was
     accepted at modulus M after `doublings` doublings from the previous
-    step's modulus, and g_x, g_next are the smooth average at x and x_next.
-    The accepted trial's smooth value is reused at the next iterate, so
-    each trial costs one mean_smooth_value call.
+    step's modulus (1 before the first step), and g_x, g_next are the
+    smooth average at x and x_next.  The accepted trial's smooth value is
+    reused at the next iterate, so each trial costs one mean_smooth_value
+    call.
     """
     regularizer = problem.regularizer
     x = np.asarray(x0, dtype=float).copy()
     value = problem.mean_smooth_value(x)
-    L = L0
+    L = 1.0
     while True:
         grad = problem.mean_smooth_grad(x)
         M = L
@@ -100,9 +105,8 @@ class ReferenceSolution:
 
 def reference_solution(
     problem: CompositeProblem,
-    tol: float = 1e-10,
+    tol: float = REFERENCE_TOL,
     max_iters: int = 1_000_000,
-    L0: float = 1.0,
 ) -> ReferenceSolution:
     """Batch proximal gradient with backtracking on the smooth average.
 
@@ -113,7 +117,7 @@ def reference_solution(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     residual = math.inf
-    steps = _prox_grad_steps(problem, np.zeros(problem.dimension), L0)
+    steps = _prox_grad_steps(problem, np.zeros(problem.dimension))
     for it, (x, x_next, _, _, _, g_next) in zip(range(1, max_iters + 1), steps):
         residual = float(np.linalg.norm(x_next - x))
         if residual <= tol:
@@ -212,9 +216,8 @@ def evaluate_regret(
     x_star = np.asarray(x_star, dtype=float)
     comps = _trace_components(trace, problem)
     h_star = problem.regularizer.value(x_star)
-    f_star_rows = np.array(
-        [problem.components[int(c)].value(x_star) + h_star for c in comps]
-    )
+    value = problem.components.value
+    f_star_rows = np.array([value(int(c), x_star) + h_star for c in comps])
     f_xt = np.asarray(trace.f_gt_xt, dtype=float)
     f_xnext = np.asarray(trace.f_gt_xnext, dtype=float)
     f_yt = np.asarray(trace.f_gt_yt, dtype=float)
@@ -304,7 +307,7 @@ class RunConfig:
     fixed_step: bool = False
     holder_modulus: float | None = None
     holder_degree: float | None = None
-    tol: float = 1e-10
+    tol: float = REFERENCE_TOL
     dist0_sq: float | None = None
 
     def validate(self) -> None:
@@ -390,7 +393,7 @@ def run_experiment(cfg: RunConfig) -> dict:
         )
         h = problem.regularizer.value
         start = time.perf_counter()
-        steps = _prox_grad_steps(problem, x0, 1.0)
+        steps = _prox_grad_steps(problem, x0)
         for k, (x, x_next, M, doublings, g_x, g_next) in zip(range(trace.T), steps):
             f_x = g_x + h(x)
             f_next = g_next + h(x_next)
@@ -537,14 +540,14 @@ def _write_bound_curve(path, rows) -> None:
 def check_bounds(trace_path) -> tuple[dict, bool]:
     """Rebuild the problem from trace metadata and verify the trace.
 
-    The reference is solved at the tol the run recorded (1e-10 for traces
-    without one), so both judge against the same f*.  Returns the report
-    verify builds, as in the run's report.json, and its verdict `ok`.
+    The reference is solved at the tol the run recorded (REFERENCE_TOL for
+    traces without one), so both judge against the same f*.  Returns the
+    report verify builds, as in the run's report.json, and its verdict `ok`.
     """
     trace = parse_trace_csv(trace_path)
     if not trace.problem_meta:
         raise ValueError(f"{trace_path}: trace has no problem descriptor metadata")
     problem = problem_from_descriptor(trace.problem_meta)
-    tol = float(trace.extra_meta.get("tol", 1e-10))
+    tol = float(trace.extra_meta.get("tol", REFERENCE_TOL))
     report, _ = verify(trace, problem, reference_solution(problem, tol=tol))
     return report, report["ok"]

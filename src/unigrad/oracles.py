@@ -1,10 +1,11 @@
 """First-order oracles for composite objectives.
 
-The objective is f(x) = (1/n) sum_i g_i(x) + h(x).  Each smooth-part
-component g_i exposes value and (sub)gradient callables together with its
-Holder certificate: a degree v in [0, 1] and modulus M_v such that
+The objective is f(x) = (1/n) sum_i g_i(x) + h(x).  One ComponentOracle
+answers value and (sub)gradient calls for every component g_i of the
+stream, and carries the stream's Holder certificate: a degree v in [0, 1]
+and modulus M_v such that every component satisfies
 
-    ||grad g(x) - grad g(y)||_* <= M_v ||x - y||^v.
+    ||grad g_i(x) - grad g_i(y)||_* <= M_v ||x - y||^v.
 
 The composite regularizer h is simple: its proximal operator has a closed
 form for the supported structures (zero, l1, elastic net).
@@ -35,14 +36,19 @@ class NonFiniteOracleValue(ValueError):
 
 @dataclass(frozen=True)
 class ComponentOracle:
-    """One smooth component g_i with its Holder-continuity certificate."""
+    """The n smooth components g_0..g_{n-1} of a stream: value(i, x) is
+    g_i(x), grad(i, x) a (sub)gradient of g_i at x, and (holder_degree,
+    holder_modulus) the Holder certificate every component satisfies."""
 
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    value: Callable[[int, np.ndarray], float]
+    grad: Callable[[int, np.ndarray], np.ndarray]
+    n: int
     holder_degree: float
     holder_modulus: float
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"stream needs at least one component, got n={self.n}")
         if not 0.0 <= self.holder_degree <= 1.0:
             raise ValueError(
                 f"holder_degree must lie in [0, 1], got {self.holder_degree}"
@@ -53,10 +59,10 @@ class ComponentOracle:
             )
 
 
-def oracle_value(component: ComponentOracle, x: np.ndarray, t: int, k: int) -> float:
+def oracle_value(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> float:
     """g_k(x) as a float, read in round t; raises NonFiniteOracleValue,
     naming the round and the component, when it is NaN or infinite."""
-    value = float(component.value(x))
+    value = float(components.value(k, x))
     if not math.isfinite(value):
         raise NonFiniteOracleValue(f"component {k} returned {value} at round {t}")
     return value
@@ -144,29 +150,26 @@ class CompositeProblem:
     """f(x) = (1/n) sum_i g_i(x) + h(x) over the squared Euclidean geometry
     of its dimension.
 
-    mean_value_fn / mean_grad_fn, when supplied by a constructor, evaluate
-    the smooth average (1/n) sum_i g_i and its gradient in vectorized form;
-    otherwise a loop over components is used.  mean_values_fn likewise
-    evaluates the smooth average at every row of a (k, p) array at once,
-    keeping each temporary within BLOCK_BYTES.
+    components answers for each g_i; mean_value_fn and mean_grad_fn
+    evaluate the smooth average (1/n) sum_i g_i and its gradient in
+    vectorized form, and mean_values_fn the smooth average at every row of
+    a (k, p) array at once, keeping each temporary within BLOCK_BYTES.
     """
 
-    components: list[ComponentOracle]
+    components: ComponentOracle
     regularizer: Regularizer
     dimension: int
-    mean_value_fn: Callable[[np.ndarray], float] | None = None
-    mean_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    mean_values_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    mean_value_fn: Callable[[np.ndarray], float]
+    mean_grad_fn: Callable[[np.ndarray], np.ndarray]
+    mean_values_fn: Callable[[np.ndarray], np.ndarray]
     geometry: ProxFunction = field(init=False)
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("problem needs at least one component")
         self.geometry = ProxFunction(self.dimension)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.components.n
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -176,46 +179,26 @@ class CompositeProblem:
 
     def mean_smooth_value(self, x: np.ndarray) -> float:
         """(1/n) sum_i g_i(x)."""
-        x = self._check_point(x)
-        if self.mean_value_fn is not None:
-            return float(self.mean_value_fn(x))
-        return float(np.mean([c.value(x) for c in self.components]))
+        return float(self.mean_value_fn(self._check_point(x)))
 
     def mean_smooth_grad(self, x: np.ndarray) -> np.ndarray:
         """(1/n) sum_i grad g_i(x)."""
-        x = self._check_point(x)
-        if self.mean_grad_fn is not None:
-            return np.asarray(self.mean_grad_fn(x), dtype=float)
-        acc = np.zeros(self.dimension)
-        for c in self.components:
-            acc += c.grad(x)
-        return acc / len(self.components)
+        return np.asarray(self.mean_grad_fn(self._check_point(x)), dtype=float)
 
     def value(self, x: np.ndarray) -> float:
         """Full objective f(x) = (1/n) sum_i g_i(x) + h(x)."""
         return self.mean_smooth_value(x) + self.regularizer.value(x)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Full objective at each row of the (k, p) array X.
-
-        Uses mean_values_fn when the problem has one, else value per row.
-        """
+        """Full objective at each row of the (k, p) array X."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise ValueError(
                 f"points have shape {X.shape}, expected (k, {self.dimension})"
             )
-        if self.mean_values_fn is None:
-            return np.array([self.value(x) for x in X], dtype=float)
         smooth = np.asarray(self.mean_values_fn(X), dtype=float)
         return smooth + self.regularizer.values(X)
 
     def holder_constants(self) -> tuple[float, float]:
-        """Stream-level (v, M_v): common degree, max modulus over components.
-
-        Raises ValueError when components disagree on the degree.
-        """
-        degrees = {c.holder_degree for c in self.components}
-        if len(degrees) != 1:
-            raise ValueError(f"components have mixed Holder degrees: {sorted(degrees)}")
-        return degrees.pop(), max(c.holder_modulus for c in self.components)
+        """The stream's Holder certificate (v, M_v)."""
+        return self.components.holder_degree, self.components.holder_modulus

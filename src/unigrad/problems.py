@@ -1,10 +1,11 @@
 """Shipped problem families: streaming lasso and the Steiner point problem.
 
-Lasso components are squared residuals g_t(x) = (a_t' x - b_t)^2 with
-Lipschitz gradients (Holder degree 1, modulus 2 ||a_t||^2); the composite
-part is l1 or elastic net.  Steiner components are distances to centers,
-g_i(x) = ||x - c_i||, with bounded subgradients (degree 0, modulus 2) and
-no composite part.
+Each family builds one ComponentOracle for its whole stream.  Lasso
+components are squared residuals g_t(x) = (a_t' x - b_t)^2 with Lipschitz
+gradients: the stream's certificate is degree 1 and modulus
+max_t 2 ||a_t||^2.  The composite part is l1 or elastic net.  Steiner
+components are distances to centers, g_i(x) = ||x - c_i||, with bounded
+subgradients (degree 0, modulus 2) and no composite part.
 """
 
 import math
@@ -81,26 +82,23 @@ def _lasso_regularizer(l1_weight: float, ridge_weight: float) -> Regularizer:
 def lasso_problem(inst: LassoInstance) -> CompositeProblem:
     """Composite problem (1/n) sum_t (a_t' x - b_t)^2 + h(x)."""
     A, b = inst.A, inst.b
-    components = []
-    for t in range(inst.n):
-        a_t = A[t]
-        b_t = float(b[t])
 
-        def value(x, a=a_t, bb=b_t):
-            r = float(a @ x) - bb
-            return r * r
+    # a.dot(x) gives the bits of a @ x on one row, without matmul's dispatch
+    def value(i, x):
+        r = float(A[i].dot(x) - b[i])
+        return r * r
 
-        def grad(x, a=a_t, bb=b_t):
-            return 2.0 * (float(a @ x) - bb) * a
+    def grad(i, x):
+        a = A[i]
+        return 2.0 * float(a.dot(x) - b[i]) * a
 
-        components.append(
-            ComponentOracle(
-                value=value,
-                grad=grad,
-                holder_degree=1.0,
-                holder_modulus=2.0 * float(a_t @ a_t),
-            )
-        )
+    components = ComponentOracle(
+        value=value,
+        grad=grad,
+        n=inst.n,
+        holder_degree=1.0,
+        holder_modulus=max((2.0 * float(a @ a) for a in A), default=0.0),
+    )
     n = inst.n
 
     def mean_value(x):
@@ -139,23 +137,22 @@ def steiner_problem(inst: SteinerInstance) -> CompositeProblem:
     Subgradient convention: zero at x = c_i.
     """
     centers = inst.centers
-    components = []
-    for i in range(inst.m):
-        c_i = centers[i]
 
-        def value(x, c=c_i):
-            return float(np.linalg.norm(x - c))
+    # math.sqrt(d.dot(d)) is the value np.linalg.norm(d) computes, bit for bit
+    def value(i, x):
+        diff = x - centers[i]
+        return math.sqrt(diff.dot(diff))
 
-        def grad(x, c=c_i):
-            diff = x - c
-            norm = float(np.linalg.norm(diff))
-            if norm == 0.0:
-                return np.zeros_like(diff)
-            return diff / norm
+    def grad(i, x):
+        diff = x - centers[i]
+        norm = math.sqrt(diff.dot(diff))
+        if norm == 0.0:
+            return np.zeros_like(diff)
+        return diff / norm
 
-        components.append(
-            ComponentOracle(value=value, grad=grad, holder_degree=0.0, holder_modulus=2.0)
-        )
+    components = ComponentOracle(
+        value=value, grad=grad, n=inst.m, holder_degree=0.0, holder_modulus=2.0
+    )
     m = inst.m
 
     def mean_value(x):

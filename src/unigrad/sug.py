@@ -2,12 +2,12 @@
 
 Each component g_i keeps a surrogate anchored at some past iterate z_i:
 
-    g_i^k(x) = g_i(z_i) + <grad g_i(z_i), x - z_i> + (M_i / 2) ||x - z_i||^2.
+    g_i^k(x) = g_i(z_i) + <grad g_i(z_i), x - z_i> + (M / 2) ||x - z_i||^2.
 
 The surrogate average G^k collapses to a single quadratic, maintained via
 three O(p) aggregates, so the subproblem argmin_x G^k(x) + h(x) is one
 prox evaluation.  Every iteration re-anchors one uniformly sampled
-surrogate at the fresh iterate.  When each M_i exceeds the Holder
+surrogate at the fresh iterate.  When the modulus M exceeds the Holder
 threshold (2/eps)^((1-v)/(1+v)) M_v^(2/(1+v)), the surrogates overestimate
 g_i up to eps/4, which drives the geometric convergence bound.  With
 rho = (1/n)(M / mu_h) + 1 - 1/n < 1 the bound reaches eps within
@@ -103,17 +103,16 @@ class SurrogateTable:
         )
 
 
-def sug_init(problem: CompositeProblem, x0: np.ndarray, M) -> SurrogateTable:
-    """Anchor every surrogate at x0 with modulus M (scalar or per-component)."""
+def sug_init(problem: CompositeProblem, x0: np.ndarray, M: float) -> SurrogateTable:
+    """Anchor every surrogate at x0 with the one modulus M."""
+    if M <= 0:
+        raise ValueError(f"surrogate modulus must be positive, got {M}")
     x0 = np.asarray(x0, dtype=float)
     n = problem.n_components
-    moduli = np.broadcast_to(np.asarray(M, dtype=float), (n,)).copy()
-    if (moduli <= 0).any():
-        raise ValueError("surrogate moduli must be positive")
-    grads = np.stack([problem.components[i].grad(x0) for i in range(n)])
-    values = np.array(
-        [oracle_value(problem.components[i], x0, 0, i) for i in range(n)], dtype=float
-    )
+    oracle = problem.components
+    moduli = np.full(n, float(M))
+    grads = np.stack([oracle.grad(i, x0) for i in range(n)])
+    values = np.array([oracle_value(oracle, i, x0, 0) for i in range(n)], dtype=float)
     anchors = np.tile(x0, (n, 1))
     return SurrogateTable(
         problem=problem, anchors=anchors, grads=grads, values=values, moduli=moduli
@@ -148,9 +147,9 @@ def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> 
         - float(table.grads[j] @ old_anchor)
         + 0.5 * table.moduli[j] * float(old_anchor @ old_anchor)
     )
-    comp = table.problem.components[j]
-    new_grad = np.asarray(comp.grad(x_new), dtype=float)
-    new_value = oracle_value(comp, x_new, t, j)
+    oracle = table.problem.components
+    new_grad = np.asarray(oracle.grad(j, x_new), dtype=float)
+    new_value = oracle_value(oracle, j, x_new, t)
     table.anchors[j] = x_new
     table.grads[j] = new_grad
     table.values[j] = new_value
@@ -182,17 +181,16 @@ def sug_run(
     regularizer = problem.regularizer
     table = sug_init(problem, x0, cfg.M)
     rng = np.random.default_rng(cfg.seed)
-    M_scalar = float(np.max(table.moduli))
     x = x0
     start = time.perf_counter()
     for k in range(cfg.max_iters):
         x_next = sug_subproblem(table, regularizer)
         j = int(rng.integers(0, table.n))
-        f_j_x = oracle_value(problem.components[j], x, k, j) + regularizer.value(x)
+        f_j_x = oracle_value(problem.components, j, x, k) + regularizer.value(x)
         sug_update(table, j, x_next, k)
         f_j_next = float(table.values[j]) + regularizer.value(x_next)
         trace.add_row(
-            k, 0, M_scalar, f_j_x, f_j_next, f_j_next, np.nan,
+            k, 0, cfg.M, f_j_x, f_j_next, f_j_next, np.nan,
             time.perf_counter() - start, component=j, x_next=x_next,
         )
         x = x_next

@@ -52,23 +52,17 @@ class DualModel:
         )
 
     def argmin(
-        self,
-        regularizer: Regularizer,
-        extra_coeff: float = 0.0,
-        extra_grad: np.ndarray | None = None,
+        self, regularizer: Regularizer, extra_coeff: float, extra_grad: np.ndarray
     ) -> np.ndarray:
-        """Minimizer of the model plus an optional extra linearization term.
+        """Minimizer of the model plus the linearization term
+        extra_coeff * [<extra_grad, x> + h(x)].
 
         With w = s + extra_coeff * extra_grad and B = A + extra_coeff, the
         minimizer is prox_{B h}(anchor - w).
         """
         if extra_coeff < 0:
             raise ValueError(f"extra_coeff must be nonnegative, got {extra_coeff}")
-        w = self.s
-        if extra_coeff > 0.0:
-            if extra_grad is None:
-                raise ValueError("extra_coeff given without extra_grad")
-            w = self.s + extra_coeff * np.asarray(extra_grad, dtype=float)
+        w = self.s + extra_coeff * np.asarray(extra_grad, dtype=float)
         return regularizer.prox(self.anchor - w, self.A + extra_coeff)
 
     def fold(

@@ -98,6 +98,7 @@ def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
         L = L0
     geometry = problem.geometry
     regularizer = problem.regularizer
+    oracle = problem.components
     x = trace.x0.copy()
     weight_sum = 0.0
     weighted_x = np.zeros_like(x)
@@ -105,20 +106,19 @@ def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
     start = time.perf_counter()
     for t in range(T + 1):
         k = int(order[t])
-        gt = problem.components[k]
-        g_value = oracle_value(gt, x, t, k)
-        g_grad = np.asarray(gt.grad(x), dtype=float)
+        g_value = oracle_value(oracle, k, x, t)
+        g_grad = np.asarray(oracle.grad(k, x), dtype=float)
         i_t = 0
         if not fixed:
             def trial(M: float):
                 y = bregman_map(regularizer, x, g_grad, M)
-                g_y = oracle_value(gt, y, t, k)
+                g_y = oracle_value(oracle, k, y, t)
                 return (y, g_y), _descent_ok(g_value, g_grad, g_y, x, y, M, eps, geometry)
 
             i_t, L, (y, g_y) = backtrack(L, trial)
         elif model is None:
             y = bregman_map(regularizer, x, g_grad, 2.0 * L)
-            g_y = oracle_value(gt, y, t, k)
+            g_y = oracle_value(oracle, k, y, t)
         f_xt = g_value + regularizer.value(x)
         if model is None:
             x = y
@@ -131,7 +131,7 @@ def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
             x_next = model.argmin(regularizer, coeff, g_grad)
             model.fold(coeff, g_value, g_grad, x)
             x = x_next
-            f_next = oracle_value(gt, x, t, k) + regularizer.value(x)
+            f_next = oracle_value(oracle, k, x, t) + regularizer.value(x)
             f_y = f_next if fixed else g_y + regularizer.value(y)
             phi_star = model.value(x, regularizer)
         trace.add_row(

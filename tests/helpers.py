@@ -1,6 +1,6 @@
 """Test-only references: a numeric Bregman mapping, closed-form round
-updates for the shipped problem families, a sample writer and the
-individual surrogate value.  The library does not use them; the tests
+updates for the shipped problem families, a sample writer, the
+individual surrogate value and a zero-objective problem.  The library does not use them; the tests
 cross-check the library against them.  evaluate_regret also checks the
 eps its callers name against the trace's."""
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from unigrad import harness
-from unigrad.oracles import soft_threshold
+from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer, soft_threshold
 
 
 def evaluate_regret(trace, problem, x_star, eps):
@@ -167,4 +167,22 @@ def surrogate_value(table, i, x) -> float:
         float(table.values[i])
         + float(table.grads[i] @ diff)
         + 0.5 * float(table.moduli[i]) * float(diff @ diff)
+    )
+
+
+def zero_problem(dim=2) -> CompositeProblem:
+    """The one-component stream g_0 = 0 in dimension dim, with h = 0."""
+    return CompositeProblem(
+        components=ComponentOracle(
+            value=lambda i, x: 0.0,
+            grad=lambda i, x: np.zeros(dim),
+            n=1,
+            holder_degree=1.0,
+            holder_modulus=1.0,
+        ),
+        regularizer=Regularizer.zero(),
+        dimension=dim,
+        mean_value_fn=lambda x: 0.0,
+        mean_grad_fn=lambda x: np.zeros(dim),
+        mean_values_fn=lambda X: np.zeros(len(X)),
     )

@@ -16,17 +16,19 @@ from unigrad.oracles import Regularizer, soft_threshold
 from unigrad.problems import LassoInstance, lasso_problem
 
 
-def check_descent_condition(gt, x, x_hat, M, eps, geometry):
-    """The online rounds' descent test, with g and its gradient read at x."""
+def check_descent_condition(oracle, x, x_hat, M, eps, geometry):
+    """The online rounds' descent test for component 0 of oracle, with g
+    and its gradient read at x."""
     x = np.asarray(x, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
-    return _descent_ok(float(gt.value(x)), np.asarray(gt.grad(x), dtype=float),
-                       float(gt.value(x_hat)), x, x_hat, M, eps, geometry)
+    return _descent_ok(float(oracle.value(0, x)), np.asarray(oracle.grad(0, x), dtype=float),
+                       float(oracle.value(0, x_hat)), x, x_hat, M, eps, geometry)
 
 
-def _lasso_component(a, b):
+def _lasso_oracle(a, b):
+    """The oracle of the one-sample stream g_0(x) = (a'x - b)^2."""
     inst = LassoInstance(A=np.array([a], dtype=float), b=np.array([b], dtype=float))
-    return lasso_problem(inst).components[0]
+    return lasso_problem(inst).components
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +92,9 @@ def test_bregman_map_unregularized_gradient_step():
 
 
 def test_bregman_map_one_dim_lasso_shrinks_to_zero():
-    comp = _lasso_component([1.0], 0.0)
+    comp = _lasso_oracle([1.0], 0.0)
     x = np.array([1.0])
-    got = bregman_map(Regularizer.l1(0.1), x, comp.grad(x), 2.0)
+    got = bregman_map(Regularizer.l1(0.1), x, comp.grad(0, x), 2.0)
     np.testing.assert_allclose(got, np.array([0.0]))
 
 
@@ -212,12 +214,12 @@ def test_backtrack_with_descent_trial_respects_modulus_cap():
     eps = 1e-2
     for _ in range(20):
         a = rng.normal(size=3)
-        comp = _lasso_component(a, float(rng.normal()))
+        comp = _lasso_oracle(a, float(rng.normal()))
         cap = gamma(comp.holder_modulus, comp.holder_degree, eps)
         x = rng.normal(size=3)
 
         def trial(M, comp=comp, x=x):
-            y = bregman_map(h, x, comp.grad(x), M)
+            y = bregman_map(h, x, comp.grad(0, x), M)
             return y, check_descent_condition(comp, x, y, M, eps, geom)
 
         i, L_next, _ = backtrack(1e-6, trial)
@@ -230,14 +232,14 @@ def test_backtrack_with_descent_trial_respects_modulus_cap():
 
 def test_descent_trivially_true_at_same_point():
     geom = ProxFunction(2)
-    comp = _lasso_component([1.0, -2.0], 0.5)
+    comp = _lasso_oracle([1.0, -2.0], 0.5)
     x = np.array([0.3, 0.4])
     for M in (1e-6, 1.0, 1e6):
         assert check_descent_condition(comp, x, x, M, 1e-9, geom)
 
 
 def test_descent_equality_case_at_curvature():
-    comp = _lasso_component([1.0], 0.0)  # g(x) = x^2, curvature 2
+    comp = _lasso_oracle([1.0], 0.0)  # g(x) = x^2, curvature 2
     geom = ProxFunction(1)
     x = np.array([1.0])
     xhat = np.array([0.0])
@@ -245,7 +247,7 @@ def test_descent_equality_case_at_curvature():
 
 
 def test_descent_fails_below_curvature():
-    comp = _lasso_component([1.0], 0.0)
+    comp = _lasso_oracle([1.0], 0.0)
     geom = ProxFunction(1)
     x = np.array([1.0])
     xhat = np.array([0.0])
@@ -274,12 +276,12 @@ def test_smooth_upper_bound_above_effective_modulus():
     rng = np.random.default_rng(4)
     for _ in range(200):
         a = rng.normal(size=4)
-        comp = _lasso_component(a, float(rng.normal()))
+        comp = _lasso_oracle(a, float(rng.normal()))
         eps = float(rng.uniform(1e-3, 1.0))
         M = gamma(comp.holder_modulus, comp.holder_degree, eps) * 1.5
         x = rng.normal(size=4)
         y = rng.normal(size=4)
-        lhs = comp.value(y)
-        rhs = (comp.value(x) + float(comp.grad(x) @ (y - x))
+        lhs = comp.value(0, y)
+        rhs = (comp.value(0, x) + float(comp.grad(0, x) @ (y - x))
                + 0.5 * M * float((y - x) @ (y - x)) + 0.5 * eps)
         assert lhs <= rhs + 1e-12

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from unigrad import oracles
 from unigrad.harness import sample_order
-from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer
 from unigrad.problems import lasso_problem, steiner_problem, synth_lasso, synth_steiner
 from unigrad.sug import SugConfig, sug_run
 from unigrad.trace import RunTrace
@@ -15,26 +14,6 @@ from unigrad.udgm import udgm_fixed_step_run, udgm_run
 from unigrad.upgm import upgm_fixed_step_run, upgm_run
 
 T = 40
-
-
-def _custom_problem(p=3, n=6, seed=5):
-    """Closure components with no vectorised form: g_i = 0.5 ||x - c_i||^2."""
-    centers = np.random.default_rng(seed).normal(size=(n, p))
-    comps = [
-        ComponentOracle(
-            value=lambda x, c=c: 0.5 * float((x - c) @ (x - c)),
-            grad=lambda x, c=c: x - c,
-            holder_degree=1.0,
-            holder_modulus=1.0,
-        )
-        for c in centers
-    ]
-    return CompositeProblem(
-        components=comps,
-        regularizer=Regularizer.l1(0.05),
-        dimension=p,
-    )
-
 
 PROBLEMS = {
     "lasso-l1": lambda: lasso_problem(
@@ -45,7 +24,6 @@ PROBLEMS = {
                     l1_weight=0.1, ridge_weight=5.0)
     ),
     "steiner": lambda: steiner_problem(synth_steiner(p=4, m=20, seed=3)),
-    "custom": _custom_problem,
 }
 
 

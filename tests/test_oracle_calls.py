@@ -1,0 +1,88 @@
+"""Oracle-call accounting: every g_i evaluation goes through the problem's
+one ComponentOracle, so wrapping its two fields counts every call."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from unigrad import harness
+from unigrad.harness import RunConfig, run_experiment, sample_order
+from unigrad.problems import lasso_problem, steiner_problem, synth_lasso, synth_steiner
+from unigrad.sug import SugConfig, sug_run
+from unigrad.udgm import udgm_fixed_step_run, udgm_run
+from unigrad.upgm import upgm_fixed_step_run, upgm_run
+
+T = 60
+
+PROBLEMS = {
+    "lasso": lambda: lasso_problem(
+        synth_lasso(p=5, n=40, sparsity=2, noise=0.2, seed=1,
+                    l1_weight=0.1, ridge_weight=1.0)
+    ),
+    "steiner": lambda: steiner_problem(synth_steiner(p=4, m=30, seed=2)),
+}
+
+
+def _counted(problem):
+    """Swap in a counting copy of problem's oracle; returns the counts."""
+    counts = {"value": 0, "grad": 0}
+    oracle = problem.components
+
+    def value(i, x):
+        counts["value"] += 1
+        return oracle.value(i, x)
+
+    def grad(i, x):
+        counts["grad"] += 1
+        return oracle.grad(i, x)
+
+    problem.components = dataclasses.replace(oracle, value=value, grad=grad)
+    return counts
+
+
+def _order(problem):
+    return sample_order("random", problem.n_components, T, seed=3)
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+@pytest.mark.parametrize("runner, reads_next", [(upgm_run, 0), (udgm_run, 1)],
+                         ids=["oupgm", "oudgm"])
+def test_adaptive_rounds_read_each_trial_once(family, runner, reads_next):
+    """g_t at x_t, one value per trial, and oudgm's g_t at x_{t+1}."""
+    problem = PROBLEMS[family]()
+    counts = _counted(problem)
+    _, trace = runner(problem, _order(problem), np.zeros(problem.dimension), 1.0, 1e-2, T)
+    trials = sum(i + 1 for i in trace.i_t)
+    assert trials > T + 1  # some rounds backtracked
+    assert counts == {"value": (1 + reads_next) * (T + 1) + trials, "grad": T + 1}
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+@pytest.mark.parametrize("runner", [upgm_fixed_step_run, udgm_fixed_step_run],
+                         ids=["oupgm", "oudgm"])
+def test_fixed_step_rounds_read_two_values_and_one_gradient(family, runner):
+    problem = PROBLEMS[family]()
+    counts = _counted(problem)
+    runner(problem, _order(problem), np.zeros(problem.dimension), 1e-1, T)
+    assert counts == {"value": 2 * (T + 1), "grad": T + 1}
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+def test_sug_reads_every_component_once_then_two_values_per_iteration(family):
+    problem = PROBLEMS[family]()
+    counts = _counted(problem)
+    n, K = problem.n_components, 45
+    sug_run(problem, np.zeros(problem.dimension),
+            SugConfig(M=5.0, eps=1e-2, seed=4, max_iters=K))
+    assert counts == {"value": n + 2 * K, "grad": n + K}
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+def test_batch_reads_no_component(family, tmp_path, monkeypatch):
+    problem = PROBLEMS[family]()
+    counts = _counted(problem)
+    monkeypatch.setattr(harness, "problem_from_descriptor", lambda desc: problem)
+    run_experiment(RunConfig(algorithm="batch", problem={"kind": family},
+                             out=str(tmp_path), T=T))
+    assert counts == {"value": 0, "grad": 0}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer
+from unigrad.oracles import ComponentOracle, Regularizer
 from unigrad.problems import (
     LassoInstance,
     SteinerInstance,
@@ -36,7 +36,7 @@ def test_composite_value_steiner_midpoint():
 
 def _round_value(prob, t, x):
     """g_t(x) + h(x), the round objective the online methods record."""
-    return prob.components[t].value(x) + prob.regularizer.value(x)
+    return prob.components.value(t, x) + prob.regularizer.value(x)
 
 
 def test_per_sample_value_without_regularizer_is_component_value():
@@ -66,19 +66,19 @@ def test_per_sample_mean_equals_composite_value():
 
 def test_component_subgradient_lasso():
     prob = _single_lasso([1.0, 0.0], 0.0)
-    got = prob.components[0].grad(np.array([3.0, 0.0]))
+    got = prob.components.grad(0, np.array([3.0, 0.0]))
     np.testing.assert_allclose(got, np.array([6.0, 0.0]))
 
 
 def test_component_subgradient_steiner_unit_direction():
     prob = steiner_problem(SteinerInstance(centers=np.array([[0.0, 0.0]])))
-    got = prob.components[0].grad(np.array([3.0, 4.0]))
+    got = prob.components.grad(0, np.array([3.0, 4.0]))
     np.testing.assert_allclose(got, np.array([0.6, 0.8]))
 
 
 def test_component_subgradient_steiner_zero_at_center():
     prob = steiner_problem(SteinerInstance(centers=np.array([[1.0, -1.0]])))
-    got = prob.components[0].grad(np.array([1.0, -1.0]))
+    got = prob.components.grad(0, np.array([1.0, -1.0]))
     np.testing.assert_array_equal(got, np.zeros(2))
 
 
@@ -92,12 +92,13 @@ def test_component_convexity_and_linearization_error_bounds():
     )
     rng = np.random.default_rng(3)
     for prob in (lasso, steiner):
-        for comp in prob.components:
-            v, Mv = comp.holder_degree, comp.holder_modulus
+        comp = prob.components
+        v, Mv = comp.holder_degree, comp.holder_modulus
+        for i in range(comp.n):
             for _ in range(100):
                 x = rng.normal(size=4) * 2.0
                 y = rng.normal(size=4) * 2.0
-                gap = comp.value(x) - comp.value(y) - float(comp.grad(y) @ (x - y))
+                gap = comp.value(i, x) - comp.value(i, y) - float(comp.grad(i, y) @ (x - y))
                 assert gap >= -1e-10
                 bound = (Mv / (1.0 + v)) * float(np.linalg.norm(x - y)) ** (1.0 + v)
                 assert abs(gap) <= bound + 1e-9 * (1.0 + bound)
@@ -107,13 +108,13 @@ def test_lasso_gradient_holder_condition_is_tight():
     rng = np.random.default_rng(4)
     a = rng.normal(size=5)
     prob = _single_lasso(a, 1.3)
-    comp = prob.components[0]
+    comp = prob.components
     Mv = comp.holder_modulus
     assert Mv == pytest.approx(2.0 * float(a @ a))
     for _ in range(500):
         x = rng.normal(size=5)
         y = rng.normal(size=5)
-        lhs = float(np.linalg.norm(comp.grad(x) - comp.grad(y)))
+        lhs = float(np.linalg.norm(comp.grad(0, x) - comp.grad(0, y)))
         assert lhs <= Mv * float(np.linalg.norm(x - y)) + 1e-10
 
 
@@ -122,24 +123,27 @@ def test_steiner_subgradients_live_in_unit_ball():
         SteinerInstance(centers=np.random.default_rng(5).normal(size=(6, 3)))
     )
     rng = np.random.default_rng(6)
-    for comp in prob.components:
-        assert comp.holder_degree == 0.0
-        assert comp.holder_modulus == 2.0
+    comp = prob.components
+    assert comp.holder_degree == 0.0
+    assert comp.holder_modulus == 2.0
+    for i in range(comp.n):
         for _ in range(100):
             x = rng.normal(size=3) * 3.0
             y = rng.normal(size=3) * 3.0
-            assert float(np.linalg.norm(comp.grad(x))) <= 1.0 + 1e-12
-            diff = float(np.linalg.norm(comp.grad(x) - comp.grad(y)))
+            assert float(np.linalg.norm(comp.grad(i, x))) <= 1.0 + 1e-12
+            diff = float(np.linalg.norm(comp.grad(i, x) - comp.grad(i, y)))
             assert diff <= comp.holder_modulus + 1e-12
 
 
 def test_component_oracle_validates_holder_metadata():
-    ok = lambda x: 0.0
-    okg = lambda x: np.zeros(2)
+    ok = lambda i, x: 0.0
+    okg = lambda i, x: np.zeros(2)
     with pytest.raises(ValueError):
-        ComponentOracle(value=ok, grad=okg, holder_degree=1.5, holder_modulus=1.0)
+        ComponentOracle(value=ok, grad=okg, n=1, holder_degree=1.5, holder_modulus=1.0)
     with pytest.raises(ValueError):
-        ComponentOracle(value=ok, grad=okg, holder_degree=0.5, holder_modulus=0.0)
+        ComponentOracle(value=ok, grad=okg, n=1, holder_degree=0.5, holder_modulus=0.0)
+    with pytest.raises(ValueError, match="at least one component"):
+        ComponentOracle(value=ok, grad=okg, n=0, holder_degree=0.5, holder_modulus=1.0)
 
 
 def test_regularizer_l1_value_and_prox():
@@ -205,23 +209,13 @@ def test_regularizer_rejects_negative_tau():
         Regularizer.l1(1.0).prox(np.zeros(2), -0.1)
 
 
-def test_composite_problem_rejects_mixed_holder_degrees():
-    c1 = ComponentOracle(value=lambda x: 0.0, grad=lambda x: np.zeros(2),
-                         holder_degree=1.0, holder_modulus=1.0)
-    c0 = ComponentOracle(value=lambda x: 0.0, grad=lambda x: np.zeros(2),
-                         holder_degree=0.0, holder_modulus=1.0)
-    prob = CompositeProblem(components=[c1, c0], regularizer=Regularizer.zero(),
-                            dimension=2)
-    with pytest.raises(ValueError, match="[Hh]older"):
-        prob.holder_constants()
-
-
 def test_holder_constants_take_worst_modulus():
     inst = synth_lasso(p=3, n=5, sparsity=1, noise=0.0, seed=11)
     prob = lasso_problem(inst)
     v, Mv = prob.holder_constants()
     assert v == 1.0
-    assert Mv == pytest.approx(max(2.0 * float(a @ a) for a in inst.A))
+    # bit for bit: the fixed-step modulus gamma(M_v, v, eps) reads it
+    assert Mv == max(2.0 * float(a @ a) for a in inst.A)
 
 
 def test_composite_value_rejects_dimension_mismatch():

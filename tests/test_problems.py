@@ -181,8 +181,7 @@ def test_lasso_bregman_step_matches_generic_map():
         mu = float(rng.uniform(0.0, 1.0))
         inst = LassoInstance(A=a[None, :], b=np.array([b]), l1_weight=mu)
         prob = lasso_problem(inst)
-        comp = prob.components[0]
-        want = bregman_map(prob.regularizer, x, comp.grad(x), M)
+        want = bregman_map(prob.regularizer, x, prob.components.grad(0, x), M)
         got = lasso_bregman_step(x, a, b, M, mu)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -219,8 +218,7 @@ def test_steiner_bregman_step_matches_generic_map():
         c = rng.normal(size=p)
         M = float(rng.uniform(0.5, 10.0))
         prob = steiner_problem(SteinerInstance(centers=c[None, :]))
-        comp = prob.components[0]
-        want = bregman_map(prob.regularizer, x, comp.grad(x), M)
+        want = bregman_map(prob.regularizer, x, prob.components.grad(0, x), M)
         got = steiner_bregman_step(x, c, M)
         np.testing.assert_allclose(got, want, atol=1e-12)
 

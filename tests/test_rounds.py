@@ -1,11 +1,13 @@
 """The round loop shared by oupgm, oudgm and their fixed-step variants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from unigrad.bregman import bregman_map, gamma
 from unigrad.harness import sample_order
-from unigrad.oracles import ComponentOracle, NonFiniteOracleValue
+from unigrad.oracles import NonFiniteOracleValue
 from unigrad.problems import lasso_problem, synth_lasso
 from unigrad.udgm import DualModel, udgm_fixed_step_run, udgm_run
 from unigrad.upgm import upgm_fixed_step_run, upgm_run
@@ -46,12 +48,13 @@ def test_adaptive_rounds_record_the_accepted_bregman_point(runner):
     order = sample_order("random", 30, T, seed=5)
     _, trace = runner(prob, order, np.zeros(4), 1.0, 1e-2, T)
     points = [trace.x0, *trace.x_next]
+    oracle = prob.components
     for t in range(T + 1):
-        gt, x = prob.components[order[t]], points[t]
-        y = bregman_map(h, x, gt.grad(x), 2.0 * trace.L_next[t])
-        assert trace.f_gt_xt[t] == gt.value(x) + h.value(x)
-        assert trace.f_gt_yt[t] == gt.value(y) + h.value(y)
-        assert trace.f_gt_xnext[t] == gt.value(points[t + 1]) + h.value(points[t + 1])
+        k, x = order[t], points[t]
+        y = bregman_map(h, x, oracle.grad(k, x), 2.0 * trace.L_next[t])
+        assert trace.f_gt_xt[t] == oracle.value(k, x) + h.value(x)
+        assert trace.f_gt_yt[t] == oracle.value(k, y) + h.value(y)
+        assert trace.f_gt_xnext[t] == oracle.value(k, points[t + 1]) + h.value(points[t + 1])
         if runner is upgm_run:
             np.testing.assert_array_equal(points[t + 1], y)
 
@@ -60,7 +63,7 @@ def test_adaptive_oudgm_minimizes_the_model_once_per_round(monkeypatch):
     coeffs = []
     argmin = DualModel.argmin
 
-    def spy(self, regularizer, extra_coeff=0.0, extra_grad=None):
+    def spy(self, regularizer, extra_coeff, extra_grad):
         coeffs.append(extra_coeff)
         return argmin(self, regularizer, extra_coeff, extra_grad)
 
@@ -77,13 +80,11 @@ def test_adaptive_oudgm_minimizes_the_model_once_per_round(monkeypatch):
 
 
 def _with_bad_component(bad, value_fn):
+    """The lasso stream with component bad's value replaced by value_fn."""
     prob = lasso_problem(synth_lasso(p=2, n=3, sparsity=1, noise=0.1, seed=3))
-    good = prob.components[bad]
-    prob.components[bad] = ComponentOracle(
-        value=value_fn,
-        grad=good.grad,
-        holder_degree=good.holder_degree,
-        holder_modulus=good.holder_modulus,
+    good = prob.components.value
+    prob.components = dataclasses.replace(
+        prob.components, value=lambda i, x: value_fn(x) if i == bad else good(i, x)
     )
     return prob
 

@@ -1,5 +1,6 @@
 """Surrogate table bookkeeping, subproblem, run loop, and bound evaluators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from helpers import surrogate_value
 from unigrad.bregman import gamma, l1_optimality_residual
-from unigrad.oracles import ComponentOracle, NonFiniteOracleValue, Regularizer
+from unigrad.oracles import NonFiniteOracleValue, Regularizer
 from unigrad.problems import (
     LassoInstance,
     SteinerInstance,
@@ -42,11 +43,11 @@ def test_init_single_component_matches_definition():
     x0 = np.array([0.5, -1.0, 2.0])
     M = 4.0
     table = sug_init(prob, x0, M)
-    comp = prob.components[0]
+    comp = prob.components
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.normal(size=3)
-        want = (comp.value(x0) + float(comp.grad(x0) @ (x - x0))
+        want = (comp.value(0, x0) + float(comp.grad(0, x0) @ (x - x0))
                 + 0.5 * M * float((x - x0) @ (x - x0)))
         assert table.value(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -130,7 +131,7 @@ def test_subproblem_single_component_gradient_step():
     M = 5.0
     table = sug_init(prob, x0, M)
     got = sug_subproblem(table, Regularizer.zero())
-    want = x0 - prob.components[0].grad(x0) / M
+    want = x0 - prob.components.grad(0, x0) / M
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -196,10 +197,9 @@ def test_run_seed_determinism():
 )
 def test_run_non_finite_component_names_iteration_and_component(value_fn, message):
     prob = _quadratic_problem(n=3, p=2, seed=20, ridge_weight=1.0)
-    good = prob.components[1]
-    prob.components[1] = ComponentOracle(
-        value=value_fn, grad=good.grad,
-        holder_degree=good.holder_degree, holder_modulus=good.holder_modulus,
+    good = prob.components.value
+    prob.components = dataclasses.replace(
+        prob.components, value=lambda i, x: value_fn(x) if i == 1 else good(i, x)
     )
     cfg = SugConfig(M=2.0, eps=1e-2, seed=0, max_iters=50)
     with pytest.raises(NonFiniteOracleValue, match=message):

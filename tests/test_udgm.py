@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from unigrad.bregman import gamma
-from helpers import steiner_dual_average
+from helpers import steiner_dual_average, zero_problem
 from unigrad.geometry import ProxFunction
-from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer
+from unigrad.oracles import Regularizer
 from unigrad.problems import (
     LassoInstance,
     lasso_problem,
@@ -34,7 +34,7 @@ def _fresh_model(dim=2, x0=None):
 
 def test_empty_model_minimized_at_anchor():
     model = _fresh_model(x0=np.array([1.5, -2.0]))
-    got = model.argmin(Regularizer.zero())
+    got = model.argmin(Regularizer.zero(), 0.0, np.zeros(2))
     np.testing.assert_array_equal(got, np.array([1.5, -2.0]))
 
 
@@ -54,7 +54,7 @@ def test_argmin_without_regularizer_is_anchor_minus_aggregate():
 def test_argmin_scalar_l1_case():
     model = DualModel(geometry=ProxFunction(1), anchor=np.array([2.0]),
                       s=np.array([1.0]), A=0.5)
-    got = model.argmin(Regularizer.l1(1.0))
+    got = model.argmin(Regularizer.l1(1.0), 0.0, np.zeros(1))
     np.testing.assert_allclose(got, np.array([0.5]))
 
 
@@ -62,8 +62,6 @@ def test_argmin_validates_extra_term():
     model = _fresh_model()
     with pytest.raises(ValueError):
         model.argmin(Regularizer.zero(), -0.1, np.zeros(2))
-    with pytest.raises(ValueError):
-        model.argmin(Regularizer.zero(), 0.5, None)
 
 
 def test_model_value_reconstruction():
@@ -96,7 +94,7 @@ def test_model_strong_convexity_around_its_minimizer():
     for _ in range(8):
         model.fold(float(rng.uniform(0.05, 0.6)), float(rng.normal()),
                    rng.normal(size=4), rng.normal(size=4))
-    xbar = model.argmin(h)
+    xbar = model.argmin(h, 0.0, np.zeros(4))
     geom = ProxFunction(4)
     for _ in range(200):
         y = rng.normal(size=4) * 3.0
@@ -107,20 +105,6 @@ def test_model_strong_convexity_around_its_minimizer():
 
 # ---------------------------------------------------------------------------
 # one round at a time
-
-
-def _zero_problem(dim=2):
-    comp = ComponentOracle(
-        value=lambda x: 0.0,
-        grad=lambda x: np.zeros(dim),
-        holder_degree=1.0,
-        holder_modulus=1.0,
-    )
-    return CompositeProblem(
-        components=[comp],
-        regularizer=Regularizer.zero(),
-        dimension=dim,
-    )
 
 
 def _record_folds(monkeypatch):
@@ -139,7 +123,7 @@ def _record_folds(monkeypatch):
 def test_step_on_zero_objective_stays_at_anchor(monkeypatch):
     folds = _record_folds(monkeypatch)
     x0 = np.array([0.7, -0.3])
-    x_final, trace = udgm_run(_zero_problem(), np.array([0]), x0, 4.0, 1e-2, 0)
+    x_final, trace = udgm_run(zero_problem(), np.array([0]), x0, 4.0, 1e-2, 0)
     assert trace.i_t == [0]
     assert trace.L_next[0] == pytest.approx(2.0)
     np.testing.assert_array_equal(x_final, x0)
@@ -158,7 +142,7 @@ def test_step_quadratic_equality_case():
 
 def test_state_requires_positive_modulus():
     with pytest.raises(ValueError, match="L0"):
-        udgm_run(_zero_problem(), np.array([0]), np.zeros(2), -1.0, 1e-2, 0)
+        udgm_run(zero_problem(), np.array([0]), np.zeros(2), -1.0, 1e-2, 0)
 
 
 def test_aggregated_coefficient_is_half_the_weight_sum(monkeypatch):

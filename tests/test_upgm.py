@@ -5,7 +5,8 @@ import pytest
 
 from unigrad.bregman import gamma
 from unigrad.harness import evaluate_regret, reference_solution, sample_order
-from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer, soft_threshold
+from helpers import zero_problem
+from unigrad.oracles import Regularizer, soft_threshold
 from unigrad.problems import (
     LassoInstance,
     SteinerInstance,
@@ -17,22 +18,8 @@ from unigrad.problems import (
 from unigrad.upgm import upgm_fixed_step_run, upgm_run
 
 
-def _zero_problem(dim=2):
-    comp = ComponentOracle(
-        value=lambda x: 0.0,
-        grad=lambda x: np.zeros(dim),
-        holder_degree=1.0,
-        holder_modulus=1.0,
-    )
-    return CompositeProblem(
-        components=[comp],
-        regularizer=Regularizer.zero(),
-        dimension=dim,
-    )
-
-
 def test_step_on_zero_objective_keeps_point_and_halves_modulus():
-    prob = _zero_problem()
+    prob = zero_problem()
     xbar, trace = upgm_run(prob, np.array([0]), np.array([1.0, -2.0]), 4.0, 1e-2, 0)
     assert trace.i_t == [0]
     assert trace.L_next[0] == pytest.approx(2.0)
@@ -52,13 +39,13 @@ def test_step_one_dim_quadratic_equality_case():
 
 
 def test_step_rejects_nonpositive_eps():
-    prob = _zero_problem()
+    prob = zero_problem()
     with pytest.raises(ValueError, match="eps"):
         upgm_run(prob, np.array([0]), np.zeros(2), 1.0, 0.0, 0)
 
 
 def test_state_requires_positive_modulus():
-    prob = _zero_problem()
+    prob = zero_problem()
     with pytest.raises(ValueError, match="L0"):
         upgm_run(prob, np.array([0]), np.zeros(2), 0.0, 1e-2, 0)
 
@@ -73,7 +60,7 @@ def test_accepted_moduli_capped_on_nonsmooth_stream():
 
 
 def test_run_zero_rounds_returns_start_point():
-    prob = _zero_problem()
+    prob = zero_problem()
     xbar, trace = upgm_run(prob, np.array([0]), np.array([3.0, 4.0]), 1.0, 1e-2, 0)
     np.testing.assert_array_equal(xbar, np.array([3.0, 4.0]))
     assert trace.n_rows == 1
@@ -129,13 +116,13 @@ def test_weighted_average_uses_inverse_moduli():
 
 
 def test_order_must_cover_every_round():
-    prob = _zero_problem()
+    prob = zero_problem()
     with pytest.raises(ValueError):
         upgm_run(prob, np.array([0, 0]), np.zeros(2), 1.0, 1e-2, 2)
 
 
 def test_order_indices_validated():
-    prob = _zero_problem()
+    prob = zero_problem()
     with pytest.raises(ValueError):
         upgm_run(prob, np.array([0, 5]), np.zeros(2), 1.0, 1e-2, 1)
 
@@ -167,8 +154,8 @@ def test_fixed_step_is_constant_step_proximal_gradient():
     M = 2.0 * gamma(Mv, v, eps)
     x = np.zeros(3)
     for t in range(T + 1):
-        comp = prob.components[int(order[t])]
-        x = soft_threshold(x - comp.grad(x) / M, inst.l1_weight / M)
+        x = soft_threshold(x - prob.components.grad(int(order[t]), x) / M,
+                           inst.l1_weight / M)
         np.testing.assert_allclose(trace.x_next[t], x, rtol=1e-12, atol=1e-14)
 
 
