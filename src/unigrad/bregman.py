@@ -52,14 +52,10 @@ def bregman_map(
     minimizer x_hat.
 
     The gradient at x is precomputed so the line search can reuse it across
-    trials.
+    trials; the round driver checks its shape once, when it reads it.
     """
     if M <= 0:
         raise ValueError(f"modulus M must be positive, got {M}")
-    x = np.asarray(x, dtype=float)
-    g_grad = np.asarray(g_grad, dtype=float)
-    if g_grad.shape != x.shape:
-        raise ValueError(f"gradient shape {g_grad.shape} != point shape {x.shape}")
     return regularizer.prox(x - g_grad / M, 1.0 / M)
 
 
@@ -82,7 +78,7 @@ def _descent_ok(g_value, g_grad, g_value_hat, x, x_hat, M, eps, geometry):
 def backtrack(
     initial_L: float, trial: Callable[[float], tuple[object, bool]]
 ) -> tuple[int, float, object]:
-    """Doubling line search over trial moduli M = 2^i * initial_L.
+    """Doubling line search over the trials M = 2^i * initial_L.
 
     trial(M) returns (candidate, accepted).  Returns (i, L_next, candidate)
     for the smallest accepted i, with L_next = 2^(i-1) * initial_L (so the

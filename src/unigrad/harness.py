@@ -11,19 +11,23 @@ A run produces three artifacts in the output directory:
 
 Both `run` and `check-bounds` judge a trace with the one function verify,
 which reads only the trace, its metadata and the reference, so a saved
-trace re-verifies everything the live run verified.  The trace's `extra`
-metadata carries what the bounds need beyond the columns:
+trace re-verifies everything the live run verified.  The solvers record
+only what they alone know; after the run, run_experiment stamps the trace
+with the problem descriptor, the seed, the order kind (none for batch) and
+its own `extra` keys.  The trace's `extra` metadata carries what the bounds
+need beyond the columns:
 
     tol       residual tolerance of the reference solve (every run)
     fixed_step, Mv, v
-              fixed-step runs: the Holder modulus and degree used
-    M         sug: the surrogate modulus
+              fixed-step runs: the Holder modulus and degree used (solver)
+    M         sug: the surrogate modulus (solver)
     dist0_sq  sug: the ||x0 - x*||^2 the run used (--dist0 or the reference's)
     f_final   sug: the objective at the final iterate
 
-Reference minimizers always come from the batch proximal-gradient solver
-run to a fixed-point residual tolerance, so every reported gap shares one
-ground truth; `--algorithm batch` runs the same solver.
+Reference minimizers always come from the one batch proximal-gradient
+solve, run to a fixed-point residual tolerance, so every reported gap
+shares one ground truth.  `--algorithm batch` solves nothing more: its
+trace is the reference solve's own steps, stopped at T.
 """
 
 import json
@@ -60,47 +64,18 @@ class ReferenceSolverError(RuntimeError):
     """Reference solve did not reach the residual tolerance."""
 
 
-def _prox_grad_steps(problem: CompositeProblem, x0: np.ndarray):
-    """Backtracking proximal-gradient steps on the smooth average, unending.
-
-    Yields (x, x_next, M, doublings, g_x, g_next) per step: x_next was
-    accepted at modulus M after `doublings` doublings from the previous
-    step's modulus (1 before the first step), and g_x, g_next are the
-    smooth average at x and x_next.  The accepted trial's smooth value is
-    reused at the next iterate, so each trial costs one mean_smooth_value
-    call.
-    """
-    regularizer = problem.regularizer
-    x = np.asarray(x0, dtype=float).copy()
-    value = problem.mean_smooth_value(x)
-    L = 1.0
-    while True:
-        grad = problem.mean_smooth_grad(x)
-        M = L
-        for doublings in range(300):
-            x_next = regularizer.prox(x - grad / M, 1.0 / M)
-            diff = x_next - x
-            quad = value + float(grad @ diff) + 0.5 * M * float(diff @ diff)
-            value_next = problem.mean_smooth_value(x_next)
-            if value_next <= quad + 1e-15 * (1.0 + abs(quad)):
-                break
-            M *= 2.0
-        else:
-            raise ReferenceSolverError("backtracking stalled; objective misbehaves")
-        yield x, x_next, M, doublings, value, value_next
-        x, value = x_next, value_next
-        # monotone modulus: halving between iterations lets float cancellation
-        # in the descent test drag M below the curvature near the optimum,
-        # where the iterates then limit-cycle above any tight tolerance
-        L = M
-
-
 @dataclass(frozen=True)
 class ReferenceSolution:
+    """The minimizer x and objective f the solve reached after `iterations`
+    steps, with its last fixed-point residual.  steps holds one record
+    (doublings, M, f(x_k), f(x_{k+1}), elapsed_s) per step, which
+    `--algorithm batch` writes out as its trace rows."""
+
     x: np.ndarray
     f: float
     iterations: int
     residual: float
+    steps: list
 
 
 def reference_solution(
@@ -111,18 +86,45 @@ def reference_solution(
     """Batch proximal gradient with backtracking on the smooth average.
 
     Iterates from the origin until the fixed-point residual ||x_next - x||
-    drops to tol.
+    drops to tol.  Each step doubles its modulus from the previous step's
+    (1 before the first) until the descent test holds; the accepted trial's
+    smooth value serves the next iterate, so each trial costs one prox and
+    one mean_smooth_value call, and recording a step one h value.
     Raises ReferenceSolverError if the cap is hit first.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    regularizer = problem.regularizer
+    start = time.perf_counter()
+    x = np.zeros(problem.dimension)
+    value = problem.mean_smooth_value(x)
+    f_x = value + regularizer.value(x)
+    M = 1.0
+    steps = []
     residual = math.inf
-    steps = _prox_grad_steps(problem, np.zeros(problem.dimension))
-    for it, (x, x_next, _, _, _, g_next) in zip(range(1, max_iters + 1), steps):
-        residual = float(np.linalg.norm(x_next - x))
+    for it in range(1, max_iters + 1):
+        grad = problem.mean_smooth_grad(x)
+        for doublings in range(300):
+            x_next = regularizer.prox(x - grad / M, 1.0 / M)
+            diff = x_next - x
+            quad = value + float(grad @ diff) + 0.5 * M * float(diff @ diff)
+            value_next = problem.mean_smooth_value(x_next)
+            if value_next <= quad + 1e-15 * (1.0 + abs(quad)):
+                break
+            M *= 2.0
+        else:
+            raise ReferenceSolverError("backtracking stalled; objective misbehaves")
+        # M is never halved between steps: halving lets float cancellation in
+        # the descent test drag M below the curvature near the optimum, where
+        # the iterates then limit-cycle above any tight tolerance
+        f_next = value_next + regularizer.value(x_next)
+        steps.append((doublings, M, f_x, f_next, time.perf_counter() - start))
+        residual = float(np.linalg.norm(diff))
         if residual <= tol:
-            f = g_next + problem.regularizer.value(x_next)
-            return ReferenceSolution(x=x_next, f=f, iterations=it, residual=residual)
+            return ReferenceSolution(
+                x=x_next, f=f_next, iterations=it, residual=residual, steps=steps
+            )
+        x, value, f_x = x_next, value_next, f_next
     raise ReferenceSolverError(
         f"no convergence to residual {tol:.1e} within {max_iters} iterations "
         f"(last residual {residual:.3e})"
@@ -315,21 +317,26 @@ class RunConfig:
             raise ValueError(f"algorithm must be oupgm|oudgm|sug|batch, got {self.algorithm!r}")
         if isinstance(self.eps, str) and self.eps != "auto":
             raise ValueError(f"eps must be a positive float or 'auto', got {self.eps!r}")
-        if isinstance(self.eps, (int, float)) and self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.T < 0:
             raise ValueError(f"T must be nonnegative, got {self.T}")
-        if self.L0 <= 0:
-            raise ValueError(f"L0 must be positive, got {self.L0}")
         if self.order not in ("sequential", "cyclic", "random"):
             raise ValueError(f"order must be sequential|cyclic|random, got {self.order!r}")
-        if self.algorithm == "sug":
-            if self.M is None or self.M <= 0:
-                raise ValueError("M must be a positive float for the sug algorithm")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.dist0_sq is not None and not 0 < self.dist0_sq < math.inf:
-            raise ValueError(f"dist0 must be positive and finite, got {self.dist0_sq}")
+        if self.algorithm == "sug" and self.M is None:
+            raise ValueError("M must be a positive float for the sug algorithm")
+        for name, value in (
+            ("eps", None if isinstance(self.eps, str) else self.eps),
+            ("L0", self.L0),
+            ("M", self.M),
+            ("tol", self.tol),
+            ("holder_modulus (--Mv)", self.holder_modulus),
+            ("dist0", self.dist0_sq),
+        ):
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.holder_degree is not None and not 0 <= self.holder_degree <= 1:
+            raise ValueError(
+                f"holder_degree (--v) must lie in [0, 1], got {self.holder_degree}"
+            )
 
 
 def resolve_eps(cfg: RunConfig, problem: CompositeProblem) -> float:
@@ -356,12 +363,6 @@ def run_experiment(cfg: RunConfig) -> dict:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     extra = {"tol": cfg.tol}
-    trace_meta = {
-        "problem": cfg.problem,
-        "seed": cfg.seed,
-        "order": cfg.order,
-        "extra": extra,
-    }
     reference = reference_solution(problem, tol=cfg.tol)
 
     if cfg.algorithm in ("oupgm", "oudgm"):
@@ -369,10 +370,10 @@ def run_experiment(cfg: RunConfig) -> dict:
         if cfg.fixed_step:
             run = upgm_fixed_step_run if cfg.algorithm == "oupgm" else udgm_fixed_step_run
             _, trace = run(problem, order, x0, eps, cfg.T, cfg.holder_modulus,
-                           cfg.holder_degree, trace_meta)
+                           cfg.holder_degree)
         else:
             run = upgm_run if cfg.algorithm == "oupgm" else udgm_run
-            _, trace = run(problem, order, x0, cfg.L0, eps, cfg.T, trace_meta)
+            _, trace = run(problem, order, x0, cfg.L0, eps, cfg.T)
     elif cfg.algorithm == "sug":
         dist0_sq = cfg.dist0_sq
         if dist0_sq is None:
@@ -384,24 +385,16 @@ def run_experiment(cfg: RunConfig) -> dict:
             seed=cfg.seed,
             max_iters=max(cfg.T, 1),
         )
-        x_out, trace = sug_run(problem, x0, sug_cfg, trace_meta)
-        trace.extra_meta["f_final"] = problem.value(x_out)
-    else:  # batch: the reference's solver, stopped quietly at T iterations
-        trace = RunTrace(
-            algorithm="batch", eps=eps, T=max(cfg.T, 1), x0=x0, seed=cfg.seed,
-            problem_meta=cfg.problem, extra_meta=extra,
-        )
-        h = problem.regularizer.value
-        start = time.perf_counter()
-        steps = _prox_grad_steps(problem, x0)
-        for k, (x, x_next, M, doublings, g_x, g_next) in zip(range(trace.T), steps):
-            f_x = g_x + h(x)
-            f_next = g_next + h(x_next)
-            trace.add_row(
-                k, doublings, M, f_x, f_next, f_next, f_x, time.perf_counter() - start
-            )
-            if float(np.linalg.norm(x_next - x)) <= cfg.tol:
-                break
+        x_out, trace = sug_run(problem, x0, sug_cfg)
+        extra["f_final"] = problem.value(x_out)
+    else:  # batch: the reference solve's own steps, stopped at T
+        trace = RunTrace("batch", eps, max(cfg.T, 1), x0)
+        for k, (doublings, M, f_x, f_next, elapsed) in enumerate(reference.steps[: trace.T]):
+            trace.add_row(k, doublings, M, f_x, f_next, f_next, f_x, elapsed)
+    trace.problem_meta = cfg.problem
+    trace.seed = cfg.seed
+    trace.order_kind = None if cfg.algorithm == "batch" else cfg.order
+    trace.extra_meta.update(extra)
 
     report, curve = verify(trace, problem, reference)
     paths = {

@@ -68,6 +68,19 @@ def oracle_value(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> 
     return value
 
 
+def oracle_grad(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> np.ndarray:
+    """grad g_k(x) as a float array, read in round t; raises ValueError,
+    naming the round, the component and both shapes, when its shape is not
+    x's."""
+    grad = np.asarray(components.grad(k, x), dtype=float)
+    if grad.shape != x.shape:
+        raise ValueError(
+            f"component {k} returned a gradient of shape {grad.shape} at round {t}; "
+            f"the point has shape {x.shape}"
+        )
+    return grad
+
+
 def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
     """Componentwise sign(z) * max(|z| - tau, 0)."""
     if tau < 0:

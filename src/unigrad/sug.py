@@ -4,10 +4,11 @@ Each component g_i keeps a surrogate anchored at some past iterate z_i:
 
     g_i^k(x) = g_i(z_i) + <grad g_i(z_i), x - z_i> + (M / 2) ||x - z_i||^2.
 
-The surrogate average G^k collapses to a single quadratic, maintained via
-three O(p) aggregates, so the subproblem argmin_x G^k(x) + h(x) is one
-prox evaluation.  Every iteration re-anchors one uniformly sampled
-surrogate at the fresh iterate.  When the modulus M exceeds the Holder
+All surrogates share the one modulus M, so the average G^k is
+(M / 2) ||x||^2 plus a linear term plus a constant.  The subproblem
+argmin_x G^k(x) + h(x) reads only the linear term's O(p) aggregate and
+is one prox evaluation at modulus M.  Every iteration re-anchors one
+uniformly sampled surrogate at the fresh iterate.  When M exceeds the Holder
 threshold (2/eps)^((1-v)/(1+v)) M_v^(2/(1+v)), the surrogates overestimate
 g_i up to eps/4, which drives the geometric convergence bound.  With
 rho = (1/n)(M / mu_h) + 1 - 1/n < 1 the bound reaches eps within
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import CompositeProblem, Regularizer, oracle_value
+from .oracles import CompositeProblem, Regularizer, oracle_grad, oracle_value
 from .trace import RunTrace
 
 
@@ -50,138 +51,92 @@ class SugConfig:
 
 @dataclass
 class SurrogateTable:
-    """Per-component surrogate state plus the three quadratic aggregates.
+    """Per-component surrogate state at the one modulus M, plus the one
+    aggregate the subproblem reads.
 
-    Invariants (maintained by sug_update):
-        sum_M     = sum_i moduli[i]
-        lin       = sum_i (grads[i] - moduli[i] * anchors[i])
-        const_sum = sum_i (values[i] - grads[i] @ anchors[i]
-                           + moduli[i]/2 * ||anchors[i]||^2)
+    Invariant (maintained by sug_update):
+        lin = sum_i (grads[i] - M * anchors[i])
     """
 
     problem: CompositeProblem
     anchors: np.ndarray
     grads: np.ndarray
     values: np.ndarray
-    moduli: np.ndarray
-    sum_M: float = field(init=False)
+    M: float
     lin: np.ndarray = field(init=False)
-    const_sum: float = field(init=False)
 
     def __post_init__(self):
         self.anchors = np.asarray(self.anchors, dtype=float).copy()
         self.grads = np.asarray(self.grads, dtype=float).copy()
         self.values = np.asarray(self.values, dtype=float).copy()
-        self.moduli = np.asarray(self.moduli, dtype=float).copy()
-        self.sum_M, self.lin, self.const_sum = self.from_scratch()
+        self.lin = (self.grads - self.M * self.anchors).sum(axis=0)
 
     @property
     def n(self) -> int:
         return self.anchors.shape[0]
 
-    def from_scratch(self) -> tuple[float, np.ndarray, float]:
-        """Recompute the aggregates directly from the per-component state."""
-        sum_M = float(self.moduli.sum())
-        lin = (self.grads - self.moduli[:, None] * self.anchors).sum(axis=0)
-        const = float(
-            (
-                self.values
-                - np.einsum("ij,ij->i", self.grads, self.anchors)
-                + 0.5 * self.moduli * np.einsum("ij,ij->i", self.anchors, self.anchors)
-            ).sum()
-        )
-        return sum_M, lin, const
-
-    def value(self, x: np.ndarray) -> float:
-        """Surrogate average G^k(x) via the aggregates, O(p)."""
-        x = np.asarray(x, dtype=float)
-        n = self.n
-        return (
-            0.5 * self.sum_M / n * float(x @ x)
-            + float(self.lin @ x) / n
-            + self.const_sum / n
-        )
-
 
 def sug_init(problem: CompositeProblem, x0: np.ndarray, M: float) -> SurrogateTable:
     """Anchor every surrogate at x0 with the one modulus M."""
-    if M <= 0:
+    if not M > 0:
         raise ValueError(f"surrogate modulus must be positive, got {M}")
     x0 = np.asarray(x0, dtype=float)
     n = problem.n_components
     oracle = problem.components
-    moduli = np.full(n, float(M))
-    grads = np.stack([oracle.grad(i, x0) for i in range(n)])
+    grads = np.stack([oracle_grad(oracle, i, x0, 0) for i in range(n)])
     values = np.array([oracle_value(oracle, i, x0, 0) for i in range(n)], dtype=float)
     anchors = np.tile(x0, (n, 1))
     return SurrogateTable(
-        problem=problem, anchors=anchors, grads=grads, values=values, moduli=moduli
+        problem=problem, anchors=anchors, grads=grads, values=values, M=float(M)
     )
 
 
 def sug_subproblem(table: SurrogateTable, regularizer: Regularizer) -> np.ndarray:
     """argmin_x G^k(x) + h(x), closed form via the regularizer's prox.
 
-    With Q = sum_M / n and w = lin / n the minimizer is prox_{h/Q}(-w / Q).
+    G^k is (M / 2) ||x||^2 + <lin, x> / n plus a constant, so with
+    w = lin / n the minimizer is prox_{h/M}(-w / M).
     """
-    if table.sum_M <= 0:
-        raise ValueError("surrogate table has nonpositive total modulus")
-    n = table.n
-    Q = table.sum_M / n
-    w = table.lin / n
-    return regularizer.prox(-w / Q, 1.0 / Q)
+    w = table.lin / table.n
+    return regularizer.prox(-w / table.M, 1.0 / table.M)
 
 
 def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> None:
     """Re-anchor surrogate j at x_new with a fresh value and gradient, O(p).
 
-    t, the iteration, is named in the error a non-finite value raises.
+    t, the iteration, is named in the error a bad oracle answer raises.
     """
     if not 0 <= j < table.n:
         raise IndexError(f"component index {j} out of range [0, {table.n})")
     x_new = np.asarray(x_new, dtype=float)
-    old_anchor = table.anchors[j]
-    old_lin = table.grads[j] - table.moduli[j] * old_anchor
-    old_const = (
-        table.values[j]
-        - float(table.grads[j] @ old_anchor)
-        + 0.5 * table.moduli[j] * float(old_anchor @ old_anchor)
-    )
+    old_lin = table.grads[j] - table.M * table.anchors[j]
     oracle = table.problem.components
-    new_grad = np.asarray(oracle.grad(j, x_new), dtype=float)
-    new_value = oracle_value(oracle, j, x_new, t)
+    new_grad = oracle_grad(oracle, j, x_new, t)
+    table.values[j] = oracle_value(oracle, j, x_new, t)
     table.anchors[j] = x_new
     table.grads[j] = new_grad
-    table.values[j] = new_value
-    new_lin = new_grad - table.moduli[j] * x_new
-    new_const = (
-        new_value - float(new_grad @ x_new) + 0.5 * table.moduli[j] * float(x_new @ x_new)
-    )
-    table.lin = table.lin + (new_lin - old_lin)
-    table.const_sum += new_const - old_const
+    table.lin = table.lin + (new_grad - table.M * x_new - old_lin)
 
 
 def sug_run(
     problem: CompositeProblem,
     x0: np.ndarray,
     cfg: SugConfig,
-    trace_meta: dict | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Iterate the surrogate scheme cfg.max_iters times, re-anchoring one
     sampled component per step.
 
     Trace row k records f(x^k) in its full-objective column and the sampled
     component's round values; a non-finite component value raises
-    NonFiniteOracleValue naming the iteration and the component.
+    NonFiniteOracleValue naming the iteration and the component.  The trace
+    records the modulus M and the sampling seed.
     """
-    x0 = np.asarray(x0, dtype=float).copy()
-    trace = RunTrace.start("sug", cfg.eps, cfg.max_iters, x0, trace_meta=trace_meta)
-    trace.seed = cfg.seed
-    trace.extra_meta = {"M": cfg.M, **trace.extra_meta}
+    trace = RunTrace("sug", cfg.eps, cfg.max_iters, x0, seed=cfg.seed,
+                     extra_meta={"M": cfg.M})
     regularizer = problem.regularizer
-    table = sug_init(problem, x0, cfg.M)
+    table = sug_init(problem, trace.x0, cfg.M)
     rng = np.random.default_rng(cfg.seed)
-    x = x0
+    x = trace.x0
     start = time.perf_counter()
     for k in range(cfg.max_iters):
         x_next = sug_subproblem(table, regularizer)

@@ -54,22 +54,8 @@ class RunTrace:
     x_next: list = field(default_factory=list)
     phi_star: list = field(default_factory=list)
 
-    @classmethod
-    def start(cls, algorithm, eps, T, x0, L0=None, trace_meta=None) -> "RunTrace":
-        """An empty trace; trace_meta may carry the "problem" descriptor, the
-        "seed", the "order" kind and "extra" metadata."""
-        meta = trace_meta or {}
-        return cls(
-            algorithm=algorithm,
-            eps=eps,
-            T=T,
-            x0=np.asarray(x0, dtype=float).copy(),
-            L0=L0,
-            seed=meta.get("seed"),
-            order_kind=meta.get("order"),
-            problem_meta=meta.get("problem", {}),
-            extra_meta=dict(meta.get("extra", {})),
-        )
+    def __post_init__(self):
+        self.x0 = np.asarray(self.x0, dtype=float).copy()
 
     def add_row(
         self,
@@ -216,7 +202,7 @@ def parse_trace_csv(path) -> RunTrace:
         algorithm=meta["algorithm"],
         eps=float(meta["eps"]),
         T=int(meta["T"]),
-        x0=np.asarray(meta["x0"], dtype=float),
+        x0=meta["x0"],
         L0=None if meta.get("L0") is None else float(meta["L0"]),
         seed=None if meta.get("seed") is None else int(meta["seed"]),
         order_kind=meta.get("order"),

@@ -83,14 +83,13 @@ def udgm_run(
     L0: float,
     eps: float,
     T: int,
-    trace_meta: dict | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Run rounds t = 0..T visiting components order[t].
 
     Returns (x_final, trace); the final iterate minimizes the last model.
     """
     model = DualModel(geometry=problem.geometry, anchor=x0)
-    return _run_rounds(problem, order, x0, eps, T, trace_meta, L0=L0, model=model)
+    return _run_rounds(problem, order, x0, eps, T, L0=L0, model=model)
 
 
 def udgm_fixed_step_run(
@@ -101,13 +100,12 @@ def udgm_fixed_step_run(
     T: int,
     holder_modulus: float | None = None,
     holder_degree: float | None = None,
-    trace_meta: dict | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Fixed-step variant: every round folds its linearization with the
     constant coefficient 1 / (2 gamma(M_v, v, eps)); no line search.
     """
     model = DualModel(geometry=problem.geometry, anchor=x0)
-    return _run_rounds(problem, order, x0, eps, T, trace_meta,
+    return _run_rounds(problem, order, x0, eps, T,
                        holder_modulus=holder_modulus, holder_degree=holder_degree,
                        model=model)
 

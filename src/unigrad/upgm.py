@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .bregman import backtrack, bregman_map, gamma, _descent_ok
-from .oracles import CompositeProblem, oracle_value
+from .oracles import CompositeProblem, oracle_grad, oracle_value
 from .trace import RunTrace
 
 
@@ -30,14 +30,13 @@ def upgm_run(
     L0: float,
     eps: float,
     T: int,
-    trace_meta: dict | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Run rounds t = 0..T visiting components order[t].
 
     Returns (xbar, trace) where xbar is the weighted average iterate and the
     trace holds one row per round.
     """
-    return _run_rounds(problem, order, x0, eps, T, trace_meta, L0=L0)
+    return _run_rounds(problem, order, x0, eps, T, L0=L0)
 
 
 def upgm_fixed_step_run(
@@ -48,18 +47,17 @@ def upgm_fixed_step_run(
     T: int,
     holder_modulus: float | None = None,
     holder_degree: float | None = None,
-    trace_meta: dict | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Fixed-step variant: every round applies the Bregman mapping with
     modulus 2 * gamma(M_v, v, eps), no line search.
 
     Holder constants default to the problem's stream-level certificate.
     """
-    return _run_rounds(problem, order, x0, eps, T, trace_meta,
+    return _run_rounds(problem, order, x0, eps, T,
                        holder_modulus=holder_modulus, holder_degree=holder_degree)
 
 
-def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
+def _run_rounds(problem, order, x0, eps, T, L0=None,
                 holder_modulus=None, holder_degree=None, model=None):
     """The round loop of both online methods and their fixed-step variants.
 
@@ -81,7 +79,7 @@ def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
             f"order indexes components outside [0, {problem.n_components})"
         )
     algorithm = "oupgm" if model is None else "oudgm"
-    trace = RunTrace.start(algorithm, eps, T, x0, L0, trace_meta)
+    trace = RunTrace(algorithm, eps, T, x0, L0)
     fixed = L0 is None
     if fixed:
         if holder_modulus is None or holder_degree is None:
@@ -89,9 +87,7 @@ def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
             holder_degree = degree if holder_degree is None else holder_degree
             holder_modulus = modulus if holder_modulus is None else holder_modulus
         L = gamma(holder_modulus, holder_degree, eps)
-        trace.extra_meta.update(
-            {"fixed_step": True, "Mv": holder_modulus, "v": holder_degree}
-        )
+        trace.extra_meta = {"fixed_step": True, "Mv": holder_modulus, "v": holder_degree}
     elif L0 <= 0:
         raise ValueError(f"L0 must be positive, got {L0}")
     else:
@@ -107,7 +103,7 @@ def _run_rounds(problem, order, x0, eps, T, trace_meta, L0=None,
     for t in range(T + 1):
         k = int(order[t])
         g_value = oracle_value(oracle, k, x, t)
-        g_grad = np.asarray(oracle.grad(k, x), dtype=float)
+        g_grad = oracle_grad(oracle, k, x, t)
         i_t = 0
         if not fixed:
             def trial(M: float):

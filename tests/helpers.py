@@ -1,6 +1,7 @@
 """Test-only references: a numeric Bregman mapping, closed-form round
 updates for the shipped problem families, a sample writer, the
-individual surrogate value and a zero-objective problem.  The library does not use them; the tests
+individual and averaged surrogate values, the from-scratch surrogate
+aggregate and a zero-objective problem.  The library does not use them; the tests
 cross-check the library against them.  evaluate_regret also checks the
 eps its callers name against the trace's."""
 
@@ -166,8 +167,19 @@ def surrogate_value(table, i, x) -> float:
     return (
         float(table.values[i])
         + float(table.grads[i] @ diff)
-        + 0.5 * float(table.moduli[i]) * float(diff @ diff)
+        + 0.5 * table.M * float(diff @ diff)
     )
+
+
+def surrogate_average(table, x) -> float:
+    """Surrogate average G^k(x) = (1/n) sum_i g_i^k(x), from the
+    per-component state alone."""
+    return float(np.mean([surrogate_value(table, i, x) for i in range(table.n)]))
+
+
+def surrogate_lin(table) -> np.ndarray:
+    """sum_i (grads[i] - M anchors[i]), recomputed from scratch."""
+    return (table.grads - table.M * table.anchors).sum(axis=0)
 
 
 def zero_problem(dim=2) -> CompositeProblem:

@@ -195,3 +195,30 @@ def test_run_rejects_bad_dist0_before_running(tmp_path, capsys, dist0):
     assert code == 2
     assert "dist0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--algorithm", "oupgm", "--tol", "nan"], "tol must"),
+        (["--algorithm", "oupgm", "--L0", "nan"], "L0 must"),
+        (["--algorithm", "oupgm", "--fixed-step", "--Mv", "nan"], "(--Mv) must"),
+        (["--algorithm", "sug", "--ridge", "10", "--M", "nan"], "M must"),
+        (["--algorithm", "oupgm", "--eps", "nan"], "eps must"),
+        (["--algorithm", "oupgm", "--eps", "inf"], "eps must"),
+        (["--algorithm", "oupgm", "--eps", "auto", "--v", "2"], "(--v) must"),
+    ],
+    ids=["tol-nan", "L0-nan", "Mv-nan", "M-nan", "eps-nan", "eps-inf", "v-2"],
+)
+def test_run_rejects_non_finite_flags_before_running(tmp_path, capsys, flags, message):
+    out = tmp_path / "art"
+    code = main(["run", "--problem", "synth-lasso", *flags, "--T", "50",
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reference_rejects_non_finite_tol(capsys):
+    assert main(["reference", "synth-lasso", "--tol", "nan"]) == 2
+    assert "tol must" in capsys.readouterr().err

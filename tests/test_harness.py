@@ -50,13 +50,29 @@ def test_reference_raises_when_capped():
 
 def test_reference_validates_tolerance():
     prob = lasso_problem(synth_lasso(p=2, n=3, sparsity=1, noise=0.0, seed=0))
-    with pytest.raises(ValueError, match="tol"):
-        reference_solution(prob, tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            reference_solution(prob, tol=tol)
+
+
+def test_reference_records_one_step_per_iteration():
+    prob = lasso_problem(synth_lasso(p=5, n=40, sparsity=2, noise=0.1, seed=1,
+                                     l1_weight=0.1))
+    ref = reference_solution(prob, tol=1e-10)
+    assert len(ref.steps) == ref.iterations
+    doublings, M, f_x, f_next, elapsed = zip(*ref.steps)
+    assert all(d >= 0 for d in doublings)
+    assert list(M) == sorted(M)  # the modulus is never halved
+    assert f_x[0] == prob.value(np.zeros(5))
+    assert f_x[1:] == f_next[:-1]
+    assert f_next[-1] == ref.f
+    assert list(elapsed) == sorted(elapsed)
 
 
 def test_batch_solver_evaluates_the_smooth_average_once_per_trial(tmp_path, monkeypatch):
     # every backtracking trial is one prox call; the accepted trial's smooth
-    # value must serve as the next iterate's, so trials + 1 calls suffice
+    # value must serve as the next iterate's, so trials + 1 calls suffice;
+    # a batch run writes out its reference solve's steps and solves no more
     calls = {"value": 0, "prox": 0}
 
     def counted(name, fn):
@@ -79,9 +95,9 @@ def test_batch_solver_evaluates_the_smooth_average_once_per_trial(tmp_path, monk
                                 out=str(tmp_path / "run")))
     trace = parse_trace_csv(paths["trace"])
     trials = sum(i + 1 for i in trace.i_t)
-    # the run's own reference solve repeats the calls counted above
-    assert calls["prox"] - ref_calls["prox"] == trials
-    assert calls["value"] - ref_calls["value"] <= trials + 1
+    assert calls == ref_calls
+    assert calls["prox"] == trials
+    assert calls["value"] <= trials + 1
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +270,19 @@ def _cfg(**kw):
         ("order", {"order": "shuffled"}),
         ("M", {"algorithm": "sug"}),
         ("tol", {"tol": 0.0}),
+        ("eps", {"eps": float("nan")}),
+        ("eps", {"eps": float("inf")}),
+        ("L0", {"L0": float("nan")}),
+        ("L0", {"L0": float("inf")}),
+        ("M", {"algorithm": "sug", "M": float("nan")}),
+        ("M", {"algorithm": "sug", "M": 0.0}),
+        ("tol", {"tol": float("nan")}),
+        ("tol", {"tol": float("inf")}),
+        ("holder_modulus", {"fixed_step": True, "holder_modulus": float("nan")}),
+        ("holder_modulus", {"fixed_step": True, "holder_modulus": -1.0}),
+        ("holder_degree", {"holder_degree": float("nan")}),
+        ("holder_degree", {"holder_degree": 2.0}),
+        ("holder_degree", {"eps": "auto", "holder_degree": -0.5}),
     ],
 )
 def test_run_config_validation_names_the_field(field, kw):
@@ -380,6 +409,48 @@ def test_run_experiment_batch(tmp_path):
     assert lines[1].endswith(",")  # no bound column for batch runs
     rep = _recheck(paths)
     assert rep["ok"] and rep["checked"] == "none"
+
+
+@pytest.mark.parametrize("T", [3, 1000], ids=["capped", "converged"])
+def test_batch_trace_is_the_reference_steps(tmp_path, T):
+    paths = run_experiment(_cfg(algorithm="batch", out=str(tmp_path / "run"), T=T,
+                                tol=1e-10))
+    trace = parse_trace_csv(paths["trace"])
+    ref = reference_solution(problem_from_descriptor(SYNTH_DESC), tol=1e-10)
+    steps = ref.steps[:T]
+    assert trace.n_rows == len(steps) == min(T, ref.iterations)
+    assert trace.i_t == [d for d, *_ in steps]
+    assert trace.L_next == [M for _, M, *_ in steps]
+    assert trace.f_gt_xt == trace.f_full == [f_x for _, _, f_x, _, _ in steps]
+    assert trace.f_gt_xnext == trace.f_gt_yt == [f for _, _, _, f, _ in steps]
+
+
+@pytest.mark.parametrize(
+    "algorithm, fixed_step, extra",
+    [
+        ("oupgm", False, {"tol"}),
+        ("oudgm", False, {"tol"}),
+        ("oupgm", True, {"tol", "fixed_step", "Mv", "v"}),
+        ("oudgm", True, {"tol", "fixed_step", "Mv", "v"}),
+        ("sug", False, {"tol", "M", "dist0_sq", "f_final"}),
+        ("batch", False, {"tol"}),
+    ],
+    ids=["oupgm", "oudgm", "oupgm-fixed", "oudgm-fixed", "sug", "batch"],
+)
+def test_trace_header_carries_the_run_metadata(tmp_path, algorithm, fixed_step, extra):
+    desc = dict(SYNTH_DESC, ridge=20.0)
+    paths = run_experiment(_cfg(algorithm=algorithm, problem=desc, fixed_step=fixed_step,
+                                M=1.0, T=20, order="cyclic", seed=9,
+                                out=str(tmp_path / "run")))
+    header = {}
+    for line in Path(paths["trace"]).read_text().splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            header[key] = json.loads(value)
+    assert header["problem"] == desc
+    assert header["seed"] == 9
+    assert header["order"] == (None if algorithm == "batch" else "cyclic")
+    assert set(header["extra"]) == extra
 
 
 def test_check_bounds_needs_problem_metadata(tmp_path):

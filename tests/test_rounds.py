@@ -107,3 +107,17 @@ def test_non_finite_oracle_value_names_round_and_component(
     prob = _with_bad_component(bad, value_fn)
     with pytest.raises(NonFiniteOracleValue, match=message):
         RUNNERS[runner](prob, np.array(order), np.zeros(2), len(order) - 1)
+
+
+@pytest.mark.parametrize("runner", list(RUNNERS))
+@pytest.mark.parametrize("shape", [(1,), (4,)], ids=["short", "long"])
+def test_bad_gradient_shape_names_round_component_and_shapes(runner, shape):
+    prob = lasso_problem(synth_lasso(p=3, n=3, sparsity=1, noise=0.1, seed=3))
+    good = prob.components.grad
+    prob.components = dataclasses.replace(
+        prob.components, grad=lambda i, x: np.ones(shape) if i == 2 else good(i, x)
+    )
+    message = (rf"component 2 returned a gradient of shape \({shape[0]},\) at round 1; "
+               r"the point has shape \(3,\)")
+    with pytest.raises(ValueError, match=message):
+        RUNNERS[runner](prob, np.array([0, 2, 1]), np.zeros(3), 2)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import surrogate_value
+from helpers import surrogate_average, surrogate_lin, surrogate_value
 from unigrad.bregman import gamma, l1_optimality_residual
 from unigrad.oracles import NonFiniteOracleValue, Regularizer
 from unigrad.problems import (
@@ -49,33 +49,35 @@ def test_init_single_component_matches_definition():
         x = rng.normal(size=3)
         want = (comp.value(0, x0) + float(comp.grad(0, x0) @ (x - x0))
                 + 0.5 * M * float((x - x0) @ (x - x0)))
-        assert table.value(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert surrogate_average(table, x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_init_aggregates_match_direct_average():
+    """M x + lin / n is the gradient of the surrogate average G^k."""
     prob = _quadratic_problem(n=7, p=4, seed=2)
     x0 = np.ones(4)
     table = sug_init(prob, x0, 3.0)
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = rng.normal(size=4) * 2.0
-        direct = np.mean([surrogate_value(table, i, x) for i in range(7)])
-        assert table.value(x) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+        direct = np.mean([table.grads[i] + table.M * (x - table.anchors[i])
+                          for i in range(7)], axis=0)
+        np.testing.assert_allclose(table.M * x + table.lin / table.n, direct,
+                                   rtol=1e-10, atol=1e-10)
 
 
 def test_init_aggregates_equal_from_scratch():
     prob = _quadratic_problem(n=5, p=3, seed=4)
     table = sug_init(prob, np.zeros(3), 2.0)
-    sm, lin, const = table.from_scratch()
-    assert table.sum_M == sm
-    np.testing.assert_array_equal(table.lin, lin)
-    assert table.const_sum == const
+    assert table.M == 2.0
+    np.testing.assert_array_equal(table.lin, surrogate_lin(table))
 
 
 def test_init_rejects_nonpositive_modulus():
     prob = _quadratic_problem(n=2, p=2, seed=5)
-    with pytest.raises(ValueError):
-        sug_init(prob, np.zeros(2), 0.0)
+    for M in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="modulus"):
+            sug_init(prob, np.zeros(2), M)
 
 
 def test_update_with_same_anchor_is_idempotent():
@@ -83,10 +85,8 @@ def test_update_with_same_anchor_is_idempotent():
     x0 = np.array([1.0, 0.0, -1.0])
     table = sug_init(prob, x0, 2.0)
     lin_before = table.lin.copy()
-    const_before = table.const_sum
     sug_update(table, 2, x0)
     np.testing.assert_array_equal(table.lin, lin_before)
-    assert table.const_sum == const_before
 
 
 def test_updates_keep_aggregates_consistent():
@@ -95,10 +95,7 @@ def test_updates_keep_aggregates_consistent():
     rng = np.random.default_rng(8)
     for k in range(500):
         sug_update(table, int(rng.integers(0, 6)), rng.normal(size=4) * 2.0)
-    sm, lin, const = table.from_scratch()
-    assert table.sum_M == pytest.approx(sm, rel=1e-10)
-    np.testing.assert_allclose(table.lin, lin, rtol=1e-10, atol=1e-10)
-    assert table.const_sum == pytest.approx(const, rel=1e-10)
+    np.testing.assert_allclose(table.lin, surrogate_lin(table), rtol=1e-10, atol=1e-10)
 
 
 def test_update_leaves_other_rows_untouched():
@@ -136,12 +133,11 @@ def test_subproblem_single_component_gradient_step():
 
 
 def test_subproblem_scalar_l1_case():
-    """Aggregates Q = 2, w = 1 with h = 0.5 |x|: minimizer shrink(-1/2, 1/4)."""
+    """Modulus M = 2, w = 1 with h = 0.5 |x|: minimizer shrink(-1/2, 1/4)."""
     inst = LassoInstance(A=np.array([[1.0]]), b=np.array([-0.5]))
     prob = lasso_problem(inst)
-    # anchor 0 with M = 2: gradient 2(0 + 0.5) = 1, so lin = 1, sum_M = 2
+    # anchor 0 with M = 2: gradient 2(0 + 0.5) = 1, so lin = 1
     table = sug_init(prob, np.zeros(1), 2.0)
-    assert table.sum_M == pytest.approx(2.0)
     np.testing.assert_allclose(table.lin, np.array([1.0]))
     got = sug_subproblem(table, Regularizer.l1(0.5))
     np.testing.assert_allclose(got, np.array([-0.25]))
@@ -154,9 +150,9 @@ def test_subproblem_satisfies_first_order_optimality():
     for _ in range(20):
         sug_update(table, int(rng.integers(0, 5)), rng.normal(size=4))
         x = sug_subproblem(table, prob.regularizer)
-        Q = table.sum_M / table.n
-        w = table.lin / table.n
-        smooth_grad = Q * x + w + prob.regularizer.ridge_weight * x
+        # gradient of G^k + ridge term, from the per-component state
+        surrogate_grad = np.mean(table.grads + table.M * (x - table.anchors), axis=0)
+        smooth_grad = surrogate_grad + prob.regularizer.ridge_weight * x
         res = l1_optimality_residual(smooth_grad, x, prob.regularizer.l1_weight)
         assert res <= 1e-9
 
@@ -206,6 +202,28 @@ def test_run_non_finite_component_names_iteration_and_component(value_fn, messag
         sug_run(prob, np.zeros(2), cfg)
 
 
+@pytest.mark.parametrize("shape", [(1,), (4,)], ids=["short", "long"])
+def test_run_bad_gradient_shape_names_iteration_component_and_shapes(shape):
+    prob = _quadratic_problem(n=3, p=3, seed=20, ridge_weight=1.0)
+    good = prob.components.grad
+    prob.components = dataclasses.replace(
+        prob.components, grad=lambda i, x: np.ones(shape) if i == 1 else good(i, x)
+    )
+    cfg = SugConfig(M=2.0, eps=1e-2, seed=0, max_iters=10)
+    message = (rf"component 1 returned a gradient of shape \({shape[0]},\) at round 0; "
+               r"the point has shape \(3,\)")
+    with pytest.raises(ValueError, match=message):
+        sug_run(prob, np.zeros(3), cfg)
+    # past initialization: the bad shape appears only away from x0
+    prob.components = dataclasses.replace(
+        prob.components,
+        grad=lambda i, x: np.ones(shape) if i == 1 and np.any(x != 0) else good(i, x),
+    )
+    with pytest.raises(ValueError, match=r"component 1 returned a gradient of shape "
+                                         rf"\({shape[0]},\) at round [0-9]+"):
+        sug_run(prob, np.zeros(3), cfg)
+
+
 def test_run_trace_schema_for_sampled_rounds():
     prob = _quadratic_problem(n=5, p=2, seed=17, ridge_weight=1.0)
     cfg = SugConfig(M=2.0, eps=1e-2, seed=1, max_iters=10)
@@ -234,7 +252,7 @@ def test_surrogates_overestimate_smooth_part_near_kink():
     anchor = c + r * u
     table = sug_init(prob, anchor, M)
     x = c - (2.0 / M) * u
-    gap = prob.mean_smooth_value(x) - table.value(x)
+    gap = prob.mean_smooth_value(x) - surrogate_average(table, x)
     assert 0.0 < gap <= eps / 4.0
     assert gap > eps / 5.0
 
@@ -250,7 +268,7 @@ def test_surrogates_overestimate_smooth_part_globally_for_quadratics():
         sug_update(table, int(rng.integers(0, 6)), rng.normal(size=4) * 2.0)
         if k % 50 == 0:
             x = rng.normal(size=4) * 3.0
-            assert prob.mean_smooth_value(x) <= table.value(x) + eps / 4.0 + 1e-12
+            assert prob.mean_smooth_value(x) <= surrogate_average(table, x) + eps / 4.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
