@@ -12,6 +12,7 @@ exceeds it, the inexact descent condition with slack eps/2 is guaranteed,
 so the backtracking doubling always terminates with 2 L_next <= 2 gamma.
 """
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -32,12 +33,14 @@ def gamma(holder_modulus: float, holder_degree: float, eps: float) -> float:
     For degree v = 1 this is just the Lipschitz modulus; for v < 1 it grows
     as eps shrinks, trading accuracy for step size.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 <= holder_degree <= 1.0:
         raise ValueError(f"holder_degree must lie in [0, 1], got {holder_degree}")
-    if holder_modulus <= 0:
-        raise ValueError(f"holder_modulus must be positive, got {holder_modulus}")
+    if not 0 < holder_modulus < math.inf:
+        raise ValueError(
+            f"holder_modulus must be positive and finite, got {holder_modulus}"
+        )
     v = holder_degree
     return (1.0 / eps) ** ((1.0 - v) / (1.0 + v)) * holder_modulus ** (2.0 / (1.0 + v))
 
@@ -86,8 +89,8 @@ def backtrack(
 
     Raises LineSearchOverflow after MAX_DOUBLINGS rejected trials.
     """
-    if initial_L <= 0:
-        raise ValueError(f"initial_L must be positive, got {initial_L}")
+    if not 0 < initial_L < math.inf:
+        raise ValueError(f"initial_L must be positive and finite, got {initial_L}")
     for i in range(MAX_DOUBLINGS + 1):
         M = (2.0**i) * initial_L
         candidate, accepted = trial(M)

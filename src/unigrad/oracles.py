@@ -19,9 +19,9 @@ import numpy as np
 
 from .geometry import ProxFunction
 
-# Size cap, in bytes, of each temporary a batched evaluation allocates; it
-# bounds the memory of the full-objective pass whatever the horizon or the
-# sample count.
+# Size cap, in bytes, of each block of points the full-objective pass hands
+# to a batched evaluation and of each blocked temporary it allocates; it
+# bounds the memory of that pass whatever the horizon.
 BLOCK_BYTES = 1 << 19
 
 
@@ -166,7 +166,10 @@ class CompositeProblem:
     components answers for each g_i; mean_value_fn and mean_grad_fn
     evaluate the smooth average (1/n) sum_i g_i and its gradient in
     vectorized form, and mean_values_fn the smooth average at every row of
-    a (k, p) array at once, keeping each temporary within BLOCK_BYTES.
+    a (k, p) array at once.  mean_values_fn allocates no temporary larger
+    than that array, one value per component, or BLOCK_BYTES; a problem may
+    cache data-sized state for it on the first call, as lasso does its
+    Gram matrix.
     """
 
     components: ComponentOracle

@@ -79,6 +79,36 @@ def _lasso_regularizer(l1_weight: float, ridge_weight: float) -> Regularizer:
     return Regularizer.zero()
 
 
+def _lipschitz_modulus(A: np.ndarray) -> float:
+    """max_t 2 ||a_t||^2, bit for bit the value 2.0 * float(a @ a) of the
+    largest row.
+
+    The einsum row sums add in another order than a @ a, but each order of a
+    p-term inner product is within gamma_p = p u / (1 - p u) of the exact sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    3.1).  So the row with the largest a @ a has an einsum sum of at least
+    (1 - 2 (p + 1) eps) times the largest one, and only the rows above that
+    cut are summed again with a @ a.
+    """
+    sq = np.einsum("ij,ij->i", A, A)
+    cut = sq.max(initial=0.0) * (1.0 - 2.0 * (A.shape[1] + 1) * np.finfo(float).eps)
+    return max((2.0 * float(A[i] @ A[i]) for i in np.flatnonzero(sq >= cut)),
+               default=0.0)
+
+
+def _residual_sums(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_t (a_t' x - b_t)^2 at each row x of X, blocked over the rows of A
+    so that no temporary outgrows BLOCK_BYTES."""
+    total = np.zeros(X.shape[0])
+    rows = block_len(8 * X.shape[0])
+    for q in range(0, A.shape[0], rows):
+        R = A[q:q + rows] @ X.T
+        R -= b[q:q + rows, None]
+        np.square(R, out=R)
+        total += R.sum(axis=0)
+    return total
+
+
 def lasso_problem(inst: LassoInstance) -> CompositeProblem:
     """Composite problem (1/n) sum_t (a_t' x - b_t)^2 + h(x)."""
     A, b = inst.A, inst.b
@@ -97,7 +127,7 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         grad=grad,
         n=inst.n,
         holder_degree=1.0,
-        holder_modulus=max((2.0 * float(a @ a) for a in A), default=0.0),
+        holder_modulus=_lipschitz_modulus(A),
     )
     n = inst.n
 
@@ -108,17 +138,38 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
     def mean_grad(x):
         return (2.0 / n) * (A.T @ (A @ x - b))
 
+    G = None  # A'A, built on the first batched call
+
     def mean_values(X):
-        # Residual form, blocked over the rows of A.  The Gram form
-        # x'(A'A/n)x - 2(A'b/n)'x + b'b/n is faster, but its cancellation
-        # costs an order of magnitude in relative accuracy.
-        total = np.zeros(X.shape[0])
-        rows = block_len(8 * X.shape[0])
-        for q in range(0, n, rows):
-            R = A[q:q + rows] @ X.T
-            R -= b[q:q + rows, None]
-            np.square(R, out=R)
-            total += R.sum(axis=0)
+        # Centred Gram form.  With r_c = A x_c - b at the block's last point
+        # x_c and D = X - x_c,
+        #     n f(x) = r_c'r_c + 2 D (A'r_c) + rowwise(D A'A o D),
+        # at p^2 per point and 2np per block instead of np per point.  The
+        # rounding error of these sums is a small multiple of the unit
+        # roundoff times the same sums over absolute values, the row's scale
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        # ch. 3-4), so the form keeps rounding-level relative accuracy where
+        # the scale is close to n f(x), as it is for the clustered points of
+        # a run.  A row whose scale exceeds 64 n f(x), which covers
+        # n f(x) <= 0, has cancelled too far and is summed again in the
+        # residual form.  With p > n the Gram matrix would outgrow A, so
+        # every row is.
+        nonlocal G
+        if inst.p > n:
+            return _residual_sums(A, b, X) / n
+        if G is None:
+            G = A.T @ A
+        x_c = X[-1]
+        r_c = A @ x_c - b
+        g = A.T @ r_c
+        rr = float(r_c @ r_c)
+        D = X - x_c
+        total = rr + 2.0 * (D @ g) + np.einsum("ij,ij->i", D @ G, D)
+        np.abs(D, out=D)
+        scale = rr + 2.0 * (D @ np.abs(g)) + np.einsum("ij,ij->i", D @ np.abs(G), D)
+        redo = np.flatnonzero(scale > 64.0 * total)
+        if redo.size:
+            total[redo] = _residual_sums(A, b, X[redo])
         return total / n
 
     return CompositeProblem(

@@ -41,10 +41,10 @@ class SugConfig:
     max_iters: int
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError(f"M must be positive, got {self.M}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.M < math.inf:
+            raise ValueError(f"M must be positive and finite, got {self.M}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

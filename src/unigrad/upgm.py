@@ -14,6 +14,7 @@ fixed-step variant replaces the search by one always-accepted trial at
 M = 2 gamma(M_v, v, eps), recorded as i_t = 0 and L_{t+1} = gamma.
 """
 
+import math
 import time
 
 import numpy as np
@@ -69,8 +70,8 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
     linearization at the accepted modulus, and the final iterate is returned;
     the fixed-step dual round computes no Bregman point.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     order = np.asarray(order, dtype=int)
     if order.shape != (T + 1,):
         raise ValueError(f"order has shape {order.shape}, expected ({T + 1},)")
@@ -88,8 +89,8 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
             holder_modulus = modulus if holder_modulus is None else holder_modulus
         L = gamma(holder_modulus, holder_degree, eps)
         trace.extra_meta = {"fixed_step": True, "Mv": holder_modulus, "v": holder_degree}
-    elif L0 <= 0:
-        raise ValueError(f"L0 must be positive, got {L0}")
+    elif not 0 < L0 < math.inf:
+        raise ValueError(f"L0 must be positive and finite, got {L0}")
     else:
         L = L0
     geometry = problem.geometry

@@ -60,6 +60,13 @@ def test_gamma_validates_inputs():
         gamma(1.0, 1.5, 1.0)
     with pytest.raises(ValueError):
         gamma(1.0, -0.1, 1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            gamma(1.0, 0.5, bad)
+        with pytest.raises(ValueError, match="holder_modulus"):
+            gamma(bad, 0.5, 1.0)
+        with pytest.raises(ValueError, match="holder_degree"):
+            gamma(1.0, bad, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +208,9 @@ def test_backtrack_overflow_after_64_doublings():
 
 
 def test_backtrack_rejects_nonpositive_start():
-    with pytest.raises(ValueError):
-        backtrack(0.0, lambda M: (None, True))
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="initial_L"):
+            backtrack(bad, lambda M: (None, True))
 
 
 def test_backtrack_with_descent_trial_respects_modulus_cap():

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unigrad import oracles
+from unigrad import oracles, problems
 from unigrad.harness import sample_order
-from unigrad.problems import lasso_problem, steiner_problem, synth_lasso, synth_steiner
+from unigrad.problems import (
+    LassoInstance,
+    lasso_problem,
+    steiner_problem,
+    synth_lasso,
+    synth_steiner,
+)
 from unigrad.sug import SugConfig, sug_run
 from unigrad.trace import RunTrace
 from unigrad.udgm import udgm_fixed_step_run, udgm_run
@@ -102,3 +108,84 @@ def test_values_match_per_row_values(family, n, p, k, block_bytes, seed):
         got = problem.values(X)
     want = [problem.value(x) for x in X]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# accuracy of the lasso objective against a long double evaluation
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps,
+    reason="long double is binary64 on this platform",
+)
+
+
+def _long_double_values(inst, X):
+    """The lasso objective at each row of X, residual form in long double."""
+    A = inst.A.astype(np.longdouble)
+    X = X.astype(np.longdouble)
+    R = X @ A.T - inst.b.astype(np.longdouble)
+    out = np.einsum("ki,ki->k", R, R) / inst.n + inst.l1_weight * np.abs(X).sum(axis=1)
+    return out + 0.5 * inst.ridge_weight * np.einsum("kp,kp->k", X, X)
+
+
+def _max_rel_error(got, inst, X):
+    want = _long_double_values(inst, X)
+    return float(np.max(np.abs(np.asarray(got, dtype=np.longdouble) - want) / want))
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Counts the rows the lasso objective sums again in residual form."""
+    rows = []
+    residual_sums = problems._residual_sums
+
+    def spy(A, b, X):
+        rows.append(len(X))
+        return residual_sums(A, b, X)
+
+    monkeypatch.setattr(problems, "_residual_sums", spy)
+    return rows
+
+
+@needs_long_double
+@pytest.mark.parametrize("solver, ridge", [("oupgm", 0.0), ("oudgm", 2.0), ("sug", 2.0)])
+def test_f_full_of_a_run_is_accurate_to_rounding(solver, ridge, fallback_rows):
+    inst = synth_lasso(p=30, n=2000, sparsity=5, noise=0.1, seed=4,
+                       l1_weight=0.1, ridge_weight=ridge)
+    problem = lasso_problem(inst)
+    x0 = np.zeros(inst.p)
+    T = 400
+    if solver == "sug":
+        _, Mv = problem.holder_constants()
+        trace = sug_run(problem, x0, SugConfig(M=Mv, eps=1e-3, seed=4, max_iters=T))[1]
+    else:
+        run = upgm_run if solver == "oupgm" else udgm_run
+        order = sample_order("random", inst.n, T, seed=4)
+        trace = run(problem, order, x0, 1.0, 1e-3, T)[1]
+    X = np.stack([x0, *trace.x_next[:-1]])
+    assert _max_rel_error(trace.f_full, inst, X) <= 1e-14
+    assert fallback_rows == []
+
+
+@needs_long_double
+def test_single_point_block_is_accurate_to_rounding():
+    inst = synth_lasso(p=30, n=2000, sparsity=5, noise=0.1, seed=5, l1_weight=0.1)
+    X = np.random.default_rng(5).normal(size=(1, inst.p))
+    assert _max_rel_error(lasso_problem(inst).values(X), inst, X) <= 1e-14
+
+
+@needs_long_double
+def test_near_collinear_design_falls_back_and_stays_accurate(fallback_rows):
+    """Nonnegative rows near 1 make A'A nearly rank one: around a centre far
+    from the fit, the Gram form of a well-fitting point cancels to a
+    thousandth of its terms' size and alone loses three or more digits."""
+    rng = np.random.default_rng(1)
+    n, p = 2000, 30
+    A = 1.0 + 0.01 * rng.random((n, p))
+    x_fit = rng.normal(size=p)
+    inst = LassoInstance(A=A, b=A @ x_fit + 0.1 * rng.normal(size=n), l1_weight=0.1)
+    X = x_fit + rng.normal(size=(300, p)) * np.logspace(-6, 0, 300)[:, None]
+    problem = lasso_problem(inst)
+    got = np.concatenate([problem.values(X[s:s + 128]) for s in range(0, len(X), 128)])
+    assert 0 < sum(fallback_rows) < len(X)
+    assert _max_rel_error(got, inst, X) <= 1e-14

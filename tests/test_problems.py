@@ -97,6 +97,24 @@ def test_problem_metadata():
     assert sp.regularizer.strong_convexity == 0.0
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_lasso_modulus_is_the_largest_row_dot_bit_for_bit(seed):
+    """Permuted copies of one row tie exactly in exact arithmetic and split
+    in the last bits of a @ a; nudged copies sit a few ulps apart."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 300))
+    base = rng.normal(size=p) * rng.uniform(0.1, 10.0)
+    ties = np.stack([rng.permutation(base) for _ in range(40)])
+    nudged = base * (1.0 + rng.integers(-8, 9, size=(40, 1)) * np.finfo(float).eps)
+    A = np.vstack([rng.normal(size=(200, p)), ties, nudged])
+    A = A[rng.permutation(len(A))]
+    _, Mv = lasso_problem(LassoInstance(A=A, b=np.zeros(len(A)))).holder_constants()
+    assert Mv == max(2.0 * float(a @ a) for a in A)
+    inst = synth_lasso(p=p, n=300, sparsity=1, noise=0.1, seed=seed)
+    _, Mv = lasso_problem(inst).holder_constants()
+    assert Mv == max(2.0 * float(a @ a) for a in inst.A)
+
+
 # ---------------------------------------------------------------------------
 # CSV I/O
 

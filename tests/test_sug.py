@@ -333,3 +333,8 @@ def test_config_validation():
         SugConfig(M=1.0, eps=0.0, seed=0, max_iters=10)
     with pytest.raises(ValueError):
         SugConfig(M=1.0, eps=1e-2, seed=0, max_iters=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="M must be"):
+            SugConfig(M=bad, eps=1e-2, seed=0, max_iters=10)
+        with pytest.raises(ValueError, match="eps must be"):
+            SugConfig(M=1.0, eps=bad, seed=0, max_iters=10)

@@ -1,5 +1,7 @@
 """Adaptive and fixed-step primal online runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,23 @@ def test_step_rejects_nonpositive_eps():
 
 def test_state_requires_positive_modulus():
     prob = zero_problem()
-    with pytest.raises(ValueError, match="L0"):
-        upgm_run(prob, np.array([0]), np.zeros(2), 0.0, 1e-2, 0)
+    for L0 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="L0"):
+            upgm_run(prob, np.array([0]), np.zeros(2), L0, 1e-2, 0)
+
+
+@pytest.mark.parametrize("runner", [upgm_run, upgm_fixed_step_run])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+def test_non_finite_eps_fails_before_any_oracle_call(runner, eps):
+    prob = lasso_problem(synth_lasso(p=3, n=10, sparsity=1, noise=0.1, seed=0))
+
+    def refuse(i, x):
+        raise AssertionError("oracle called")
+
+    prob.components = dataclasses.replace(prob.components, value=refuse, grad=refuse)
+    args = (1.0, eps) if runner is upgm_run else (eps,)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        runner(prob, np.arange(5) % 10, np.zeros(3), *args, 4)
 
 
 def test_accepted_moduli_capped_on_nonsmooth_stream():
