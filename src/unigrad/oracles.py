@@ -168,8 +168,7 @@ class CompositeProblem:
     vectorized form, and mean_values_fn the smooth average at every row of
     a (k, p) array at once.  mean_values_fn allocates no temporary larger
     than that array, one value per component, or BLOCK_BYTES; a problem may
-    cache data-sized state for it on the first call, as lasso does its
-    Gram matrix.
+    cache data-sized state for it, as lasso does A'A and |A'A|.
     """
 
     components: ComponentOracle

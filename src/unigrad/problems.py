@@ -138,27 +138,34 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
     def mean_grad(x):
         return (2.0 / n) * (A.T @ (A @ x - b))
 
-    G = None  # A'A, built on the first batched call
+    p = inst.p
+    G = G_abs = None  # A'A and |A'A|, built by the first block that repays them
 
     def mean_values(X):
         # Centred Gram form.  With r_c = A x_c - b at the block's last point
         # x_c and D = X - x_c,
-        #     n f(x) = r_c'r_c + 2 D (A'r_c) + rowwise(D A'A o D),
-        # at p^2 per point and 2np per block instead of np per point.  The
-        # rounding error of these sums is a small multiple of the unit
+        #     n f(x) = r_c'r_c + 2 D (A'r_c) + rowwise(D A'A o D).
+        # The rounding error of these sums is a small multiple of the unit
         # roundoff times the same sums over absolute values, the row's scale
         # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
         # ch. 3-4), so the form keeps rounding-level relative accuracy where
         # the scale is close to n f(x), as it is for the clustered points of
         # a run.  A row whose scale exceeds 64 n f(x), which covers
         # n f(x) <= 0, has cancelled too far and is summed again in the
-        # residual form.  With p > n the Gram matrix would outgrow A, so
-        # every row is.
-        nonlocal G
-        if inst.p > n:
-            return _residual_sums(A, b, X) / n
+        # residual form.
+        #
+        # Cost: the residual form takes 2np flops a point; the Gram form
+        # 4p^2 (D A'A and D |A'A|) plus 4np a block, after n p^2 to build
+        # A'A.  So the Gram form pays only when 2p < n, and the matrices are
+        # built only for a block whose saving of 2p (n - 2p) flops a point
+        # repays the build by itself; until then, and always when 2p >= n,
+        # the block is summed in residual form, as it would be without them.
+        nonlocal G, G_abs
         if G is None:
+            if 2 * len(X) * (n - 2 * p) < n * p:
+                return _residual_sums(A, b, X) / n
             G = A.T @ A
+            G_abs = np.abs(G)
         x_c = X[-1]
         r_c = A @ x_c - b
         g = A.T @ r_c
@@ -166,7 +173,7 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         D = X - x_c
         total = rr + 2.0 * (D @ g) + np.einsum("ij,ij->i", D @ G, D)
         np.abs(D, out=D)
-        scale = rr + 2.0 * (D @ np.abs(g)) + np.einsum("ij,ij->i", D @ np.abs(G), D)
+        scale = rr + 2.0 * (D @ np.abs(g)) + np.einsum("ij,ij->i", D @ G_abs, D)
         redo = np.flatnonzero(scale > 64.0 * total)
         if redo.size:
             total[redo] = _residual_sums(A, b, X[redo])

@@ -95,9 +95,9 @@ class RunTrace:
 
         values maps a (k, p) stack of points to their k objective values
         (CompositeProblem.values); the iterates are stacked a block at a
-        time, each block within BLOCK_BYTES.  Lasso evaluates a block around
-        its last point from the cached Gram matrix A'A, p^2 per point rather
-        than np.
+        time, each block within BLOCK_BYTES.  Lasso with 2p < n evaluates a
+        block around its last point from the cached Gram matrix A'A, p^2 per
+        point rather than np.
         """
         points = [self.x0, *self.x_next][: self.n_rows]
         if len(points) != self.n_rows:

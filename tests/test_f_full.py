@@ -168,10 +168,35 @@ def test_f_full_of_a_run_is_accurate_to_rounding(solver, ridge, fallback_rows):
 
 
 @needs_long_double
-def test_single_point_block_is_accurate_to_rounding():
+def test_single_point_block_is_accurate_to_rounding(fallback_rows):
+    """A first block of 64 points builds A'A; the single point after it is
+    then evaluated in the Gram form, around itself."""
     inst = synth_lasso(p=30, n=2000, sparsity=5, noise=0.1, seed=5, l1_weight=0.1)
-    X = np.random.default_rng(5).normal(size=(1, inst.p))
-    assert _max_rel_error(lasso_problem(inst).values(X), inst, X) <= 1e-14
+    X = np.random.default_rng(5).normal(size=(65, inst.p))
+    problem = lasso_problem(inst)
+    problem.values(X[:64])
+    assert _max_rel_error(problem.values(X[64:]), inst, X[64:]) <= 1e-14
+    assert fallback_rows == []
+
+
+@pytest.mark.parametrize(
+    "n, p, blocks, residual_rows",
+    [
+        (40, 20, [300], [300]),                # 2p = n: never the Gram form
+        (44, 20, [110], []),                   # np / (2(n - 2p)) = 110 points
+        (44, 20, [2, 109, 200, 1], [2, 109]),  # residual until a block repays A'A
+        (2000, 30, [15, 16, 1], [15]),         # np / (2(n - 2p)) = 15.5 points
+    ],
+)
+def test_gram_form_is_built_only_where_it_repays(n, p, blocks, residual_rows, fallback_rows):
+    inst = synth_lasso(p=p, n=n, sparsity=2, noise=0.1, seed=6, l1_weight=0.1)
+    problem = lasso_problem(inst)
+    X = np.random.default_rng(6).normal(size=(sum(blocks), p)) * 1e-2
+    got = []
+    for s, k in zip(np.cumsum([0, *blocks[:-1]]), blocks):
+        got.extend(problem.values(X[s:s + k]))
+    assert fallback_rows == residual_rows
+    np.testing.assert_allclose(got, [problem.value(x) for x in X], rtol=1e-12, atol=0.0)
 
 
 @needs_long_double
