@@ -101,19 +101,3 @@ def backtrack(
         "check the oracle's Holder certificate and the geometry"
     )
 
-
-def l1_optimality_residual(
-    smooth_grad: np.ndarray, x: np.ndarray, l1_weight: float
-) -> float:
-    """Max violation of 0 in smooth_grad + l1_weight * d|.|(x), coordinatewise.
-
-    Zero (up to tolerance) certifies optimality of composite problems whose
-    nonsmooth part is l1_weight * ||x||_1.
-    """
-    smooth_grad = np.asarray(smooth_grad, dtype=float)
-    x = np.asarray(x, dtype=float)
-    active = x != 0
-    res = np.zeros_like(smooth_grad)
-    res[active] = np.abs(smooth_grad[active] + l1_weight * np.sign(x[active]))
-    res[~active] = np.maximum(np.abs(smooth_grad[~active]) - l1_weight, 0.0)
-    return float(res.max()) if res.size else 0.0

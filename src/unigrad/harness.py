@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .bregman import gamma
-from .oracles import CompositeProblem
+from .oracles import CompositeProblem, check_nonnegative
 from .problems import (
     LassoInstance,
     lasso_problem,
@@ -275,13 +275,14 @@ def problem_from_descriptor(desc: dict) -> CompositeProblem:
         )
         return lasso_problem(inst)
     if kind == "lasso-csv":
+        l1_weight = float(desc.get("mu", 0.0))
+        ridge_weight = float(desc.get("ridge", 0.0))
+        # before reading a data file of any size
+        check_nonnegative("l1_weight (--mu)", l1_weight)
+        check_nonnegative("ridge_weight (--ridge)", ridge_weight)
         inst = load_samples(desc["path"])
-        inst = LassoInstance(
-            A=inst.A,
-            b=inst.b,
-            l1_weight=float(desc.get("mu", 0.0)),
-            ridge_weight=float(desc.get("ridge", 0.0)),
-        )
+        inst = LassoInstance(A=inst.A, b=inst.b, l1_weight=l1_weight,
+                             ridge_weight=ridge_weight)
         return lasso_problem(inst)
     if kind == "steiner":
         inst = synth_steiner(p=int(desc["p"]), m=int(desc["m"]), seed=int(desc["seed"]))
@@ -319,6 +320,8 @@ class RunConfig:
             raise ValueError(f"eps must be a positive float or 'auto', got {self.eps!r}")
         if self.T < 0:
             raise ValueError(f"T must be nonnegative, got {self.T}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.order not in ("sequential", "cyclic", "random"):
             raise ValueError(f"order must be sequential|cyclic|random, got {self.order!r}")
         if self.algorithm == "sug" and self.M is None:

@@ -81,6 +81,13 @@ def oracle_grad(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> n
     return grad
 
 
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise ValueError, naming the field, unless 0 <= value < inf (NaN
+    fails too)."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
     """Componentwise sign(z) * max(|z| - tau, 0)."""
     if tau < 0:
@@ -108,8 +115,8 @@ class Regularizer:
     def __post_init__(self):
         if self.structure not in self._STRUCTURES:
             raise ValueError(f"unknown regularizer structure: {self.structure!r}")
-        if self.l1_weight < 0 or self.ridge_weight < 0:
-            raise ValueError("regularizer weights must be nonnegative")
+        check_nonnegative("l1_weight", self.l1_weight)
+        check_nonnegative("ridge_weight", self.ridge_weight)
         mu = self.ridge_weight if self.structure == "elastic_net" else 0.0
         object.__setattr__(self, "strong_convexity", mu)
 

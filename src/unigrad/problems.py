@@ -13,7 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import ComponentOracle, CompositeProblem, Regularizer, block_len
+from .oracles import (
+    ComponentOracle,
+    CompositeProblem,
+    Regularizer,
+    block_len,
+    check_nonnegative,
+)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +47,8 @@ class LassoInstance:
             raise ValueError(f"A must be 2-d, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b has shape {b.shape}, expected ({A.shape[0]},)")
-        if self.l1_weight < 0 or self.ridge_weight < 0:
-            raise ValueError("regularizer weights must be nonnegative")
+        check_nonnegative("l1_weight (--mu)", self.l1_weight)
+        check_nonnegative("ridge_weight (--ridge)", self.ridge_weight)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -255,8 +266,8 @@ def synth_lasso(
         raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
     if not 0 <= sparsity <= p:
         raise ValueError(f"sparsity must lie in [0, {p}], got {sparsity}")
-    if noise < 0:
-        raise ValueError(f"noise must be nonnegative, got {noise}")
+    check_nonnegative("noise", noise)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, p))
     x_true = np.zeros(p)
@@ -273,6 +284,7 @@ def synth_steiner(p: int, m: int, seed: int) -> SteinerInstance:
     """Standard-normal centers; deterministic for a fixed seed."""
     if p < 1 or m < 1:
         raise ValueError(f"need p >= 1 and m >= 1, got p={p}, m={m}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     return SteinerInstance(centers=rng.normal(size=(m, p)))
 

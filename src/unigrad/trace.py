@@ -13,9 +13,9 @@ The solvers compute it after the rounds, in one blocked batch pass over
 the stored iterates (RunTrace.fill_f_full), so elapsed_s is solver-only
 wall time: it excludes that diagnostic.
 
-In-memory traces additionally record the visited component index, the
-post-round iterate, and (dual method only) the model minimum, which the
-prefix-bound checks need; those extras are not part of the CSV schema.
+In-memory traces additionally record the visited component index and the
+post-round iterate, which the prefix-bound checks need; those extras are
+not part of the CSV schema.
 """
 
 import json
@@ -52,7 +52,6 @@ class RunTrace:
     # in-memory extras (absent after CSV parsing)
     component: list = field(default_factory=list)
     x_next: list = field(default_factory=list)
-    phi_star: list = field(default_factory=list)
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).copy()
@@ -69,7 +68,6 @@ class RunTrace:
         elapsed_s: float,
         component: int | None = None,
         x_next: np.ndarray | None = None,
-        phi_star: float | None = None,
     ) -> None:
         self.t.append(int(t))
         self.i_t.append(int(i_t))
@@ -83,8 +81,6 @@ class RunTrace:
             self.component.append(int(component))
         if x_next is not None:
             self.x_next.append(np.asarray(x_next, dtype=float).copy())
-        if phi_star is not None:
-            self.phi_star.append(float(phi_star))
 
     @property
     def n_rows(self) -> int:

@@ -99,7 +99,6 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
     x = trace.x0.copy()
     weight_sum = 0.0
     weighted_x = np.zeros_like(x)
-    phi_star = None
     start = time.perf_counter()
     for t in range(T + 1):
         k = int(order[t])
@@ -126,14 +125,13 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
         else:
             coeff = 0.5 / L  # the accepted modulus is 2 L, so coeff = 1 / M
             x_next = model.argmin(regularizer, coeff, g_grad)
-            model.fold(coeff, g_value, g_grad, x)
+            model.fold(coeff, g_grad)
             x = x_next
             f_next = oracle_value(oracle, k, x, t) + regularizer.value(x)
             f_y = f_next if fixed else g_y + regularizer.value(y)
-            phi_star = model.value(x, regularizer)
         trace.add_row(
             t, i_t, L, f_xt, f_next, f_y, np.nan, time.perf_counter() - start,
-            component=k, x_next=x, phi_star=phi_star,
+            component=k, x_next=x,
         )
     trace.fill_f_full(problem.values)
     return (weighted_x / weight_sum if model is None else x), trace

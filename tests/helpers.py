@@ -1,9 +1,11 @@
 """Test-only references: a numeric Bregman mapping, closed-form round
-updates for the shipped problem families, a sample writer, the
-individual and averaged surrogate values, the from-scratch surrogate
-aggregate and a zero-objective problem.  The library does not use them; the tests
-cross-check the library against them.  evaluate_regret also checks the
-eps its callers name against the trace's."""
+updates for the shipped problem families, an l1 optimality residual, the
+dual model's value, a replay of the dual method's rounds and the prefix
+bound it certifies, a sample writer, the individual and averaged surrogate
+values, the from-scratch surrogate aggregate and a zero-objective problem.
+The library does not use them; the tests cross-check the library against
+them.  evaluate_regret also checks the eps its callers name against the
+trace's."""
 
 from dataclasses import dataclass
 
@@ -145,6 +147,87 @@ def steiner_dual_average(x0, coeffs, iterates, centers):
     coeffs = np.asarray(coeffs, dtype=float)
     diffs = np.asarray(iterates, dtype=float) - np.asarray(centers, dtype=float)
     return x0 - coeffs @ _unit_directions(diffs)
+
+
+def l1_optimality_residual(smooth_grad, x, l1_weight) -> float:
+    """Max violation of 0 in smooth_grad + l1_weight * d|.|(x), coordinatewise.
+
+    Zero (up to tolerance) certifies optimality of composite problems whose
+    nonsmooth part is l1_weight * ||x||_1.
+    """
+    smooth_grad = np.asarray(smooth_grad, dtype=float)
+    x = np.asarray(x, dtype=float)
+    active = x != 0
+    res = np.zeros_like(smooth_grad)
+    res[active] = np.abs(smooth_grad[active] + l1_weight * np.sign(x[active]))
+    res[~active] = np.maximum(np.abs(smooth_grad[~active]) - l1_weight, 0.0)
+    return float(res.max()) if res.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# The dual method's model, replayed
+
+
+def dual_model_value(anchor, s, A, c, h, y) -> float:
+    """The dual model phi(y) = dist(anchor, y) + <s, y> + A h(y) + c, with
+    the squared Euclidean dist 0.5 ||y - anchor||^2, summed left to right."""
+    y = np.asarray(y, dtype=float)
+    diff = y - anchor
+    return 0.5 * float(diff @ diff) + float(s @ y) + A * h.value(y) + c
+
+
+def replay_dual_rounds(trace, problem):
+    """Replay an in-memory oudgm trace from x0, its visited components and
+    its L_next, without unigrad.udgm: round t reads g_t at x_t, takes the
+    minimizer prox_{(A + coeff) h}(x0 - s - coeff grad g_t(x_t)) with
+    coeff = 1 / (2 L_next[t]), then folds the linearization, constant
+    included, into (s, A, c).
+
+    Yields (x_next, s, A, c) per round: the replayed minimizer and the
+    model it minimizes, phi_{t+1}.
+    """
+    if len(trace.x_next) != trace.n_rows or len(trace.component) != trace.n_rows:
+        raise ValueError("trace lacks the visited components and iterates; run in-memory")
+    oracle, h = problem.components, problem.regularizer
+    x = trace.x0
+    s = np.zeros_like(x)
+    A = c = 0.0
+    for k, L in zip(trace.component, trace.L_next):
+        g_value = float(oracle.value(k, x))
+        g_grad = np.asarray(oracle.grad(k, x), dtype=float)
+        coeff = 0.5 / L
+        s = s + coeff * g_grad
+        x_next = h.prox(trace.x0 - s, A + coeff)
+        A += coeff
+        c += coeff * (g_value - float(g_grad @ x))
+        yield x_next, s, A, c
+        x = x_next
+
+
+def check_dual_target_bound(trace, problem):
+    """Prefix bound of the dual method: for every t,
+
+        sum_{i<=t} f_{g_i}(y_i) / (2 L_{i+1}) <= phi*_{t+1} + S_t * eps / 4,
+
+    with phi*_{t+1} the value of the replayed model at its minimizer, each
+    replayed minimizer asserted equal to the run's x_next bit for bit.
+    Returns (ok, worst) where worst is the largest normalized violation
+    (lhs - rhs) / (1 + |rhs|) over prefixes, and ok says it is at most 1e-9,
+    the relative slack every bound check allows.
+    """
+    eps = trace.eps
+    acc = 0.0
+    S = 0.0
+    worst = -np.inf
+    rounds = replay_dual_rounds(trace, problem)
+    for k, (x_next, s, A, c) in enumerate(rounds):
+        assert x_next.tobytes() == trace.x_next[k].tobytes(), f"round {k} replays another x_next"
+        phi_star = dual_model_value(trace.x0, s, A, c, problem.regularizer, x_next)
+        acc += trace.f_gt_yt[k] / (2.0 * trace.L_next[k])
+        S += 1.0 / trace.L_next[k]
+        rhs = phi_star + S * eps / 4.0
+        worst = max(worst, (acc - rhs) / (1.0 + abs(rhs)))
+    return worst <= 1e-9, worst
 
 
 # ---------------------------------------------------------------------------

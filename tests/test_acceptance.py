@@ -13,6 +13,7 @@ import pytest
 
 from helpers import (
     bregman_map_numeric,
+    check_dual_target_bound,
     evaluate_regret,
     lasso_batch_bregman_step,
     lasso_bregman_step,
@@ -50,7 +51,7 @@ from unigrad.sug import (
     sug_update,
 )
 from unigrad.trace import parse_trace_csv
-from unigrad.udgm import check_dual_target_bound, udgm_fixed_step_run
+from unigrad.udgm import udgm_fixed_step_run
 from unigrad.upgm import upgm_fixed_step_run
 
 
@@ -147,7 +148,7 @@ def test_criterion_04_weighted_regret_bound_dual(online_battery, battery_reports
             f"{run.family} seed {run.seed} eps {run.eps}: "
             f"lhs {rep.weighted_lhs_thm2} rhs {rep.rhs_thm2}"
         )
-        ok, worst = check_dual_target_bound(run.trace)
+        ok, worst = check_dual_target_bound(run.trace, run.problem)
         assert ok, (
             f"{run.family} seed {run.seed} eps {run.eps}: "
             f"prefix model bound violated by {worst:.3e}"

@@ -207,8 +207,17 @@ def test_run_rejects_bad_dist0_before_running(tmp_path, capsys, dist0):
         (["--algorithm", "oupgm", "--eps", "nan"], "eps must"),
         (["--algorithm", "oupgm", "--eps", "inf"], "eps must"),
         (["--algorithm", "oupgm", "--eps", "auto", "--v", "2"], "(--v) must"),
+        (["--algorithm", "oupgm", "--mu", "nan"], "(--mu) must"),
+        (["--algorithm", "oupgm", "--mu", "inf"], "(--mu) must"),
+        (["--algorithm", "sug", "--ridge", "1", "--M", "1", "--mu", "nan"], "(--mu) must"),
+        (["--algorithm", "oupgm", "--ridge", "inf"], "(--ridge) must"),
+        (["--algorithm", "oupgm", "--noise", "nan"], "noise must"),
+        (["--algorithm", "oupgm", "--noise", "inf"], "noise must"),
+        (["--algorithm", "oupgm", "--seed", "-1"], "seed must"),
     ],
-    ids=["tol-nan", "L0-nan", "Mv-nan", "M-nan", "eps-nan", "eps-inf", "v-2"],
+    ids=["tol-nan", "L0-nan", "Mv-nan", "M-nan", "eps-nan", "eps-inf", "v-2",
+         "mu-nan", "mu-inf", "sug-mu-nan", "ridge-inf", "noise-nan", "noise-inf",
+         "seed-negative"],
 )
 def test_run_rejects_non_finite_flags_before_running(tmp_path, capsys, flags, message):
     out = tmp_path / "art"
@@ -216,6 +225,18 @@ def test_run_rejects_non_finite_flags_before_running(tmp_path, capsys, flags, me
                  "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--algorithm", "oupgm", "--problem", "lasso-csv", "--T", "2"],
+    ["reference", "lasso-csv"],
+], ids=["run", "reference"])
+def test_lasso_csv_weights_are_checked_before_the_data_is_read(tmp_path, capsys, command):
+    out = tmp_path / "art"
+    extra = ["--out", str(out)] if command[0] == "run" else []
+    assert main([*command, "--data", str(tmp_path / "missing.csv"), "--mu", "nan", *extra]) == 2
+    assert "error: l1_weight (--mu) must be nonnegative and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from unigrad import harness
+from unigrad.geometry import ProxFunction
 from unigrad.harness import RunConfig, run_experiment, sample_order
 from unigrad.problems import lasso_problem, steiner_problem, synth_lasso, synth_steiner
 from unigrad.sug import SugConfig, sug_run
@@ -66,6 +67,31 @@ def test_fixed_step_rounds_read_two_values_and_one_gradient(family, runner):
     counts = _counted(problem)
     runner(problem, _order(problem), np.zeros(problem.dimension), 1e-1, T)
     assert counts == {"value": 2 * (T + 1), "grad": T + 1}
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+@pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed-step"])
+def test_oudgm_takes_bregman_distances_only_in_its_trials(family, fixed, monkeypatch):
+    """One distance per descent test and none for the model: the dual
+    rounds fold and minimize without evaluating the model."""
+    calls = []
+    bregman = ProxFunction.bregman
+
+    def spy(self, x, y):
+        calls.append(None)
+        return bregman(self, x, y)
+
+    monkeypatch.setattr(ProxFunction, "bregman", spy)
+    problem = PROBLEMS[family]()
+    x0 = np.zeros(problem.dimension)
+    if fixed:
+        udgm_fixed_step_run(problem, _order(problem), x0, 1e-1, T)
+        assert calls == []
+    else:
+        _, trace = udgm_run(problem, _order(problem), x0, 1.0, 1e-2, T)
+        trials = sum(i + 1 for i in trace.i_t)
+        assert trials > T + 1  # some rounds backtracked
+        assert len(calls) == trials
 
 
 @pytest.mark.parametrize("family", sorted(PROBLEMS))

@@ -204,6 +204,13 @@ def test_regularizer_strong_convexity_inequality():
         assert lhs >= rhs - 1e-9
 
 
+@pytest.mark.parametrize("weight", [-0.1, np.nan, np.inf])
+@pytest.mark.parametrize("field", ["l1_weight", "ridge_weight"])
+def test_regularizer_rejects_negative_and_non_finite_weights(field, weight):
+    with pytest.raises(ValueError, match=f"{field} must be nonnegative and finite"):
+        Regularizer(structure="elastic_net", **{field: weight})
+
+
 def test_regularizer_rejects_negative_tau():
     with pytest.raises(ValueError):
         Regularizer.l1(1.0).prox(np.zeros(2), -0.1)

@@ -37,6 +37,10 @@ def test_lasso_instance_validation():
         LassoInstance(A=np.zeros((3, 2)), b=np.zeros(2))
     with pytest.raises(ValueError, match="nonnegative"):
         LassoInstance(A=np.zeros((2, 2)), b=np.zeros(2), l1_weight=-0.1)
+    for field, weight in (("l1_weight", np.nan), ("l1_weight", np.inf),
+                          ("ridge_weight", np.nan), ("ridge_weight", np.inf)):
+        with pytest.raises(ValueError, match=f"{field} .* nonnegative and finite"):
+            LassoInstance(A=np.zeros((2, 2)), b=np.zeros(2), **{field: weight})
 
 
 def test_steiner_instance_validation():
@@ -70,6 +74,14 @@ def test_synth_lasso_validation():
         synth_lasso(p=3, n=5, sparsity=4, noise=0.0, seed=0)
     with pytest.raises(ValueError):
         synth_lasso(p=3, n=5, sparsity=1, noise=-0.1, seed=0)
+    for noise in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise must be nonnegative and finite"):
+            synth_lasso(p=3, n=5, sparsity=1, noise=noise, seed=0)
+    for field in ("l1_weight", "ridge_weight"):
+        with pytest.raises(ValueError, match=f"{field} .* nonnegative and finite"):
+            synth_lasso(p=3, n=5, sparsity=1, noise=0.1, seed=0, **{field: np.nan})
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        synth_lasso(p=3, n=5, sparsity=1, noise=0.1, seed=-1)
 
 
 def test_synth_steiner_shapes_and_determinism():
@@ -81,6 +93,8 @@ def test_synth_steiner_shapes_and_determinism():
     assert not np.array_equal(a.centers, c.centers)
     with pytest.raises(ValueError):
         synth_steiner(p=0, m=3, seed=0)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        synth_steiner(p=3, m=3, seed=-1)
 
 
 def test_problem_metadata():

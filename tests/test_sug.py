@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import surrogate_average, surrogate_lin, surrogate_value
-from unigrad.bregman import gamma, l1_optimality_residual
+from helpers import l1_optimality_residual, surrogate_average, surrogate_lin, surrogate_value
+from unigrad.bregman import gamma
 from unigrad.oracles import NonFiniteOracleValue, Regularizer
 from unigrad.problems import (
     LassoInstance,

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from unigrad.bregman import gamma
-from helpers import steiner_dual_average, zero_problem
+from helpers import (
+    check_dual_target_bound,
+    dual_model_value,
+    replay_dual_rounds,
+    steiner_dual_average,
+    zero_problem,
+)
 from unigrad.geometry import ProxFunction
+from unigrad.harness import sample_order
 from unigrad.oracles import Regularizer
 from unigrad.problems import (
     LassoInstance,
@@ -15,17 +22,12 @@ from unigrad.problems import (
     synth_steiner,
 )
 from unigrad.trace import parse_trace_csv, write_trace_csv
-from unigrad.udgm import (
-    DualModel,
-    check_dual_target_bound,
-    udgm_fixed_step_run,
-    udgm_run,
-)
+from unigrad.udgm import DualModel, udgm_fixed_step_run, udgm_run
 
 
 def _fresh_model(dim=2, x0=None):
     x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-    return DualModel(geometry=ProxFunction(dim), anchor=x0)
+    return DualModel(anchor=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +44,7 @@ def test_argmin_without_regularizer_is_anchor_minus_aggregate():
     model = _fresh_model(3)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        model.fold(float(rng.uniform(0.1, 1.0)), float(rng.normal()),
-                   rng.normal(size=3), rng.normal(size=3))
+        model.fold(float(rng.uniform(0.1, 1.0)), rng.normal(size=3))
     grad = rng.normal(size=3)
     coeff = 0.4
     got = model.argmin(Regularizer.zero(), coeff, grad)
@@ -52,8 +53,7 @@ def test_argmin_without_regularizer_is_anchor_minus_aggregate():
 
 
 def test_argmin_scalar_l1_case():
-    model = DualModel(geometry=ProxFunction(1), anchor=np.array([2.0]),
-                      s=np.array([1.0]), A=0.5)
+    model = DualModel(anchor=np.array([2.0]), s=np.array([1.0]), A=0.5)
     got = model.argmin(Regularizer.l1(1.0), 0.0, np.zeros(1))
     np.testing.assert_allclose(got, np.array([0.5]))
 
@@ -69,12 +69,14 @@ def test_model_value_reconstruction():
     model = _fresh_model(3, x0=rng.normal(size=3))
     h = Regularizer.l1(0.3)
     pieces = []
+    c = 0.0
     for _ in range(6):
         coeff = float(rng.uniform(0.05, 0.8))
         g_val = float(rng.normal())
         g_grad = rng.normal(size=3)
         x_t = rng.normal(size=3)
-        model.fold(coeff, g_val, g_grad, x_t)
+        model.fold(coeff, g_grad)
+        c += coeff * (g_val - float(g_grad @ x_t))
         pieces.append((coeff, g_val, g_grad, x_t))
     geom = ProxFunction(3)
     for _ in range(20):
@@ -82,7 +84,8 @@ def test_model_value_reconstruction():
         want = geom.bregman(model.anchor, y)
         for coeff, g_val, g_grad, x_t in pieces:
             want += coeff * (g_val + float(g_grad @ (y - x_t)) + h.value(y))
-        assert model.value(y, h) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        got = dual_model_value(model.anchor, model.s, model.A, c, h, y)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_model_strong_convexity_around_its_minimizer():
@@ -91,15 +94,23 @@ def test_model_strong_convexity_around_its_minimizer():
     rng = np.random.default_rng(2)
     h = Regularizer.l1(0.4)
     model = _fresh_model(4, x0=rng.normal(size=4))
+    c = 0.0
     for _ in range(8):
-        model.fold(float(rng.uniform(0.05, 0.6)), float(rng.normal()),
-                   rng.normal(size=4), rng.normal(size=4))
+        coeff = float(rng.uniform(0.05, 0.6))
+        g_val = float(rng.normal())
+        g_grad, x_t = rng.normal(size=4), rng.normal(size=4)
+        model.fold(coeff, g_grad)
+        c += coeff * (g_val - float(g_grad @ x_t))
     xbar = model.argmin(h, 0.0, np.zeros(4))
     geom = ProxFunction(4)
+
+    def phi(y):
+        return dual_model_value(model.anchor, model.s, model.A, c, h, y)
+
     for _ in range(200):
         y = rng.normal(size=4) * 3.0
-        lhs = model.value(y, h)
-        rhs = model.value(xbar, h) + geom.bregman(xbar, y)
+        lhs = phi(y)
+        rhs = phi(xbar) + geom.bregman(xbar, y)
         assert lhs >= rhs - 1e-9 * (1.0 + abs(rhs))
 
 
@@ -179,7 +190,8 @@ def test_run_is_deterministic():
     xb, tb = udgm_run(prob, order, np.zeros(3), 1.0, 1e-1, 100)
     np.testing.assert_array_equal(xa, xb)
     assert ta.L_next == tb.L_next
-    assert ta.phi_star == tb.phi_star
+    for a, b in zip(ta.x_next, tb.x_next, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_fixed_step_records_constant_modulus():
@@ -212,12 +224,40 @@ def test_fixed_step_iterates_match_aggregated_closed_form():
         np.testing.assert_allclose(trace.x_next[t], want, atol=1e-12, rtol=0)
 
 
+REPLAY_PROBLEMS = {
+    "l1-lasso": lambda: lasso_problem(synth_lasso(p=6, n=50, sparsity=3, noise=0.2,
+                                                   seed=17, l1_weight=0.1)),
+    "steiner": lambda: steiner_problem(synth_steiner(p=4, m=30, seed=18)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(REPLAY_PROBLEMS))
+@pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed-step"])
+def test_replay_reproduces_every_iterate_bit_for_bit(family, fixed):
+    """Folding each round's linearization at coeff = 1 / (2 L_next) and
+    minimizing the model from scratch, without DualModel, gives back every
+    x_next of the run."""
+    prob = REPLAY_PROBLEMS[family]()
+    T = 150
+    order = sample_order("random", prob.n_components, T, seed=19)
+    x0 = np.full(prob.dimension, 0.5)
+    if fixed:
+        _, trace = udgm_fixed_step_run(prob, order, x0, 1e-2, T)
+    else:
+        _, trace = udgm_run(prob, order, x0, 1.0, 1e-2, T)
+        assert sum(i + 1 for i in trace.i_t) > T + 1  # some rounds backtracked
+    replayed = [x_next for x_next, *_ in replay_dual_rounds(trace, prob)]
+    assert len(replayed) == T + 1
+    for t, (got, want) in enumerate(zip(replayed, trace.x_next)):
+        assert got.tobytes() == want.tobytes(), f"round {t}"
+
+
 def test_dual_target_prefix_bound_on_line_searched_run():
     prob = lasso_problem(synth_lasso(p=6, n=80, sparsity=3, noise=0.2, seed=13,
                                      l1_weight=0.1))
     order = np.random.default_rng(14).integers(0, 80, size=301)
     _, trace = udgm_run(prob, order, np.zeros(6), 1.0, 1e-2, 300)
-    ok, worst = check_dual_target_bound(trace)
+    ok, worst = check_dual_target_bound(trace, prob)
     assert ok, f"worst normalized prefix violation {worst}"
 
 
@@ -229,4 +269,4 @@ def test_dual_target_bound_needs_in_memory_trace(tmp_path):
     write_trace_csv(trace, path)
     parsed = parse_trace_csv(path)
     with pytest.raises(ValueError, match="in-memory"):
-        check_dual_target_bound(parsed)
+        check_dual_target_bound(parsed, prob)
