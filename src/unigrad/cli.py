@@ -4,7 +4,8 @@ Subcommands:
 
     run           execute one algorithm and write trace.csv/report.json/bounds.csv
     check-bounds  re-verify the theorem bounds recorded in a trace file
-    reference     solve a problem to high accuracy and print x*, f*
+    reference     solve a problem to high accuracy and print x*, f* and the
+                  certificate gap >= f(x*) - f*
 
 Validation failures exit with status 2 and a message naming the offending
 field; check-bounds exits 1 when a bound is violated.
@@ -156,6 +157,7 @@ def _cmd_reference(args) -> int:
             {
                 "x_star": [float(v) for v in ref.x],
                 "f_star": ref.f,
+                "gap": ref.gap,
                 "iterations": ref.iterations,
                 "residual": ref.residual,
             },

@@ -18,6 +18,9 @@ its own `extra` keys.  The trace's `extra` metadata carries what the bounds
 need beyond the columns:
 
     tol       residual tolerance of the reference solve (every run)
+    x_star    the reference minimizer, floats written to round-trip (every run)
+    reference_gap, reference_iterations, reference_residual
+              the reference's certificate, step count and last residual
     fixed_step, Mv, v
               fixed-step runs: the Holder modulus and degree used (solver)
     M         sug: the surrogate modulus (solver)
@@ -26,8 +29,13 @@ need beyond the columns:
 
 Reference minimizers always come from the one batch proximal-gradient
 solve, run to a fixed-point residual tolerance, so every reported gap
-shares one ground truth.  `--algorithm batch` solves nothing more: its
-trace is the reference solve's own steps, stopped at T.
+shares one ground truth.  The solve's point is certified by the problem's
+gap (an upper bound on f(x*) - f*), so f* lies in [f - gap, f].
+`--algorithm batch` solves nothing more: its trace is the reference solve's
+own steps, stopped at T.  check-bounds solves nothing either: it rebuilds
+the reference from the stored x_star, re-certifying it on the rebuilt data,
+and solves again only for traces without x_star or when the certificate
+comes out non-finite or larger than the stored one (the data changed).
 """
 
 import json
@@ -61,20 +69,23 @@ REFERENCE_TOL = 1e-10
 
 
 class ReferenceSolverError(RuntimeError):
-    """Reference solve did not reach the residual tolerance."""
+    """Reference solve did not reach the residual tolerance, or the smooth
+    average turned NaN or infinite."""
 
 
 @dataclass(frozen=True)
 class ReferenceSolution:
     """The minimizer x and objective f the solve reached after `iterations`
-    steps, with its last fixed-point residual.  steps holds one record
-    (doublings, M, f(x_k), f(x_{k+1}), elapsed_s) per step, which
-    `--algorithm batch` writes out as its trace rows."""
+    steps, with its last fixed-point residual and the certificate gap >=
+    f - f*.  steps holds one record (doublings, M, f(x_k), f(x_{k+1}),
+    elapsed_s) per step, which `--algorithm batch` writes out as its trace
+    rows; a reference rebuilt from a trace has none."""
 
     x: np.ndarray
     f: float
     iterations: int
     residual: float
+    gap: float
     steps: list
 
 
@@ -89,15 +100,17 @@ def reference_solution(
     drops to tol.  Each step doubles its modulus from the previous step's
     (1 before the first) until the descent test holds; the accepted trial's
     smooth value serves the next iterate, so each trial costs one prox and
-    one mean_smooth_value call, and recording a step one h value.
-    Raises ReferenceSolverError if the cap is hit first.
+    one mean_smooth_value call, and recording a step one h value.  The
+    point it stops at is certified once, by problem.gap.
+    Raises ReferenceSolverError if the cap is hit first, or at once when
+    the smooth average is NaN or infinite.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     regularizer = problem.regularizer
     start = time.perf_counter()
     x = np.zeros(problem.dimension)
-    value = problem.mean_smooth_value(x)
+    value = _finite_smooth_value(problem, x, 0)
     f_x = value + regularizer.value(x)
     M = 1.0
     steps = []
@@ -108,7 +121,7 @@ def reference_solution(
             x_next = regularizer.prox(x - grad / M, 1.0 / M)
             diff = x_next - x
             quad = value + float(grad @ diff) + 0.5 * M * float(diff @ diff)
-            value_next = problem.mean_smooth_value(x_next)
+            value_next = _finite_smooth_value(problem, x_next, it)
             if value_next <= quad + 1e-15 * (1.0 + abs(quad)):
                 break
             M *= 2.0
@@ -122,13 +135,24 @@ def reference_solution(
         residual = float(np.linalg.norm(diff))
         if residual <= tol:
             return ReferenceSolution(
-                x=x_next, f=f_next, iterations=it, residual=residual, steps=steps
+                x=x_next, f=f_next, iterations=it, residual=residual,
+                gap=problem.gap(x_next), steps=steps,
             )
         x, value, f_x = x_next, value_next, f_next
     raise ReferenceSolverError(
         f"no convergence to residual {tol:.1e} within {max_iters} iterations "
         f"(last residual {residual:.3e})"
     )
+
+
+def _finite_smooth_value(problem: CompositeProblem, x: np.ndarray, it: int) -> float:
+    value = problem.mean_smooth_value(x)
+    if not math.isfinite(value):
+        kind = "NaN" if math.isnan(value) else "infinite"
+        raise ReferenceSolverError(
+            f"smooth average is {kind} ({value}) at reference iteration {it}"
+        )
+    return value
 
 
 def sample_order(kind: str, n: int, T: int, seed: int | None) -> np.ndarray:
@@ -365,8 +389,14 @@ def run_experiment(cfg: RunConfig) -> dict:
     x0 = np.zeros(problem.dimension)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    extra = {"tol": cfg.tol}
     reference = reference_solution(problem, tol=cfg.tol)
+    extra = {
+        "tol": cfg.tol,
+        "x_star": reference.x.tolist(),
+        "reference_gap": reference.gap,
+        "reference_iterations": reference.iterations,
+        "reference_residual": reference.residual,
+    }
 
     if cfg.algorithm in ("oupgm", "oudgm"):
         order = sample_order(cfg.order, problem.n_components, cfg.T, cfg.seed)
@@ -419,7 +449,10 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
     Reads only the trace, its metadata and the reference, so a live run and
     check-bounds on its saved trace build the same report.  The report ends
     in the verdict: `checked` names the bound judged and `ok` is False only
-    when it fails.  curve holds the bounds.csv rows (k, gap, bound or None).
+    when it fails.  curve holds the bounds.csv rows (k, gap, bound or None),
+    gaps measured from the reference's f; the sug verdict measures them from
+    the certified lower bound f - gap on f*, so a reference that stopped
+    short of f* cannot pass a run.
     """
     f_star = reference.f
     extra = trace.extra_meta
@@ -476,19 +509,21 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "f_star": f_star,
             "iterations": trace.n_rows,
         }
-        gaps = list(gaps)
+        values = list(trace.f_full)
         if "f_final" in extra:  # older traces judge the rows only
+            values.append(extra["f_final"])
             report["final_gap"] = extra["f_final"] - f_star
-            gaps.append(report["final_gap"])
         rho = sug_rho(M, mu_h, n) if mu_h > 0 else None
         active = rho is not None and rho < 1.0
         curve = [
-            (k, gaps[k], sug_bound(k, M, mu_h, n, trace.eps, dist0_sq) if active else None)
-            for k in range(1, len(gaps))
+            (k, values[k] - f_star,
+             sug_bound(k, M, mu_h, n, trace.eps, dist0_sq) if active else None)
+            for k in range(1, len(values))
         ]
+        f_low = f_star - reference.gap
         ok = not active or all(
-            gap <= bound + SLACK_SCALE * (1.0 + abs(bound))
-            for _, gap, bound in curve
+            values[k] - f_low <= bound + SLACK_SCALE * (1.0 + abs(bound))
+            for k, _, bound in curve
         )
         report.update(
             rho=rho,
@@ -512,6 +547,12 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
         }
         ok = True
         curve = [(k, gaps[k], None) for k in range(trace.n_rows)]
+    report["reference"] = {
+        "f": reference.f,
+        "gap": reference.gap,
+        "iterations": reference.iterations,
+        "residual": reference.residual,
+    }
     report["ok"] = bool(ok)
     return report, curve
 
@@ -536,14 +577,30 @@ def _write_bound_curve(path, rows) -> None:
 def check_bounds(trace_path) -> tuple[dict, bool]:
     """Rebuild the problem from trace metadata and verify the trace.
 
-    The reference is solved at the tol the run recorded (REFERENCE_TOL for
-    traces without one), so both judge against the same f*.  Returns the
-    report verify builds, as in the run's report.json, and its verdict `ok`.
+    The reference is the run's: x* as the trace stores it, with f = f(x*)
+    and the certificate recomputed on the rebuilt problem, so both judge
+    against the same f*.  A trace without x_star (written before runs
+    stored it), or whose x* the rebuilt problem certifies worse than the
+    run did, is judged against a new solve at the tol the run recorded
+    (REFERENCE_TOL for traces without one).  Returns the report verify
+    builds, as in the run's report.json, and its verdict `ok`.
     """
     trace = parse_trace_csv(trace_path)
     if not trace.problem_meta:
         raise ValueError(f"{trace_path}: trace has no problem descriptor metadata")
     problem = problem_from_descriptor(trace.problem_meta)
-    tol = float(trace.extra_meta.get("tol", REFERENCE_TOL))
-    report, _ = verify(trace, problem, reference_solution(problem, tol=tol))
+    extra = trace.extra_meta
+    reference = None
+    if "x_star" in extra:
+        x = np.asarray(extra["x_star"], dtype=float)
+        gap = problem.gap(x)
+        if math.isfinite(gap) and gap <= extra["reference_gap"]:
+            reference = ReferenceSolution(
+                x=x, f=problem.value(x), iterations=extra["reference_iterations"],
+                residual=extra["reference_residual"], gap=gap, steps=[],
+            )
+    if reference is None:
+        tol = float(extra.get("tol", REFERENCE_TOL))
+        reference = reference_solution(problem, tol=tol)
+    report, _ = verify(trace, problem, reference)
     return report, report["ok"]

@@ -175,7 +175,9 @@ class CompositeProblem:
     vectorized form, and mean_values_fn the smooth average at every row of
     a (k, p) array at once.  mean_values_fn allocates no temporary larger
     than that array, one value per component, or BLOCK_BYTES; a problem may
-    cache data-sized state for it, as lasso does A'A and |A'A|.
+    cache data-sized state for it, as lasso does A'A and |A'A|.  gap_fn is
+    the family's optimality certificate: an upper bound on f(x) - f* that
+    needs no knowledge of f*.
     """
 
     components: ComponentOracle
@@ -184,6 +186,7 @@ class CompositeProblem:
     mean_value_fn: Callable[[np.ndarray], float]
     mean_grad_fn: Callable[[np.ndarray], np.ndarray]
     mean_values_fn: Callable[[np.ndarray], np.ndarray]
+    gap_fn: Callable[[np.ndarray], float]
     geometry: ProxFunction = field(init=False)
 
     def __post_init__(self):
@@ -220,6 +223,12 @@ class CompositeProblem:
             )
         smooth = np.asarray(self.mean_values_fn(X), dtype=float)
         return smooth + self.regularizer.values(X)
+
+    def gap(self, x: np.ndarray) -> float:
+        """Certified upper bound on f(x) - f*.  A negative value of gap_fn
+        is rounding and reads 0; NaN stays NaN."""
+        gap = float(self.gap_fn(self._check_point(x)))
+        return 0.0 if gap < 0.0 else gap
 
     def holder_constants(self) -> tuple[float, float]:
         """The stream's Holder certificate (v, M_v)."""

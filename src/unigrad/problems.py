@@ -6,6 +6,9 @@ gradients: the stream's certificate is degree 1 and modulus
 max_t 2 ||a_t||^2.  The composite part is l1 or elastic net.  Steiner
 components are distances to centers, g_i(x) = ||x - c_i||, with bounded
 subgradients (degree 0, modulus 2) and no composite part.
+
+Each family also certifies a point: lasso and elastic net by a duality gap,
+Steiner by its least-norm subgradient (CompositeProblem.gap_fn).
 """
 
 import math
@@ -19,6 +22,7 @@ from .oracles import (
     Regularizer,
     block_len,
     check_nonnegative,
+    soft_threshold,
 )
 
 
@@ -190,13 +194,40 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
             total[redo] = _residual_sums(A, b, X[redo])
         return total / n
 
+    regularizer = _lasso_regularizer(inst.l1_weight, inst.ridge_weight)
+    mu, ridge = inst.l1_weight, inst.ridge_weight
+
+    def gap(x):
+        # Duality gap P(x) - D(u) of Fercoq, Gramfort & Salmon, "Mind the
+        # duality gap" (ICML 2015), at the dual point u = theta (2/n)(Ax - b),
+        # where D(u) = -(u'b + (n/4)||u||^2) - h*(-A'u).  With r = Ax - b and
+        # g = (2/n) A'r, the gradient of the smooth average, it equals
+        #     (1 - theta)^2 r'r / n + theta x'g + h(x) + h*(-theta g),
+        # the form summed here: no two of its terms sit near f* and cancel.
+        # Elastic net: h*(w) = ||soft(w, mu)||^2 / (2 ridge) and theta = 1.
+        # l1, and h = 0 as l1 with mu = 0: h* is 0 on the max-norm ball of
+        # radius mu and infinite off it, so theta = min(1, mu / ||g||_inf).
+        r = A @ x - b
+        g = (2.0 / n) * (A.T @ r)
+        theta, conj = 1.0, 0.0
+        if ridge > 0:
+            w = soft_threshold(-g, mu)
+            conj = float(w @ w) / (2.0 * ridge)
+        else:
+            g_max = float(np.abs(g).max())
+            if g_max > mu:
+                theta = mu / g_max
+        return ((1.0 - theta) ** 2 * float(r @ r) / n + theta * float(x @ g)
+                + regularizer.value(x) + conj)
+
     return CompositeProblem(
         components=components,
-        regularizer=_lasso_regularizer(inst.l1_weight, inst.ridge_weight),
+        regularizer=regularizer,
         dimension=inst.p,
         mean_value_fn=mean_value,
         mean_grad_fn=mean_grad,
         mean_values_fn=mean_values,
+        gap_fn=gap,
     )
 
 
@@ -243,6 +274,20 @@ def steiner_problem(inst: SteinerInstance) -> CompositeProblem:
             total += np.sqrt(np.einsum("kip,kip->ki", diffs, diffs)).sum(axis=1)
         return total / m
 
+    def gap(x):
+        # f(x) - f* <= ||s|| ||x - x*|| for every subgradient s at x, and x*
+        # lies in the hull of the centers, so ||x - x*|| <= max_i ||x - c_i||.
+        # The subdifferential is g + (k/m) B, with g the sum over the
+        # non-coincident centers of the unit vectors (x - c_i)/||x - c_i||,
+        # divided by m, and B the unit ball (each of the k coincident
+        # centers adds B/m); its least norm is max(||g|| - k/m, 0).
+        diffs = x - centers
+        norms = np.linalg.norm(diffs, axis=1)
+        at = norms == 0.0
+        g = (diffs[~at] / norms[~at, None]).sum(axis=0) / m
+        least = max(float(np.linalg.norm(g)) - int(at.sum()) / m, 0.0)
+        return least * float(norms.max())
+
     return CompositeProblem(
         components=components,
         regularizer=Regularizer.zero(),
@@ -250,6 +295,7 @@ def steiner_problem(inst: SteinerInstance) -> CompositeProblem:
         mean_value_fn=mean_value,
         mean_grad_fn=mean_grad,
         mean_values_fn=mean_values,
+        gap_fn=gap,
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import save_samples
 from unigrad.cli import build_parser, main
+from unigrad.harness import problem_from_descriptor
 from unigrad.problems import synth_lasso
 
 
@@ -109,9 +110,20 @@ def test_reference_subcommand_prints_solution(capsys):
     ])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"x_star", "f_star", "iterations", "residual"}
+    assert set(out) == {"x_star", "f_star", "iterations", "residual", "gap"}
     assert out["f_star"] <= 1e-10
     assert len(out["x_star"]) == 3
+
+
+def test_reference_prints_the_certificate_of_its_point(capsys):
+    assert main(["reference", "synth-lasso", "--p", "20", "--n", "100", "--mu", "0.1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0.0 <= out["gap"] <= 1e-8
+    problem = problem_from_descriptor({"kind": "synth-lasso", "p": 20, "n": 100,
+                                       "sparsity": 5, "noise": 0.1, "seed": 0, "mu": 0.1})
+    x = np.array(out["x_star"])
+    assert problem.gap(x) == out["gap"]
+    assert problem.value(x) == out["f_star"]
 
 
 def test_reference_with_csv_data(tmp_path, capsys):

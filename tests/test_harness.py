@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unigrad import harness
 from unigrad.harness import (
+    ReferenceSolution,
     ReferenceSolverError,
     RunConfig,
     check_bounds,
@@ -16,6 +18,7 @@ from unigrad.harness import (
     resolve_eps,
     run_experiment,
     sample_order,
+    verify,
 )
 from helpers import save_samples
 from unigrad.oracles import CompositeProblem, Regularizer
@@ -67,6 +70,26 @@ def test_reference_records_one_step_per_iteration():
     assert f_x[1:] == f_next[:-1]
     assert f_next[-1] == ref.f
     assert list(elapsed) == sorted(elapsed)
+
+
+@pytest.mark.parametrize("bad, kind", [(np.nan, "NaN"), (np.inf, "infinite")])
+def test_reference_fails_fast_on_a_non_finite_smooth_value(bad, kind):
+    # the fourth evaluation of the smooth average, a backtracking trial of
+    # the first step, spoils: the solve must stop there, not keep doubling
+    # the modulus against it until the cap
+    problem = lasso_problem(synth_lasso(p=5, n=40, sparsity=2, noise=0.1, seed=1,
+                                        l1_weight=0.1))
+    calls = []
+    mean_value = problem.mean_value_fn
+
+    def spoiled(x):
+        calls.append(None)
+        return mean_value(x) if len(calls) <= 3 else bad
+
+    problem.mean_value_fn = spoiled
+    with pytest.raises(ReferenceSolverError, match=f"{kind} .* at reference iteration 1"):
+        reference_solution(problem)
+    assert len(calls) == 4
 
 
 def test_batch_solver_evaluates_the_smooth_average_once_per_trial(tmp_path, monkeypatch):
@@ -425,15 +448,19 @@ def test_batch_trace_is_the_reference_steps(tmp_path, T):
     assert trace.f_gt_xnext == trace.f_gt_yt == [f for _, _, _, f, _ in steps]
 
 
+REFERENCE_KEYS = {"tol", "x_star", "reference_gap", "reference_iterations",
+                  "reference_residual"}
+
+
 @pytest.mark.parametrize(
     "algorithm, fixed_step, extra",
     [
-        ("oupgm", False, {"tol"}),
-        ("oudgm", False, {"tol"}),
-        ("oupgm", True, {"tol", "fixed_step", "Mv", "v"}),
-        ("oudgm", True, {"tol", "fixed_step", "Mv", "v"}),
-        ("sug", False, {"tol", "M", "dist0_sq", "f_final"}),
-        ("batch", False, {"tol"}),
+        ("oupgm", False, REFERENCE_KEYS),
+        ("oudgm", False, REFERENCE_KEYS),
+        ("oupgm", True, REFERENCE_KEYS | {"fixed_step", "Mv", "v"}),
+        ("oudgm", True, REFERENCE_KEYS | {"fixed_step", "Mv", "v"}),
+        ("sug", False, REFERENCE_KEYS | {"M", "dist0_sq", "f_final"}),
+        ("batch", False, REFERENCE_KEYS),
     ],
     ids=["oupgm", "oudgm", "oupgm-fixed", "oudgm-fixed", "sug", "batch"],
 )
@@ -460,3 +487,112 @@ def test_check_bounds_needs_problem_metadata(tmp_path):
     write_trace_csv(trace, path)
     with pytest.raises(ValueError, match="descriptor"):
         check_bounds(path)
+
+
+# ---------------------------------------------------------------------------
+# the stored reference: check-bounds re-certifies it instead of solving again
+
+STORED_REFERENCE_KEYS = ("x_star", "reference_gap", "reference_iterations",
+                         "reference_residual")
+STEINER_DESC = {"kind": "steiner", "p": 3, "m": 8, "seed": 2}
+
+CHECKED_RUNS = pytest.mark.parametrize(
+    "algorithm, fixed_step, desc",
+    [
+        ("oupgm", False, SYNTH_DESC),
+        ("oudgm", False, SYNTH_DESC),
+        ("oupgm", True, SYNTH_DESC),
+        ("oudgm", True, SYNTH_DESC),
+        ("oudgm", False, STEINER_DESC),
+        ("sug", False, dict(SYNTH_DESC, ridge=20.0)),
+        ("batch", False, SYNTH_DESC),
+    ],
+    ids=["oupgm", "oudgm", "oupgm-fixed", "oudgm-fixed", "oudgm-steiner", "sug", "batch"],
+)
+
+
+def _count_solves(monkeypatch) -> list:
+    """Count the reference solves check_bounds makes from now on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return reference_solution(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "reference_solution", counted)
+    return calls
+
+
+def _checked_run(tmp_path, algorithm, fixed_step, desc):
+    return run_experiment(_cfg(algorithm=algorithm, fixed_step=fixed_step, problem=desc,
+                               M=1.0, T=40, seed=5, out=str(tmp_path / "run")))
+
+
+@CHECKED_RUNS
+def test_check_bounds_re_certifies_the_stored_reference(tmp_path, monkeypatch, algorithm,
+                                                        fixed_step, desc):
+    paths = _checked_run(tmp_path, algorithm, fixed_step, desc)
+    calls = _count_solves(monkeypatch)
+    rep = _recheck(paths)
+    assert calls == []
+    extra = parse_trace_csv(paths["trace"]).extra_meta
+    assert rep["reference"] == {
+        "f": rep["f_star"],
+        "gap": extra["reference_gap"],
+        "iterations": extra["reference_iterations"],
+        "residual": extra["reference_residual"],
+    }
+
+
+@CHECKED_RUNS
+def test_trace_without_a_stored_reference_is_checked_by_one_solve(tmp_path, monkeypatch,
+                                                                  algorithm, fixed_step, desc):
+    # traces written before runs stored their reference
+    paths = _checked_run(tmp_path, algorithm, fixed_step, desc)
+    trace = parse_trace_csv(paths["trace"])
+    for key in STORED_REFERENCE_KEYS:
+        del trace.extra_meta[key]
+    write_trace_csv(trace, paths["trace"])
+    calls = _count_solves(monkeypatch)
+    _recheck(paths)
+    assert len(calls) == 1
+
+
+def test_check_bounds_solves_again_when_the_csv_changed(tmp_path, monkeypatch):
+    inst = synth_lasso(p=3, n=40, sparsity=1, noise=0.1, seed=6)
+    path = tmp_path / "d.csv"
+    save_samples(inst, path)
+    desc = {"kind": "lasso-csv", "path": str(path), "mu": 0.1, "ridge": 0.0}
+    paths = run_experiment(_cfg(problem=desc, T=30, out=str(tmp_path / "run")))
+    lines = path.read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[0] = repr(float(fields[0]) + 5.0)  # the last sample's observation
+    lines[-1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    fresh = reference_solution(problem_from_descriptor(desc), tol=1e-10)
+    calls = _count_solves(monkeypatch)
+    rep, _ = check_bounds(paths["trace"])
+    assert len(calls) == 1
+    assert rep["f_star"] == fresh.f
+    assert rep["reference"]["gap"] == fresh.gap
+
+
+def test_sug_verdict_measures_gaps_from_the_certified_lower_bound(tmp_path):
+    desc = dict(SYNTH_DESC, ridge=20.0)
+    paths = run_experiment(_cfg(algorithm="sug", problem=desc, out=str(tmp_path / "run"),
+                                eps=1e-2, T=100, M=1.0, seed=4))
+    trace = parse_trace_csv(paths["trace"])
+    problem = problem_from_descriptor(desc)
+    true = reference_solution(problem, tol=1e-10)
+    # an uncertified reference: x* pushed off the optimum, so f_ref > f*
+    x = true.x + 0.1
+    planted = ReferenceSolution(x=x, f=problem.value(x), iterations=1, residual=0.0,
+                                gap=problem.gap(x), steps=[])
+    assert planted.f > true.f + 10.0 * trace.eps
+    report, curve = verify(trace, problem, planted)
+    # measured from f_ref alone, every gap would sit under its bound ...
+    assert all(gap <= bound for _, gap, bound in curve)
+    # ... but measured from the certified lower bound f_ref - gap <= f*,
+    # the run is judged against a value at or below f*, and fails
+    assert report["bound_satisfied"] is False and report["ok"] is False
+    assert json.loads(Path(paths["report"]).read_text())["ok"] is True

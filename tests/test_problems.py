@@ -303,3 +303,83 @@ def test_noise_free_unregularized_recovery():
     ref = reference_solution(lasso_problem(inst), tol=1e-12)
     assert np.max(np.abs(ref.x - inst.x_true)) <= 1e-6
     assert ref.f <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# optimality certificates
+
+
+def _lasso(l1_weight, ridge_weight):
+    return synth_lasso(p=20, n=200, sparsity=5, noise=0.1, seed=3,
+                       l1_weight=l1_weight, ridge_weight=ridge_weight)
+
+
+CERTIFIED = {
+    "l1-lasso": lambda: lasso_problem(_lasso(0.1, 0.0)),
+    "elastic-net": lambda: lasso_problem(_lasso(0.1, 1.0)),
+    "least-squares": lambda: lasso_problem(_lasso(0.0, 0.0)),
+    "steiner": lambda: steiner_problem(synth_steiner(p=5, m=50, seed=1)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CERTIFIED))
+def test_certificate_bounds_the_gap_to_a_polished_optimum(family):
+    from unigrad.harness import reference_solution
+
+    problem = CERTIFIED[family]()
+    ref = reference_solution(problem, tol=1e-10)
+    f_star = reference_solution(problem, tol=1e-13).f
+    assert ref.gap == problem.gap(ref.x) >= 0.0
+    # f - f* at the reference is rounding-sized: allow the rounding of the
+    # two objective sums
+    rounding = 4.0 * np.finfo(float).eps * (1.0 + abs(f_star))
+    assert ref.f - f_star <= ref.gap + rounding
+    if family == "least-squares":
+        assert ref.gap == ref.f  # no regularizer: the dual point is 0
+    else:
+        assert ref.gap <= 1e-8
+    # and off the optimum, where f - f* is far above rounding
+    rng = np.random.default_rng(0)
+    for scale in (1e-4, 1e-2, 1.0):
+        x = ref.x + scale * rng.normal(size=problem.dimension)
+        assert problem.value(x) - f_star <= problem.gap(x)
+
+
+@pytest.mark.parametrize("l1_weight, ridge_weight", [(0.1, 0.0), (0.1, 1.0), (0.0, 2.0),
+                                                     (0.0, 0.0), (5.0, 0.0)])
+def test_lasso_certificate_is_the_duality_gap(l1_weight, ridge_weight):
+    # P(x) - D(u) written out, at u = theta (2/n)(Ax - b)
+    inst = _lasso(l1_weight, ridge_weight)
+    A, b, n = inst.A, inst.b, inst.n
+    x = np.random.default_rng(1).normal(size=inst.p)
+    r = A @ x - b
+    primal = (r @ r) / n + l1_weight * np.abs(x).sum() + 0.5 * ridge_weight * (x @ x)
+    u = (2.0 / n) * r
+    if ridge_weight > 0:
+        w = soft_threshold(-(A.T @ u), l1_weight)
+        conjugate = (w @ w) / (2.0 * ridge_weight)
+    else:
+        u *= min(1.0, l1_weight / np.abs(A.T @ u).max())
+        conjugate = 0.0
+    dual = -(u @ b + 0.25 * n * (u @ u)) - conjugate
+    assert lasso_problem(inst).gap(x) == pytest.approx(primal - dual, rel=1e-12)
+
+
+def test_steiner_certificate_at_a_center():
+    from unigrad.harness import reference_solution
+
+    # five of eight centers coincide at the origin, which is then the
+    # minimizer: its unit-ball share 5/8 covers the other three unit vectors
+    centers = np.array([[0.0, 0.0]] * 5 + [[1.0, 0.0], [0.0, 2.0], [-3.0, -1.0]])
+    problem = steiner_problem(SteinerInstance(centers=centers))
+    assert problem.gap(centers[0]) == 0.0
+    # at a center that is not the minimizer, one unit ball of the eight
+    # does not cover g, and the bound holds against a polished f*
+    f_star = reference_solution(problem, tol=1e-13).f
+    assert f_star == pytest.approx(problem.value(centers[0]), abs=1e-12)
+    for c in centers[5:]:
+        assert 0.0 < problem.value(c) - f_star <= problem.gap(c)
+    problem = CERTIFIED["steiner"]()
+    f_star = reference_solution(problem, tol=1e-13).f
+    for c in synth_steiner(p=5, m=50, seed=1).centers[:5]:
+        assert 0.0 < problem.value(c) - f_star <= problem.gap(c)
