@@ -23,6 +23,7 @@ need beyond the columns:
               the reference's certificate, step count and last residual
     fixed_step, Mv, v
               fixed-step runs: the Holder modulus and degree used (solver)
+    data_sha256  lasso-csv: the data file's sha256 at run time
     M         sug: the surrogate modulus (solver)
     dist0_sq  sug: the ||x0 - x*||^2 the run used (--dist0 or the reference's)
     f_final   sug: the objective at the final iterate
@@ -35,9 +36,11 @@ gap (an upper bound on f(x*) - f*), so f* lies in [f - gap, f].
 own steps, stopped at T.  check-bounds solves nothing either: it rebuilds
 the reference from the stored x_star, re-certifying it on the rebuilt data,
 and solves again only for traces without x_star or when the certificate
-comes out non-finite or larger than the stored one (the data changed).
+comes out non-finite or larger than the stored one; it refuses a lasso-csv
+file whose sha256 is not the run's.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -397,6 +400,8 @@ def run_experiment(cfg: RunConfig) -> dict:
         "reference_iterations": reference.iterations,
         "reference_residual": reference.residual,
     }
+    if cfg.problem["kind"] == "lasso-csv":
+        extra["data_sha256"] = _sha256(cfg.problem["path"])
 
     if cfg.algorithm in ("oupgm", "oudgm"):
         order = sample_order(cfg.order, problem.n_components, cfg.T, cfg.seed)
@@ -541,8 +546,6 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "iterations": trace.n_rows,
             "f_star": f_star,
             "final_gap": trace.f_gt_xnext[-1] - f_star,
-            "reference_iterations": reference.iterations,
-            "reference_residual": reference.residual,
             "checked": "none",
         }
         ok = True
@@ -555,6 +558,10 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
     }
     report["ok"] = bool(ok)
     return report, curve
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _write_bound_curve(path, rows) -> None:
@@ -582,14 +589,19 @@ def check_bounds(trace_path) -> tuple[dict, bool]:
     against the same f*.  A trace without x_star (written before runs
     stored it), or whose x* the rebuilt problem certifies worse than the
     run did, is judged against a new solve at the tol the run recorded
-    (REFERENCE_TOL for traces without one).  Returns the report verify
+    (REFERENCE_TOL for traces without one).  A lasso-csv file whose sha256
+    is not the run's raises ValueError naming it.  Returns the report verify
     builds, as in the run's report.json, and its verdict `ok`.
     """
     trace = parse_trace_csv(trace_path)
     if not trace.problem_meta:
         raise ValueError(f"{trace_path}: trace has no problem descriptor metadata")
-    problem = problem_from_descriptor(trace.problem_meta)
     extra = trace.extra_meta
+    if "data_sha256" in extra:
+        path = trace.problem_meta["path"]
+        if _sha256(path) != extra["data_sha256"]:
+            raise ValueError(f"{path}: data file changed since the run wrote {trace_path}")
+    problem = problem_from_descriptor(trace.problem_meta)
     reference = None
     if "x_star" in extra:
         x = np.asarray(extra["x_star"], dtype=float)

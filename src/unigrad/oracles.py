@@ -7,8 +7,8 @@ and modulus M_v such that every component satisfies
 
     ||grad g_i(x) - grad g_i(y)||_* <= M_v ||x - y||^v.
 
-The composite regularizer h is simple: its proximal operator has a closed
-form for the supported structures (zero, l1, elastic net).
+The composite regularizer h is simple: l1 plus ridge, whose proximal
+operator has a closed form.
 """
 
 import math
@@ -98,57 +98,33 @@ def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Simple convex regularizer h with closed-form prox.
+    """h(x) = l1_weight * ||x||_1 + 0.5 * ridge_weight * ||x||^2, strongly
+    convex with modulus ridge_weight and with a closed-form prox; a zero
+    weight drops its term, so both at zero is h = 0."""
 
-    structure is one of "zero", "l1", "elastic_net".  For elastic_net,
-    h(x) = l1_weight * ||x||_1 + 0.5 * ridge_weight * ||x||^2 and the
-    strong-convexity modulus equals ridge_weight.
-    """
-
-    structure: str
     l1_weight: float = 0.0
     ridge_weight: float = 0.0
-    strong_convexity: float = field(init=False)
-
-    _STRUCTURES = ("zero", "l1", "elastic_net")
 
     def __post_init__(self):
-        if self.structure not in self._STRUCTURES:
-            raise ValueError(f"unknown regularizer structure: {self.structure!r}")
         check_nonnegative("l1_weight", self.l1_weight)
         check_nonnegative("ridge_weight", self.ridge_weight)
-        mu = self.ridge_weight if self.structure == "elastic_net" else 0.0
-        object.__setattr__(self, "strong_convexity", mu)
 
-    @staticmethod
-    def zero() -> "Regularizer":
-        return Regularizer(structure="zero")
-
-    @staticmethod
-    def l1(weight: float) -> "Regularizer":
-        return Regularizer(structure="l1", l1_weight=weight)
-
-    @staticmethod
-    def elastic_net(l1_weight: float, ridge_weight: float) -> "Regularizer":
-        return Regularizer(
-            structure="elastic_net", l1_weight=l1_weight, ridge_weight=ridge_weight
-        )
+    @property
+    def strong_convexity(self) -> float:
+        return self.ridge_weight
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        if self.structure == "zero":
-            return 0.0
-        if self.structure == "l1":
-            return self.l1_weight * float(np.abs(x).sum())
-        return self.l1_weight * float(np.abs(x).sum()) + 0.5 * self.ridge_weight * float(x @ x)
+        out = self.l1_weight * float(np.abs(x).sum()) if self.l1_weight else 0.0
+        if self.ridge_weight > 0:
+            out += 0.5 * self.ridge_weight * float(x @ x)
+        return out
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """h at each row of the (k, p) array X."""
         X = np.asarray(X, dtype=float)
-        if self.structure == "zero":
-            return np.zeros(X.shape[0])
-        out = self.l1_weight * np.abs(X).sum(axis=1)
-        if self.structure == "elastic_net":
+        out = self.l1_weight * np.abs(X).sum(axis=1) if self.l1_weight else np.zeros(len(X))
+        if self.ridge_weight > 0:
             out += 0.5 * self.ridge_weight * np.einsum("ij,ij->i", X, X)
         return out
 
@@ -157,12 +133,11 @@ class Regularizer:
         if tau < 0:
             raise ValueError(f"prox weight must be nonnegative, got {tau}")
         z = np.asarray(z, dtype=float)
-        if self.structure == "zero":
-            return z.copy()
-        shrunk = soft_threshold(z, tau * self.l1_weight)
-        if self.structure == "l1":
-            return shrunk
-        return shrunk / (1.0 + tau * self.ridge_weight)
+        # with no l1 term a copy is the threshold at 0 up to the sign of zero, and cheaper
+        y = soft_threshold(z, tau * self.l1_weight) if self.l1_weight else z.copy()
+        if self.ridge_weight > 0:
+            y /= 1.0 + tau * self.ridge_weight
+        return y
 
 
 @dataclass

@@ -86,14 +86,6 @@ class SteinerInstance:
         return self.centers.shape[1]
 
 
-def _lasso_regularizer(l1_weight: float, ridge_weight: float) -> Regularizer:
-    if ridge_weight > 0:
-        return Regularizer.elastic_net(l1_weight, ridge_weight)
-    if l1_weight > 0:
-        return Regularizer.l1(l1_weight)
-    return Regularizer.zero()
-
-
 def _lipschitz_modulus(A: np.ndarray) -> float:
     """max_t 2 ||a_t||^2, bit for bit the value 2.0 * float(a @ a) of the
     largest row.
@@ -194,8 +186,8 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
             total[redo] = _residual_sums(A, b, X[redo])
         return total / n
 
-    regularizer = _lasso_regularizer(inst.l1_weight, inst.ridge_weight)
     mu, ridge = inst.l1_weight, inst.ridge_weight
+    regularizer = Regularizer(mu, ridge)
 
     def gap(x):
         # Duality gap P(x) - D(u) of Fercoq, Gramfort & Salmon, "Mind the
@@ -290,7 +282,7 @@ def steiner_problem(inst: SteinerInstance) -> CompositeProblem:
 
     return CompositeProblem(
         components=components,
-        regularizer=Regularizer.zero(),
+        regularizer=Regularizer(),
         dimension=inst.p,
         mean_value_fn=mean_value,
         mean_grad_fn=mean_grad,

@@ -51,8 +51,9 @@ class SugConfig:
 
 @dataclass
 class SurrogateTable:
-    """Per-component surrogate state at the one modulus M, plus the one
-    aggregate the subproblem reads.
+    """Per-component anchors and gradients at the one modulus M, plus the one
+    aggregate the subproblem reads.  The constants g_i(anchors[i]) are not
+    kept: no minimizer reads them.
 
     Invariant (maintained by sug_update):
         lin = sum_i (grads[i] - M * anchors[i])
@@ -61,14 +62,10 @@ class SurrogateTable:
     problem: CompositeProblem
     anchors: np.ndarray
     grads: np.ndarray
-    values: np.ndarray
     M: float
     lin: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.anchors = np.asarray(self.anchors, dtype=float).copy()
-        self.grads = np.asarray(self.grads, dtype=float).copy()
-        self.values = np.asarray(self.values, dtype=float).copy()
         self.lin = (self.grads - self.M * self.anchors).sum(axis=0)
 
     @property
@@ -84,11 +81,8 @@ def sug_init(problem: CompositeProblem, x0: np.ndarray, M: float) -> SurrogateTa
     n = problem.n_components
     oracle = problem.components
     grads = np.stack([oracle_grad(oracle, i, x0, 0) for i in range(n)])
-    values = np.array([oracle_value(oracle, i, x0, 0) for i in range(n)], dtype=float)
     anchors = np.tile(x0, (n, 1))
-    return SurrogateTable(
-        problem=problem, anchors=anchors, grads=grads, values=values, M=float(M)
-    )
+    return SurrogateTable(problem=problem, anchors=anchors, grads=grads, M=float(M))
 
 
 def sug_subproblem(table: SurrogateTable, regularizer: Regularizer) -> np.ndarray:
@@ -101,8 +95,8 @@ def sug_subproblem(table: SurrogateTable, regularizer: Regularizer) -> np.ndarra
     return regularizer.prox(-w / table.M, 1.0 / table.M)
 
 
-def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> None:
-    """Re-anchor surrogate j at x_new with a fresh value and gradient, O(p).
+def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> float:
+    """Re-anchor surrogate j at x_new, O(p); returns g_j(x_new).
 
     t, the iteration, is named in the error a bad oracle answer raises.
     """
@@ -112,10 +106,11 @@ def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> 
     old_lin = table.grads[j] - table.M * table.anchors[j]
     oracle = table.problem.components
     new_grad = oracle_grad(oracle, j, x_new, t)
-    table.values[j] = oracle_value(oracle, j, x_new, t)
+    value = oracle_value(oracle, j, x_new, t)
     table.anchors[j] = x_new
     table.grads[j] = new_grad
     table.lin = table.lin + (new_grad - table.M * x_new - old_lin)
+    return value
 
 
 def sug_run(
@@ -142,8 +137,7 @@ def sug_run(
         x_next = sug_subproblem(table, regularizer)
         j = int(rng.integers(0, table.n))
         f_j_x = oracle_value(problem.components, j, x, k) + regularizer.value(x)
-        sug_update(table, j, x_next, k)
-        f_j_next = float(table.values[j]) + regularizer.value(x_next)
+        f_j_next = sug_update(table, j, x_next, k) + regularizer.value(x_next)
         trace.add_row(
             k, 0, cfg.M, f_j_x, f_j_next, f_j_next, np.nan,
             time.perf_counter() - start, component=j, x_next=x_next,

@@ -244,11 +244,12 @@ def save_samples(inst, path) -> None:
 
 
 def surrogate_value(table, i, x) -> float:
-    """Individual surrogate g_i^k(x) of a sug SurrogateTable."""
+    """Individual surrogate g_i^k(x) of a sug SurrogateTable; its constant
+    g_i(anchor_i) comes from the oracle."""
     x = np.asarray(x, dtype=float)
     diff = x - table.anchors[i]
     return (
-        float(table.values[i])
+        float(table.problem.components.value(i, table.anchors[i]))
         + float(table.grads[i] @ diff)
         + 0.5 * table.M * float(diff @ diff)
     )
@@ -275,7 +276,7 @@ def zero_problem(dim=2) -> CompositeProblem:
             holder_degree=1.0,
             holder_modulus=1.0,
         ),
-        regularizer=Regularizer.zero(),
+        regularizer=Regularizer(),
         dimension=dim,
         mean_value_fn=lambda x: 0.0,
         mean_grad_fn=lambda x: np.zeros(dim),

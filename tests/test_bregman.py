@@ -94,21 +94,21 @@ def test_soft_threshold_rejects_negative_tau():
 
 def test_bregman_map_unregularized_gradient_step():
     x = np.array([1.0, 1.0])
-    got = bregman_map(Regularizer.zero(), x, np.array([2.0, 0.0]), 2.0)
+    got = bregman_map(Regularizer(), x, np.array([2.0, 0.0]), 2.0)
     np.testing.assert_allclose(got, np.array([0.0, 1.0]))
 
 
 def test_bregman_map_one_dim_lasso_shrinks_to_zero():
     comp = _lasso_oracle([1.0], 0.0)
     x = np.array([1.0])
-    got = bregman_map(Regularizer.l1(0.1), x, comp.grad(0, x), 2.0)
+    got = bregman_map(Regularizer(0.1), x, comp.grad(0, x), 2.0)
     np.testing.assert_allclose(got, np.array([0.0]))
 
 
 def test_bregman_map_steiner_step():
     x = np.array([3.0, 4.0])
     grad = np.array([0.6, 0.8])
-    got = bregman_map(Regularizer.zero(), x, grad, 1.0)
+    got = bregman_map(Regularizer(), x, grad, 1.0)
     np.testing.assert_allclose(got, np.array([2.4, 3.2]))
 
 
@@ -116,7 +116,7 @@ def test_bregman_map_model_value_identity():
     """The model value at the mapped point is no larger than at any point
     near it."""
     geom = ProxFunction(3)
-    h = Regularizer.l1(0.3)
+    h = Regularizer(0.3)
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = rng.normal(size=3)
@@ -133,7 +133,7 @@ def test_bregman_map_model_value_identity():
 def test_bregman_map_minimizer_beats_grid():
     """The mapped point minimizes the model: compare against a dense 1-d grid."""
     geom = ProxFunction(1)
-    h = Regularizer.l1(0.25)
+    h = Regularizer(0.25)
     grid = np.linspace(-2.0, 2.0, 400001)
     x = np.array([1.0])
     g_val, g_grad, M = 1.0, np.array([2.0]), 2.0
@@ -149,7 +149,7 @@ def test_bregman_map_numeric_matches_closed_form():
     for _ in range(50):
         dim = int(rng.integers(1, 6))
         geom = ProxFunction(dim)
-        h = Regularizer.l1(float(rng.uniform(0.0, 1.0)))
+        h = Regularizer(float(rng.uniform(0.0, 1.0)))
         x = rng.normal(size=dim)
         g_val = float(rng.uniform(0.0, 3.0))
         g_grad = rng.normal(size=dim)
@@ -165,7 +165,7 @@ def test_bregman_map_numeric_reports_residual_on_failure():
     geom = ProxFunction(2)
     x = np.array([5.0, -5.0])
     with pytest.raises(ModelSolveError) as err:
-        bregman_map_numeric(geom, Regularizer.zero(), x, 0.0,
+        bregman_map_numeric(geom, Regularizer(), x, 0.0,
                             np.array([4.0, 4.0]), 1.0, max_iters=1)
     assert err.value.residual > 0.0
 
@@ -218,7 +218,7 @@ def test_backtrack_with_descent_trial_respects_modulus_cap():
     accuracy-matched cap 2 * gamma(M_v, eps)."""
     rng = np.random.default_rng(2)
     geom = ProxFunction(3)
-    h = Regularizer.l1(0.1)
+    h = Regularizer(0.1)
     eps = 1e-2
     for _ in range(20):
         a = rng.normal(size=3)

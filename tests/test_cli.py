@@ -179,6 +179,22 @@ def test_lasso_csv_trace_checks_from_another_directory(tmp_path, monkeypatch, ca
     assert main(["check-bounds", "../out/trace.csv"]) == 0
 
 
+def test_check_bounds_exits_2_naming_a_csv_that_changed(tmp_path, capsys):
+    inst = synth_lasso(p=3, n=40, sparsity=1, noise=0.1, seed=6)
+    path = tmp_path / "d.csv"
+    save_samples(inst, path)
+    out = tmp_path / "out"
+    assert main(["run", "--algorithm", "oupgm", "--problem", "lasso-csv",
+                 "--data", str(path), "--T", "30", "--out", str(out)]) == 0
+    assert main(["check-bounds", str(out / "trace.csv")]) == 0
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("# a comment changes the bytes, not the data\n")
+    capsys.readouterr()
+    assert main(["check-bounds", str(out / "trace.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: data file changed since the run wrote")
+
+
 def test_check_bounds_judges_the_sug_run_dist0(tmp_path, capsys):
     # the bound fails for this tiny --dist0; check-bounds must judge the
     # dist0 the run used, not one recomputed from the reference

@@ -1,6 +1,7 @@
 """Reference solver, regret evaluation, orders, run configs, artifacts."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,14 @@ def test_batch_trace_is_the_reference_steps(tmp_path, T):
     assert trace.f_gt_xnext == trace.f_gt_yt == [f for _, _, _, f, _ in steps]
 
 
+def test_batch_report_keys_name_the_reference_once(tmp_path):
+    paths = run_experiment(_cfg(algorithm="batch", out=str(tmp_path / "run"), T=50))
+    report = json.loads(Path(paths["report"]).read_text())
+    assert set(report) == {"algorithm", "eps", "iterations", "f_star", "final_gap",
+                           "checked", "reference", "ok"}
+    assert set(report["reference"]) == {"f", "gap", "iterations", "residual"}
+
+
 REFERENCE_KEYS = {"tol", "x_star", "reference_gap", "reference_iterations",
                   "reference_residual"}
 
@@ -558,7 +567,9 @@ def test_trace_without_a_stored_reference_is_checked_by_one_solve(tmp_path, monk
     assert len(calls) == 1
 
 
-def test_check_bounds_solves_again_when_the_csv_changed(tmp_path, monkeypatch):
+def _csv_run_then_edit(tmp_path):
+    """A lasso-csv run whose data file then has its last observation moved
+    by 5.0; (descriptor, artifact paths)."""
     inst = synth_lasso(p=3, n=40, sparsity=1, noise=0.1, seed=6)
     path = tmp_path / "d.csv"
     save_samples(inst, path)
@@ -569,6 +580,24 @@ def test_check_bounds_solves_again_when_the_csv_changed(tmp_path, monkeypatch):
     fields[0] = repr(float(fields[0]) + 5.0)  # the last sample's observation
     lines[-1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
+    return desc, paths
+
+
+def test_check_bounds_refuses_a_csv_that_changed(tmp_path, monkeypatch):
+    desc, paths = _csv_run_then_edit(tmp_path)
+    calls = _count_solves(monkeypatch)
+    message = "^" + re.escape(desc["path"]) + ": data file changed since"
+    with pytest.raises(ValueError, match=message):
+        check_bounds(paths["trace"])
+    assert calls == []
+
+
+def test_check_bounds_solves_again_when_the_csv_changed(tmp_path, monkeypatch):
+    # a trace written before runs stored the data file's sha256
+    desc, paths = _csv_run_then_edit(tmp_path)
+    trace = parse_trace_csv(paths["trace"])
+    del trace.extra_meta["data_sha256"]
+    write_trace_csv(trace, paths["trace"])
     fresh = reference_solution(problem_from_descriptor(desc), tol=1e-10)
     calls = _count_solves(monkeypatch)
     rep, _ = check_bounds(paths["trace"])

@@ -1,5 +1,7 @@
 """Component oracles, regularizers, and composite problem assembly."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,7 @@ def test_component_oracle_validates_holder_metadata():
 
 
 def test_regularizer_l1_value_and_prox():
-    h = Regularizer.l1(0.5)
+    h = Regularizer(0.5)
     x = np.array([1.0, -2.0, 0.0])
     assert h.value(x) == pytest.approx(1.5)
     np.testing.assert_allclose(h.prox(np.array([2.0, -0.2]), 2.0),
@@ -155,7 +157,7 @@ def test_regularizer_l1_value_and_prox():
 
 
 def test_regularizer_zero():
-    h = Regularizer.zero()
+    h = Regularizer()
     z = np.array([1.5, -3.0])
     assert h.value(z) == 0.0
     assert h.strong_convexity == 0.0
@@ -164,7 +166,7 @@ def test_regularizer_zero():
 
 def test_regularizer_elastic_net_prox_and_curvature():
     mu, sigma = 0.5, 2.0
-    h = Regularizer.elastic_net(mu, sigma)
+    h = Regularizer(mu, sigma)
     assert h.strong_convexity == sigma
     z = np.array([3.0, -0.2, 1.0])
     tau = 0.5
@@ -178,7 +180,7 @@ def test_regularizer_prox_solves_its_own_subproblem():
     dense grid in one dimension."""
     rng = np.random.default_rng(9)
     grid = np.linspace(-5.0, 5.0, 200001)
-    for h in (Regularizer.l1(0.7), Regularizer.elastic_net(0.3, 1.1)):
+    for h in (Regularizer(0.7), Regularizer(0.3, 1.1)):
         for _ in range(5):
             z = rng.normal() * 2.0
             tau = float(rng.uniform(0.1, 2.0))
@@ -192,7 +194,7 @@ def test_regularizer_prox_solves_its_own_subproblem():
 
 
 def test_regularizer_strong_convexity_inequality():
-    h = Regularizer.elastic_net(0.4, 1.5)
+    h = Regularizer(0.4, 1.5)
     rng = np.random.default_rng(10)
     for _ in range(200):
         x = rng.normal(size=3)
@@ -204,16 +206,37 @@ def test_regularizer_strong_convexity_inequality():
         assert lhs >= rhs - 1e-9
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.8])
+@pytest.mark.parametrize("l1, ridge", [(0.0, 0.0), (0.6, 0.0), (0.0, 1.5), (0.6, 1.5)])
+def test_regularizer_weights_at_and_above_zero(l1, ridge, tau):
+    h = Regularizer(l1, ridge)
+    z = np.array([2.0, -1.25, 0.3, -0.0, 0.0, -0.4, 7.5])
+    want = [math.copysign(max(abs(v) - tau * l1, 0.0), v) / (1.0 + tau * ridge) for v in z]
+    got = h.prox(z, tau)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    X = np.stack([z, -2.0 * z, np.zeros_like(z)])
+    want_values = [l1 * sum(abs(v) for v in x) + 0.5 * ridge * sum(v * v for v in x)
+                   for x in X]
+    np.testing.assert_allclose(h.values(X), want_values, rtol=1e-15, atol=0.0)
+    for x, want_value in zip(X, want_values):
+        assert h.value(x) == pytest.approx(want_value, rel=1e-15, abs=0.0)
+    assert h.strong_convexity == ridge
+    if l1 == ridge == 0.0:
+        # h = 0: the prox hands back a copy of its input, bit for bit
+        assert got.tobytes() == z.tobytes() and not np.shares_memory(got, z)
+        assert h.value(z) == 0.0 and h.values(X).tolist() == [0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("weight", [-0.1, np.nan, np.inf])
 @pytest.mark.parametrize("field", ["l1_weight", "ridge_weight"])
 def test_regularizer_rejects_negative_and_non_finite_weights(field, weight):
     with pytest.raises(ValueError, match=f"{field} must be nonnegative and finite"):
-        Regularizer(structure="elastic_net", **{field: weight})
+        Regularizer(**{field: weight})
 
 
 def test_regularizer_rejects_negative_tau():
     with pytest.raises(ValueError):
-        Regularizer.l1(1.0).prox(np.zeros(2), -0.1)
+        Regularizer(1.0).prox(np.zeros(2), -0.1)
 
 
 def test_holder_constants_take_worst_modulus():

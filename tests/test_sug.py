@@ -127,7 +127,7 @@ def test_subproblem_single_component_gradient_step():
     x0 = np.array([1.0, 2.0, -0.5])
     M = 5.0
     table = sug_init(prob, x0, M)
-    got = sug_subproblem(table, Regularizer.zero())
+    got = sug_subproblem(table, Regularizer())
     want = x0 - prob.components.grad(0, x0) / M
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -139,7 +139,7 @@ def test_subproblem_scalar_l1_case():
     # anchor 0 with M = 2: gradient 2(0 + 0.5) = 1, so lin = 1
     table = sug_init(prob, np.zeros(1), 2.0)
     np.testing.assert_allclose(table.lin, np.array([1.0]))
-    got = sug_subproblem(table, Regularizer.l1(0.5))
+    got = sug_subproblem(table, Regularizer(0.5))
     np.testing.assert_allclose(got, np.array([-0.25]))
 
 
@@ -183,8 +183,9 @@ def test_run_seed_determinism():
 @pytest.mark.parametrize(
     "value_fn, message",
     [
-        # NaN everywhere: read by sug_init at x0
-        (lambda x: np.nan, "component 1 returned nan at round 0"),
+        # NaN from x0 on: sug_init reads gradients only, so the first read
+        # is in round 1, the first round that samples component 1
+        (lambda x: np.nan, "component 1 returned nan at round 1"),
         # finite at x0 = 0, infinite at every later iterate
         (lambda x: np.inf if np.any(x != 0) else 1.0,
          r"component 1 returned inf at round [0-9]+"),

@@ -36,7 +36,7 @@ def _fresh_model(dim=2, x0=None):
 
 def test_empty_model_minimized_at_anchor():
     model = _fresh_model(x0=np.array([1.5, -2.0]))
-    got = model.argmin(Regularizer.zero(), 0.0, np.zeros(2))
+    got = model.argmin(Regularizer(), 0.0, np.zeros(2))
     np.testing.assert_array_equal(got, np.array([1.5, -2.0]))
 
 
@@ -47,27 +47,27 @@ def test_argmin_without_regularizer_is_anchor_minus_aggregate():
         model.fold(float(rng.uniform(0.1, 1.0)), rng.normal(size=3))
     grad = rng.normal(size=3)
     coeff = 0.4
-    got = model.argmin(Regularizer.zero(), coeff, grad)
+    got = model.argmin(Regularizer(), coeff, grad)
     np.testing.assert_allclose(got, model.anchor - model.s - coeff * grad,
                                rtol=1e-15)
 
 
 def test_argmin_scalar_l1_case():
     model = DualModel(anchor=np.array([2.0]), s=np.array([1.0]), A=0.5)
-    got = model.argmin(Regularizer.l1(1.0), 0.0, np.zeros(1))
+    got = model.argmin(Regularizer(1.0), 0.0, np.zeros(1))
     np.testing.assert_allclose(got, np.array([0.5]))
 
 
 def test_argmin_validates_extra_term():
     model = _fresh_model()
     with pytest.raises(ValueError):
-        model.argmin(Regularizer.zero(), -0.1, np.zeros(2))
+        model.argmin(Regularizer(), -0.1, np.zeros(2))
 
 
 def test_model_value_reconstruction():
     rng = np.random.default_rng(1)
     model = _fresh_model(3, x0=rng.normal(size=3))
-    h = Regularizer.l1(0.3)
+    h = Regularizer(0.3)
     pieces = []
     c = 0.0
     for _ in range(6):
@@ -92,7 +92,7 @@ def test_model_strong_convexity_around_its_minimizer():
     """phi(y) >= phi(xbar) + dist(xbar, y): the bregman anchor term makes the
     model 1-strongly convex regardless of what has been folded in."""
     rng = np.random.default_rng(2)
-    h = Regularizer.l1(0.4)
+    h = Regularizer(0.4)
     model = _fresh_model(4, x0=rng.normal(size=4))
     c = 0.0
     for _ in range(8):
