@@ -45,6 +45,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,7 @@ from .problems import (
     synth_lasso,
     synth_steiner,
 )
-from .sug import SugConfig, sug_bound, sug_iteration_estimate, sug_rho, sug_run
+from .sug import SugConfig, sug_bounds, sug_iteration_estimate, sug_rho, sug_run
 from .trace import RunTrace, parse_trace_csv, write_trace_csv
 from .udgm import udgm_fixed_step_run, udgm_run
 from .upgm import upgm_fixed_step_run, upgm_run
@@ -244,9 +245,8 @@ def evaluate_regret(
     eps = trace.eps
     x_star = np.asarray(x_star, dtype=float)
     comps = _trace_components(trace, problem)
-    h_star = problem.regularizer.value(x_star)
-    value = problem.components.value
-    f_star_rows = np.array([value(int(c), x_star) + h_star for c in comps])
+    f_star_rows = problem.components.values(comps, x_star)
+    f_star_rows += problem.regularizer.value(x_star)
     f_xt = np.asarray(trace.f_gt_xt, dtype=float)
     f_xnext = np.asarray(trace.f_gt_xnext, dtype=float)
     f_yt = np.asarray(trace.f_gt_yt, dtype=float)
@@ -454,14 +454,15 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
     Reads only the trace, its metadata and the reference, so a live run and
     check-bounds on its saved trace build the same report.  The report ends
     in the verdict: `checked` names the bound judged and `ok` is False only
-    when it fails.  curve holds the bounds.csv rows (k, gap, bound or None),
-    gaps measured from the reference's f; the sug verdict measures them from
+    when it fails.  curve holds the bounds.csv columns (k, gap, bound): a
+    range, a list, and a list or None when no bound applies, the gaps
+    measured from the reference's f; the sug verdict measures them from
     the certified lower bound f - gap on f*, so a reference that stopped
     short of f* cannot pass a run.
     """
     f_star = reference.f
     extra = trace.extra_meta
-    gaps = np.asarray(trace.f_full) - f_star
+    first, gaps, bounds = 0, np.asarray(trace.f_full) - f_star, None
     if trace.algorithm in ("oupgm", "oudgm"):
         rep = evaluate_regret(trace, problem, reference.x)
         fixed = bool(extra.get("fixed_step", False))
@@ -491,10 +492,9 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
         # prefix k of thm1 (oupgm) or thm2 (oudgm)
         weights = np.cumsum(1.0 / np.asarray(trace.L_next, dtype=float))
         if primal:
-            rhs_prefix = 0.5 * trace.eps * weights + 2.0 * rep.r0
+            bounds = (0.5 * trace.eps * weights + 2.0 * rep.r0).tolist()
         else:
-            rhs_prefix = 0.25 * trace.eps * weights + rep.r0
-        curve = [(k, gaps[k], rhs_prefix[k]) for k in range(trace.n_rows)]
+            bounds = (0.25 * trace.eps * weights + rep.r0).tolist()
     elif trace.algorithm == "sug":
         mu_h = problem.regularizer.strong_convexity
         n = problem.n_components
@@ -514,22 +514,18 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "f_star": f_star,
             "iterations": trace.n_rows,
         }
-        values = list(trace.f_full)
+        values = np.asarray(trace.f_full, dtype=float)
         if "f_final" in extra:  # older traces judge the rows only
-            values.append(extra["f_final"])
+            values = np.append(values, extra["f_final"])
             report["final_gap"] = extra["f_final"] - f_star
         rho = sug_rho(M, mu_h, n) if mu_h > 0 else None
         active = rho is not None and rho < 1.0
-        curve = [
-            (k, values[k] - f_star,
-             sug_bound(k, M, mu_h, n, trace.eps, dist0_sq) if active else None)
-            for k in range(1, len(values))
-        ]
-        f_low = f_star - reference.gap
-        ok = not active or all(
-            values[k] - f_low <= bound + SLACK_SCALE * (1.0 + abs(bound))
-            for k, _, bound in curve
-        )
+        first, gaps, ok = 1, values[1:] - f_star, True
+        if active:
+            bounds = sug_bounds(range(1, len(values)), M, mu_h, n, trace.eps, dist0_sq)
+            b = np.asarray(bounds)
+            f_low = f_star - reference.gap
+            ok = bool(np.all(values[1:] - f_low <= b + SLACK_SCALE * (1.0 + np.abs(b))))
         report.update(
             rho=rho,
             bound_vacuous=not active,
@@ -549,7 +545,6 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "checked": "none",
         }
         ok = True
-        curve = [(k, gaps[k], None) for k in range(trace.n_rows)]
     report["reference"] = {
         "f": reference.f,
         "gap": reference.gap,
@@ -557,24 +552,24 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
         "residual": reference.residual,
     }
     report["ok"] = bool(ok)
-    return report, curve
+    return report, (range(first, first + len(gaps)), gaps.tolist(), bounds)
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_bound_curve(path, rows) -> None:
-    lines = ["k,gap,bound"]
-    for k, gap, bound in rows:
-        if not math.isfinite(gap):
-            raise ValueError("bound curve contains a non-finite gap")
-        bound_text = ""
-        if bound is not None and math.isfinite(bound):
-            bound_text = repr(float(bound))
-        lines.append(f"{k},{repr(float(gap))},{bound_text}")
+def _write_bound_curve(path, curve) -> None:
+    """Write the columns (k, gap, bound) of verify's curve by column; with
+    no bounds, or where a bound is not finite, the field is empty."""
+    ks, gaps, bounds = curve
+    if not all(map(math.isfinite, gaps)):
+        raise ValueError("bound curve contains a non-finite gap")
+    texts = repeat("") if bounds is None else (
+        repr(float(b)) if math.isfinite(b) else "" for b in bounds)
+    columns = (map(str, ks), map(repr, map(float, gaps)), texts)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["k,gap,bound", *map(",".join, zip(*columns))]) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The objective is f(x) = (1/n) sum_i g_i(x) + h(x).  One ComponentOracle
 answers value and (sub)gradient calls for every component g_i of the
-stream, and carries the stream's Holder certificate: a degree v in [0, 1]
+stream, evaluates g_i at one point for a whole array of indices at once,
+and carries the stream's Holder certificate: a degree v in [0, 1]
 and modulus M_v such that every component satisfies
 
     ||grad g_i(x) - grad g_i(y)||_* <= M_v ||x - y||^v.
@@ -20,8 +21,8 @@ import numpy as np
 from .geometry import ProxFunction
 
 # Size cap, in bytes, of each block of points the full-objective pass hands
-# to a batched evaluation and of each blocked temporary it allocates; it
-# bounds the memory of that pass whatever the horizon.
+# to a batched evaluation and of each blocked temporary a batched evaluation
+# allocates; it bounds the memory of those passes whatever the horizon.
 BLOCK_BYTES = 1 << 19
 
 
@@ -37,11 +38,15 @@ class NonFiniteOracleValue(ValueError):
 @dataclass(frozen=True)
 class ComponentOracle:
     """The n smooth components g_0..g_{n-1} of a stream: value(i, x) is
-    g_i(x), grad(i, x) a (sub)gradient of g_i at x, and (holder_degree,
-    holder_modulus) the Holder certificate every component satisfies."""
+    g_i(x), grad(i, x) a (sub)gradient of g_i at x, values(idx, x) the array
+    of g_i(x) for every i of the index array idx (repeats allowed, no
+    temporary larger than BLOCK_BYTES beyond its result), and
+    (holder_degree, holder_modulus) the Holder certificate every component
+    satisfies."""
 
     value: Callable[[int, np.ndarray], float]
     grad: Callable[[int, np.ndarray], np.ndarray]
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray]
     n: int
     holder_degree: float
     holder_modulus: float

@@ -129,9 +129,19 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         a = A[i]
         return 2.0 * float(a.dot(x) - b[i]) * a
 
+    def values(idx, x):
+        out = np.empty(len(idx))
+        rows = block_len(8 * inst.p)
+        for q in range(0, len(idx), rows):
+            i = idx[q:q + rows]
+            r = A[i] @ x - b[i]
+            np.square(r, out=out[q:q + rows])
+        return out
+
     components = ComponentOracle(
         value=value,
         grad=grad,
+        values=values,
         n=inst.n,
         holder_degree=1.0,
         holder_modulus=_lipschitz_modulus(A),
@@ -242,8 +252,17 @@ def steiner_problem(inst: SteinerInstance) -> CompositeProblem:
             return np.zeros_like(diff)
         return diff / norm
 
+    def values(idx, x):
+        out = np.empty(len(idx))
+        rows = block_len(8 * inst.p)
+        for q in range(0, len(idx), rows):
+            diffs = x - centers[idx[q:q + rows]]
+            np.sqrt(np.einsum("ij,ij->i", diffs, diffs), out=out[q:q + rows])
+        return out
+
     components = ComponentOracle(
-        value=value, grad=grad, n=inst.m, holder_degree=0.0, holder_modulus=2.0
+        value=value, grad=grad, values=values, n=inst.m, holder_degree=0.0,
+        holder_modulus=2.0,
     )
     m = inst.m
 

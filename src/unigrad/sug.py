@@ -156,25 +156,30 @@ def sug_rho(M: float, mu_h: float, n: int) -> float:
     return (1.0 / n) * (M / mu_h) + 1.0 - 1.0 / n
 
 
-def sug_bound(
-    k: int, M: float, mu_h: float, n: int, eps: float, dist0_sq: float
-) -> float:
-    """Convergence bound at iterate k (k >= 1):
+def sug_bounds(
+    ks, M: float, mu_h: float, n: int, eps: float, dist0_sq: float
+) -> list[float]:
+    """Convergence bound at each iterate k of ks (every k >= 1):
 
         M rho^(k-1) dist0_sq + (3 eps / (4 n mu_h)) (1 - rho^(k-1)) / (1 - rho)
-        + 3 eps / 4.
+        + 3 eps / 4,
 
-    Returns math.inf when rho >= 1 (geometric sum invalid; bound vacuous).
+    or math.inf when rho >= 1 (geometric sum invalid; bound vacuous).  The
+    arguments are checked, and rho and the k-independent factors computed,
+    once for all of ks.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if min(ks, default=1) < 1:
+        raise ValueError(f"k must be >= 1, got {min(ks)}")
     if eps <= 0 or M <= 0 or dist0_sq < 0:
         raise ValueError("need eps > 0, M > 0, dist0_sq >= 0")
     rho = sug_rho(M, mu_h, n)
     if rho >= 1.0:
-        return math.inf
-    geo = (1.0 - rho ** (k - 1)) / (1.0 - rho)
-    return M * rho ** (k - 1) * dist0_sq + (3.0 * eps / (4.0 * n * mu_h)) * geo + 0.75 * eps
+        return [math.inf] * len(ks)
+    scale = 3.0 * eps / (4.0 * n * mu_h)
+    one_minus_rho = 1.0 - rho
+    tail = 0.75 * eps
+    return [M * r * dist0_sq + scale * ((1.0 - r) / one_minus_rho) + tail
+            for r in (rho ** (k - 1) for k in ks)]
 
 
 def sug_iteration_estimate(

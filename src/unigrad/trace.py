@@ -6,7 +6,11 @@ the fixed column schema
     t,i_t,L_next,f_gt_xt,f_gt_xnext,f_gt_yt,f_full,elapsed_s
 
 Floats are written with shortest round-trip formatting, so writing and
-re-parsing a trace reproduces it exactly.
+re-parsing a trace reproduces it exactly.  Both directions work by column:
+the writer formats each column with one map and joins the rows with
+another, and the parser splits every data line in one pass and converts
+each column with one map, falling back to a line-by-line pass only to
+name the offending line of a malformed file.
 
 f_full is the full objective f(x_t) at the iterate round t starts from.
 The solvers compute it after the rounds, in one blocked batch pass over
@@ -20,6 +24,8 @@ not part of the CSV schema.
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -114,10 +120,6 @@ class RunTrace:
                 raise ValueError(f"trace column {name} contains non-finite values")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_trace_csv(trace: RunTrace, path) -> None:
     """Serialize the trace with metadata header lines; deterministic output."""
     trace.check_finite()
@@ -132,24 +134,56 @@ def write_trace_csv(trace: RunTrace, path) -> None:
         "x0": [float(v) for v in np.asarray(trace.x0, dtype=float)],
         "extra": trace.extra_meta,
     }
-    lines = []
-    for key, value in meta.items():
-        lines.append(f"# {key}={json.dumps(value, sort_keys=True)}")
+    lines = [f"# {key}={json.dumps(value, sort_keys=True)}" for key, value in meta.items()]
     lines.append(",".join(CSV_COLUMNS))
-    for k in range(trace.n_rows):
-        row = (
-            str(trace.t[k]),
-            str(trace.i_t[k]),
-            _fmt(trace.L_next[k]),
-            _fmt(trace.f_gt_xt[k]),
-            _fmt(trace.f_gt_xnext[k]),
-            _fmt(trace.f_gt_yt[k]),
-            _fmt(trace.f_full[k]),
-            _fmt(trace.elapsed_s[k]),
-        )
-        lines.append(",".join(row))
+    columns = [map(str, trace.t), map(str, trace.i_t)]
+    columns += [map(repr, map(float, getattr(trace, name))) for name in CSV_COLUMNS[2:]]
+    lines.extend(map(",".join, zip(*columns)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _read_metadata(meta: dict, line: str, lineno: int) -> None:
+    key, sep, value = line[1:].strip().partition("=")
+    if not sep:
+        raise ValueError(f"line {lineno}: malformed metadata line {line!r}")
+    try:
+        meta[key.strip()] = json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"line {lineno}: metadata value for {key.strip()!r} is not JSON"
+        ) from exc
+
+
+_KINDS = (int, int) + (float,) * (len(CSV_COLUMNS) - 2)
+
+
+def _columns(rows: list, lineno: int, meta: dict) -> list:
+    """The column lists of the split data lines rows, rows[0] being file
+    line lineno, each converted by one map.  Only when that fails are the
+    lines read one at a time: blank lines are skipped and '#' lines read
+    into meta, as the format allows among the rows, and a line of the wrong
+    width or with a non-numeric field raises ValueError naming its file
+    line."""
+    if set(map(len, rows)) <= {len(_KINDS)}:
+        try:
+            return [list(map(kind, map(itemgetter(j), rows))) for j, kind in enumerate(_KINDS)]
+        except ValueError:
+            pass
+    kept = []
+    for lineno, parts in enumerate(rows, start=lineno):
+        line = ",".join(parts).strip()
+        if line.startswith("#"):
+            _read_metadata(meta, line, lineno)
+        elif line:
+            parts = line.split(",")
+            if len(parts) != len(_KINDS):
+                raise ValueError(f"line {lineno}: expected {len(_KINDS)} fields, got {len(parts)}")
+            try:
+                kept.append([kind(text) for kind, text in zip(_KINDS, parts)])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: non-numeric field") from exc
+    return [list(column) for column in zip(*kept)]
 
 
 def parse_trace_csv(path) -> RunTrace:
@@ -158,45 +192,26 @@ def parse_trace_csv(path) -> RunTrace:
     Raises ValueError naming the offending line for schema violations.
     """
     meta: dict = {}
-    rows: list[list[str]] = []
-    header_seen = False
+    rows = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                key, sep, value = body.partition("=")
-                if not sep:
-                    raise ValueError(f"line {lineno}: malformed metadata line {line!r}")
-                try:
-                    meta[key.strip()] = json.loads(value)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"line {lineno}: metadata value for {key.strip()!r} is not JSON"
-                    ) from exc
-                continue
-            if not header_seen:
+                _read_metadata(meta, line, lineno)
+            elif line:
                 if tuple(line.split(",")) != CSV_COLUMNS:
-                    raise ValueError(
-                        f"line {lineno}: unexpected column header {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != len(CSV_COLUMNS):
-                raise ValueError(
-                    f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}"
-                )
-            rows.append(parts)
-    if not header_seen:
+                    raise ValueError(f"line {lineno}: unexpected column header {line!r}")
+                # each data line split once; int and float skip the trailing newline
+                rows = list(map(str.split, fh, repeat(",")))
+                break
+    if rows is None:
         raise ValueError(f"{path}: no column header found")
+    columns = _columns(rows, lineno + 1, meta)
     required = ("algorithm", "eps", "T", "x0")
     for key in required:
         if key not in meta:
             raise ValueError(f"{path}: metadata key {key!r} missing")
-    trace = RunTrace(
+    return RunTrace(
         algorithm=meta["algorithm"],
         eps=float(meta["eps"]),
         T=int(meta["T"]),
@@ -206,13 +221,5 @@ def parse_trace_csv(path) -> RunTrace:
         order_kind=meta.get("order"),
         problem_meta=meta.get("problem") or {},
         extra_meta=meta.get("extra") or {},
+        **dict(zip(CSV_COLUMNS, columns)),
     )
-    for lineidx, parts in enumerate(rows):
-        try:
-            trace.t.append(int(parts[0]))
-            trace.i_t.append(int(parts[1]))
-            for name, text in zip(CSV_COLUMNS[2:], parts[2:]):
-                getattr(trace, name).append(float(text))
-        except ValueError as exc:
-            raise ValueError(f"data row {lineidx + 1}: non-numeric field") from exc
-    return trace

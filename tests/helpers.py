@@ -2,7 +2,8 @@
 updates for the shipped problem families, an l1 optimality residual, the
 dual model's value, a replay of the dual method's rounds and the prefix
 bound it certifies, a sample writer, the individual and averaged surrogate
-values, the from-scratch surrogate aggregate and a zero-objective problem.
+values, the from-scratch surrogate aggregate, the sug bound at one iterate
+and a zero-objective problem.
 The library does not use them; the tests cross-check the library against
 them.  evaluate_regret also checks the eps its callers name against the
 trace's."""
@@ -13,6 +14,7 @@ import numpy as np
 
 from unigrad import harness
 from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer, soft_threshold
+from unigrad.sug import sug_bounds
 
 
 def evaluate_regret(trace, problem, x_star, eps):
@@ -266,12 +268,18 @@ def surrogate_lin(table) -> np.ndarray:
     return (table.grads - table.M * table.anchors).sum(axis=0)
 
 
+def sug_bound(k, M, mu_h, n, eps, dist0_sq) -> float:
+    """The sug convergence bound at the one iterate k."""
+    return sug_bounds([k], M, mu_h, n, eps, dist0_sq)[0]
+
+
 def zero_problem(dim=2) -> CompositeProblem:
     """The one-component stream g_0 = 0 in dimension dim, with h = 0."""
     return CompositeProblem(
         components=ComponentOracle(
             value=lambda i, x: 0.0,
             grad=lambda i, x: np.zeros(dim),
+            values=lambda idx, x: np.zeros(len(idx)),
             n=1,
             holder_degree=1.0,
             holder_modulus=1.0,

@@ -21,6 +21,7 @@ from helpers import (
     steiner_batch_bregman_step,
     steiner_bregman_step,
     steiner_dual_average,
+    sug_bound,
     surrogate_average,
     surrogate_lin,
 )
@@ -43,7 +44,6 @@ from unigrad.problems import (
 )
 from unigrad.sug import (
     SugConfig,
-    sug_bound,
     sug_init,
     sug_iteration_estimate,
     sug_rho,

@@ -618,10 +618,37 @@ def test_sug_verdict_measures_gaps_from_the_certified_lower_bound(tmp_path):
     planted = ReferenceSolution(x=x, f=problem.value(x), iterations=1, residual=0.0,
                                 gap=problem.gap(x), steps=[])
     assert planted.f > true.f + 10.0 * trace.eps
-    report, curve = verify(trace, problem, planted)
+    report, (_, gaps, bounds) = verify(trace, problem, planted)
     # measured from f_ref alone, every gap would sit under its bound ...
-    assert all(gap <= bound for _, gap, bound in curve)
+    assert all(gap <= bound for gap, bound in zip(gaps, bounds))
     # ... but measured from the certified lower bound f_ref - gap <= f*,
     # the run is judged against a value at or below f*, and fails
     assert report["bound_satisfied"] is False and report["ok"] is False
     assert json.loads(Path(paths["report"]).read_text())["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# traces written by an earlier version: same verdicts, same bound curve
+
+GOLDEN = sorted((Path(__file__).parent / "data").glob("*/trace.csv"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.parent.name for p in GOLDEN])
+def test_check_bounds_keeps_the_verdicts_of_golden_traces(path):
+    report, ok = check_bounds(path)
+    saved = json.loads((path.parent / "report.json").read_text())
+    assert (ok, report["checked"]) == (saved["ok"], saved["checked"])
+    satisfied = [key for key in saved if key.endswith("_satisfied")]
+    assert {key: report[key] for key in satisfied} == {key: saved[key] for key in satisfied}
+
+
+def test_golden_sug_bound_curve_is_written_byte_for_byte(tmp_path):
+    golden = Path(__file__).parent / "data" / "sug"
+    trace = parse_trace_csv(golden / "trace.csv")
+    problem = problem_from_descriptor(trace.problem_meta)
+    x = np.asarray(trace.extra_meta["x_star"], dtype=float)
+    reference = ReferenceSolution(x=x, f=problem.value(x), iterations=0, residual=0.0,
+                                  gap=problem.gap(x), steps=[])
+    _, curve = verify(trace, problem, reference)
+    harness._write_bound_curve(tmp_path / "bounds.csv", curve)
+    assert (tmp_path / "bounds.csv").read_bytes() == (golden / "bounds.csv").read_bytes()

@@ -1,5 +1,5 @@
 """Oracle-call accounting: every g_i evaluation goes through the problem's
-one ComponentOracle, so wrapping its two fields counts every call."""
+one ComponentOracle, so wrapping its fields counts every call."""
 
 import dataclasses
 
@@ -102,6 +102,27 @@ def test_sug_reads_every_component_once_then_two_values_per_iteration(family):
     sug_run(problem, np.zeros(problem.dimension),
             SugConfig(M=5.0, eps=1e-2, seed=4, max_iters=K))
     assert counts == {"value": 2 * K, "grad": n + K}
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+def test_regret_ledger_reads_f_star_in_one_batched_call(family):
+    """evaluate_regret reads g_t(x*) for all T + 1 rows through one
+    values(idx, x*) call, and no component one at a time."""
+    problem = PROBLEMS[family]()
+    _, trace = upgm_run(problem, _order(problem), np.zeros(problem.dimension), 1.0, 1e-2, T)
+    x_star = harness.reference_solution(problem).x
+    counts = _counted(problem)
+    batches = []
+    oracle = problem.components
+
+    def values(idx, x):
+        batches.append(len(idx))
+        return oracle.values(idx, x)
+
+    problem.components = dataclasses.replace(oracle, values=values)
+    harness.evaluate_regret(trace, problem, x_star)
+    assert counts == {"value": 0, "grad": 0}
+    assert batches == [T + 1]
 
 
 @pytest.mark.parametrize("family", sorted(PROBLEMS))

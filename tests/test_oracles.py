@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from unigrad.oracles import ComponentOracle, Regularizer
+from unigrad.oracles import BLOCK_BYTES, ComponentOracle, Regularizer
 from unigrad.problems import (
     LassoInstance,
     SteinerInstance,
@@ -137,15 +137,48 @@ def test_steiner_subgradients_live_in_unit_ball():
             assert diff <= comp.holder_modulus + 1e-12
 
 
+def _batch_lasso():
+    inst = synth_lasso(p=5, n=40, sparsity=2, noise=0.2, seed=1)
+    # (|a_i|'|x| + |b_i|)^2 bounds every partial sum of g_i(x) = (a_i'x - b_i)^2
+    scale = lambda idx, x, _: (np.abs(inst.A[idx]) @ np.abs(x) + np.abs(inst.b[idx])) ** 2
+    return lasso_problem(inst), scale
+
+
+def _batch_steiner():
+    inst = SteinerInstance(centers=np.random.default_rng(2).normal(size=(30, 5)))
+    return steiner_problem(inst), lambda idx, x, values: values
+
+
+@pytest.mark.parametrize("family", [_batch_lasso, _batch_steiner], ids=["lasso", "steiner"])
+@pytest.mark.parametrize("length", [0, 7, BLOCK_BYTES // (8 * 5) + 9],
+                         ids=["empty", "short", "past-one-block"])
+def test_batched_values_match_per_component_values(family, length):
+    """values(idx, x) is value(i, x) at each index, repeats included, to a
+    few ulp of each component's scale: the batched form sums the same
+    products in another order."""
+    problem, scale = family()
+    comp = problem.components
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=5)
+    # every component once when there is room, then repeats
+    idx = np.concatenate([np.arange(comp.n), rng.integers(0, comp.n, size=length)])[:length]
+    batched = comp.values(idx, x)
+    assert batched.shape == (length,)
+    single = np.array([comp.value(int(i), x) for i in idx])
+    tol = 4 * (5 + 1) * np.finfo(float).eps * scale(idx, x, single)
+    assert np.all(np.abs(batched - single) <= tol)
+
+
 def test_component_oracle_validates_holder_metadata():
     ok = lambda i, x: 0.0
     okg = lambda i, x: np.zeros(2)
+    okv = lambda idx, x: np.zeros(len(idx))
     with pytest.raises(ValueError):
-        ComponentOracle(value=ok, grad=okg, n=1, holder_degree=1.5, holder_modulus=1.0)
+        ComponentOracle(value=ok, grad=okg, values=okv, n=1, holder_degree=1.5, holder_modulus=1.0)
     with pytest.raises(ValueError):
-        ComponentOracle(value=ok, grad=okg, n=1, holder_degree=0.5, holder_modulus=0.0)
+        ComponentOracle(value=ok, grad=okg, values=okv, n=1, holder_degree=0.5, holder_modulus=0.0)
     with pytest.raises(ValueError, match="at least one component"):
-        ComponentOracle(value=ok, grad=okg, n=0, holder_degree=0.5, holder_modulus=1.0)
+        ComponentOracle(value=ok, grad=okg, values=okv, n=0, holder_degree=0.5, holder_modulus=1.0)
 
 
 def test_regularizer_l1_value_and_prox():

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import l1_optimality_residual, surrogate_average, surrogate_lin, surrogate_value
+from helpers import (
+    l1_optimality_residual,
+    sug_bound,
+    surrogate_average,
+    surrogate_lin,
+    surrogate_value,
+)
 from unigrad.bregman import gamma
 from unigrad.oracles import NonFiniteOracleValue, Regularizer
 from unigrad.problems import (
@@ -18,7 +24,6 @@ from unigrad.problems import (
 )
 from unigrad.sug import (
     SugConfig,
-    sug_bound,
     sug_init,
     sug_iteration_estimate,
     sug_rho,

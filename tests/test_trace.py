@@ -1,5 +1,7 @@
 """Run-trace recording, CSV serialization, and parsing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,67 @@ def test_parse_rejects_non_numeric_field(tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError, match="non-numeric"):
         parse_trace_csv(path)
+
+
+def _edited_trace(tmp_path, edit):
+    """A written sample trace with edit applied to its list of lines."""
+    path = tmp_path / "trace.csv"
+    write_trace_csv(_sample_trace(), path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path, lines
+
+
+def test_parse_errors_name_the_file_line(tmp_path):
+    # 9 metadata lines and the header, so the three rows are lines 11-13
+    path, lines = _edited_trace(tmp_path, lambda lines: lines.__setitem__(-1, "1,2,3"))
+    assert len(lines) == 13
+    with pytest.raises(ValueError, match=r"^line 13: expected 8 fields, got 3$"):
+        parse_trace_csv(path)
+
+    def bad_field(lines):
+        parts = lines[11].split(",")
+        parts[1] = "x"
+        lines[11] = ",".join(parts)
+
+    path, _ = _edited_trace(tmp_path, bad_field)
+    with pytest.raises(ValueError, match=r"^line 12: non-numeric field$"):
+        parse_trace_csv(path)
+
+    # a blank line after the header still counts: the bad row moves to line 13
+    path, _ = _edited_trace(tmp_path, lambda lines: (bad_field(lines), lines.insert(10, "")))
+    with pytest.raises(ValueError, match=r"^line 13: non-numeric field$"):
+        parse_trace_csv(path)
+
+
+def test_parse_skips_blank_and_reads_metadata_lines_among_the_rows(tmp_path):
+    path, _ = _edited_trace(
+        tmp_path, lambda lines: (lines.insert(11, ""), lines.insert(12, '# late="yes"'))
+    )
+    back = parse_trace_csv(path)
+    trace = _sample_trace()
+    assert back.n_rows == 3
+    for col in CSV_COLUMNS:
+        assert getattr(back, col) == getattr(trace, col), col
+
+
+GOLDEN = sorted((Path(__file__).parent / "data").glob("*/trace.csv"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.parent.name for p in GOLDEN])
+def test_golden_traces_parse_and_write_back_byte_for_byte(path, tmp_path):
+    """Traces written by an earlier version of the writer, elapsed_s
+    included, come back unchanged from the parser and the writer."""
+    out = tmp_path / "trace.csv"
+    write_trace_csv(parse_trace_csv(path), out)
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_golden_traces_cover_every_algorithm():
+    names = {p.parent.name for p in GOLDEN}
+    assert names == {"oupgm", "oudgm", "oupgm-fixed", "oudgm-fixed", "oudgm-steiner",
+                     "sug", "batch"}
 
 
 def test_parse_requires_core_metadata(tmp_path):
