@@ -64,25 +64,32 @@ class ComponentOracle:
             )
 
 
-def oracle_value(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> float:
-    """g_k(x) as a float, read in round t; raises NonFiniteOracleValue,
-    naming the round and the component, when it is NaN or infinite."""
-    value = float(components.value(k, x))
+def check_answer(k: int, t: int, value: float = 0.0, grad=None, x=None) -> None:
+    """Vet component k's answer in round t: raise NonFiniteOracleValue,
+    naming the round and the component, when value is NaN or infinite, and
+    ValueError, naming them and both shapes, when grad's shape is not x's."""
     if not math.isfinite(value):
         raise NonFiniteOracleValue(f"component {k} returned {value} at round {t}")
-    return value
-
-
-def oracle_grad(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> np.ndarray:
-    """grad g_k(x) as a float array, read in round t; raises ValueError,
-    naming the round, the component and both shapes, when its shape is not
-    x's."""
-    grad = np.asarray(components.grad(k, x), dtype=float)
-    if grad.shape != x.shape:
+    if grad is not None and grad.shape != x.shape:
         raise ValueError(
             f"component {k} returned a gradient of shape {grad.shape} at round {t}; "
             f"the point has shape {x.shape}"
         )
+
+
+def oracle_value(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> float:
+    """g_k(x) as a float, read in round t and vetted by check_answer."""
+    value = float(components.value(k, x))
+    if not math.isfinite(value):
+        check_answer(k, t, value)
+    return value
+
+
+def oracle_grad(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> np.ndarray:
+    """grad g_k(x) as a float array, read in round t and vetted by check_answer."""
+    grad = np.asarray(components.grad(k, x), dtype=float)
+    if grad.shape != x.shape:
+        check_answer(k, t, grad=grad, x=x)
     return grad
 
 
@@ -138,8 +145,10 @@ class Regularizer:
         if tau < 0:
             raise ValueError(f"prox weight must be nonnegative, got {tau}")
         z = np.asarray(z, dtype=float)
-        # with no l1 term a copy is the threshold at 0 up to the sign of zero, and cheaper
-        y = soft_threshold(z, tau * self.l1_weight) if self.l1_weight else z.copy()
+        # soft_threshold(z, tau * l1_weight), checked once; with no l1 term a
+        # copy is that threshold up to the sign of zero, and cheaper
+        y = (np.sign(z) * np.maximum(np.abs(z) - tau * self.l1_weight, 0.0)
+             if self.l1_weight else z.copy())
         if self.ridge_weight > 0:
             y /= 1.0 + tau * self.ridge_weight
         return y

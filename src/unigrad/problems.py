@@ -351,8 +351,22 @@ def load_samples(path) -> LassoInstance:
 
     Lines starting with '#' and blank lines are skipped.  Raises ValueError
     naming the offending file line for ragged rows, non-numeric or
-    non-finite fields, and empty files.
+    non-finite fields, and empty files.  One np.loadtxt pass parses the data
+    lines; only a file it rejects is read again, line by line, for the error.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if lines else None
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] < 2 or not np.isfinite(data).all():
+        data = _read_rows(path)
+    return LassoInstance(A=data[:, 1:], b=data[:, 0])
+
+
+def _read_rows(path) -> np.ndarray:
+    """load_samples' data read line by line, raising its line-numbered errors."""
     rows: list[list[float]] = []
     width: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -380,6 +394,5 @@ def load_samples(path) -> LassoInstance:
             rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    return LassoInstance(A=data[:, 1:], b=data[:, 0])
+    return np.asarray(rows, dtype=float)
 

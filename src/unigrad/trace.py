@@ -62,31 +62,23 @@ class RunTrace:
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).copy()
 
-    def add_row(
-        self,
-        t: int,
-        i_t: int,
-        L_next: float,
-        f_gt_xt: float,
-        f_gt_xnext: float,
-        f_gt_yt: float,
-        f_full: float,
-        elapsed_s: float,
-        component: int | None = None,
-        x_next: np.ndarray | None = None,
-    ) -> None:
-        self.t.append(int(t))
-        self.i_t.append(int(i_t))
-        self.L_next.append(float(L_next))
-        self.f_gt_xt.append(float(f_gt_xt))
-        self.f_gt_xnext.append(float(f_gt_xnext))
-        self.f_gt_yt.append(float(f_gt_yt))
-        self.f_full.append(float(f_full))
-        self.elapsed_s.append(float(elapsed_s))
+    def add_row(self, t: int, i_t: int, L_next: float, f_gt_xt: float, f_gt_xnext: float,
+                f_gt_yt: float, f_full: float, elapsed_s: float, component: int | None = None,
+                x_next: np.ndarray | None = None) -> None:
+        """Append one row as given, unconverted; x_next is stored, not copied,
+        so the caller must not change it afterwards."""
+        self.t.append(t)
+        self.i_t.append(i_t)
+        self.L_next.append(L_next)
+        self.f_gt_xt.append(f_gt_xt)
+        self.f_gt_xnext.append(f_gt_xnext)
+        self.f_gt_yt.append(f_gt_yt)
+        self.f_full.append(f_full)
+        self.elapsed_s.append(elapsed_s)
         if component is not None:
-            self.component.append(int(component))
+            self.component.append(component)
         if x_next is not None:
-            self.x_next.append(np.asarray(x_next, dtype=float).copy())
+            self.x_next.append(x_next)
 
     @property
     def n_rows(self) -> int:

@@ -9,7 +9,8 @@ mapping, then steps to that mapping:
 
 The running output is the step-size weighted average of the produced
 iterates, xbar = sum_t x_{t+1} / L_{t+1} / sum_t 1 / L_{t+1}.  The doubling
-cap guarantees 2 L_{t+1} <= 2 gamma(M_v, v, eps) for every round.  The
+cap guarantees 2 L_{t+1} <= 2 gamma(M_v, v, eps) for every round; past
+MAX_DOUBLINGS rejected doublings the round raises LineSearchOverflow.  The
 fixed-step variant replaces the search by one always-accepted trial at
 M = 2 gamma(M_v, v, eps), recorded as i_t = 0 and L_{t+1} = gamma.
 """
@@ -19,8 +20,8 @@ import time
 
 import numpy as np
 
-from .bregman import backtrack, bregman_map, gamma, _descent_ok
-from .oracles import CompositeProblem, oracle_grad, oracle_value
+from .bregman import MAX_DOUBLINGS, LineSearchOverflow, bregman_map, gamma
+from .oracles import CompositeProblem, check_answer
 from .trace import RunTrace
 
 
@@ -69,6 +70,10 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
     the next iterate is the model's minimizer after folding in the round's
     linearization at the accepted modulus, and the final iterate is returned;
     the fixed-step dual round computes no Bregman point.
+
+    A trial costs one bregman_map, one value of g_t and one difference
+    y - x for both terms of the descent test; h at the round's point is
+    carried from the last round, and each row is recorded once.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -93,46 +98,60 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
         raise ValueError(f"L0 must be positive and finite, got {L0}")
     else:
         L = L0
-    geometry = problem.geometry
     regularizer = problem.regularizer
-    oracle = problem.components
+    value, grad = problem.components.value, problem.components.grad
     x = trace.x0.copy()
+    h_x = regularizer.value(x)  # h at the round's point, carried from the last round
     weight_sum = 0.0
     weighted_x = np.zeros_like(x)
     start = time.perf_counter()
-    for t in range(T + 1):
-        k = int(order[t])
-        g_value = oracle_value(oracle, k, x, t)
-        g_grad = oracle_grad(oracle, k, x, t)
+    for t, k in enumerate(order.tolist()):
+        g_value = float(value(k, x))
+        g_grad = np.asarray(grad(k, x), dtype=float)
+        if not math.isfinite(g_value) or g_grad.shape != x.shape:
+            check_answer(k, t, g_value, g_grad, x)
         i_t = 0
         if not fixed:
-            def trial(M: float):
+            for i_t in range(MAX_DOUBLINGS + 1):
+                M = (2.0**i_t) * L
                 y = bregman_map(regularizer, x, g_grad, M)
-                g_y = oracle_value(oracle, k, y, t)
-                return (y, g_y), _descent_ok(g_value, g_grad, g_y, x, y, M, eps, geometry)
-
-            i_t, L, (y, g_y) = backtrack(L, trial)
+                g_y = float(value(k, y))
+                if not math.isfinite(g_y):
+                    check_answer(k, t, g_y)
+                diff = y - x  # the descent test, with dist(x, y) = 0.5 ||y - x||^2
+                if g_y <= (g_value + float(g_grad @ diff) + M * (0.5 * float(diff @ diff))
+                           + 0.5 * eps):
+                    break
+            else:
+                raise LineSearchOverflow(
+                    f"no accepted modulus after {MAX_DOUBLINGS} doublings from L = {L}; "
+                    "check the oracle's Holder certificate and the geometry"
+                )
+            L = 0.5 * M
         elif model is None:
             y = bregman_map(regularizer, x, g_grad, 2.0 * L)
-            g_y = oracle_value(oracle, k, y, t)
-        f_xt = g_value + regularizer.value(x)
+            g_y = float(value(k, y))
+            if not math.isfinite(g_y):
+                check_answer(k, t, g_y)
+        f_xt = g_value + h_x
         if model is None:
             x = y
-            f_next = f_y = g_y + regularizer.value(y)
+            h_x = regularizer.value(x)
+            f_next = f_y = g_y + h_x
             weight = 1.0 / L
             weight_sum += weight
-            weighted_x = weighted_x + weight * y
+            weighted_x += weight * y
         else:
             coeff = 0.5 / L  # the accepted modulus is 2 L, so coeff = 1 / M
-            x_next = model.argmin(regularizer, coeff, g_grad)
+            x = model.argmin(regularizer, coeff, g_grad)
             model.fold(coeff, g_grad)
-            x = x_next
-            f_next = oracle_value(oracle, k, x, t) + regularizer.value(x)
+            g_next = float(value(k, x))
+            if not math.isfinite(g_next):
+                check_answer(k, t, g_next)
+            h_x = regularizer.value(x)
+            f_next = g_next + h_x
             f_y = f_next if fixed else g_y + regularizer.value(y)
-        trace.add_row(
-            t, i_t, L, f_xt, f_next, f_y, np.nan, time.perf_counter() - start,
-            component=k, x_next=x,
-        )
+        trace.add_row(t, i_t, L, f_xt, f_next, f_y, math.nan, time.perf_counter() - start, k, x)
     trace.fill_f_full(problem.values)
     return (weighted_x / weight_sum if model is None else x), trace
 

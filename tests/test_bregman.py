@@ -1,28 +1,18 @@
-"""Effective modulus, Bregman mapping, line-search primitive, descent test."""
+"""Effective modulus, Bregman mapping, and the line search of the round
+loop: its doublings, its descent test, its cap and its overflow."""
 
 import numpy as np
 import pytest
 
 from helpers import ModelSolveError, bregman_map_numeric, model_value
-from unigrad.bregman import (
-    LineSearchOverflow,
-    backtrack,
-    bregman_map,
-    gamma,
-    _descent_ok,
-)
+from unigrad.bregman import MAX_DOUBLINGS, LineSearchOverflow, bregman_map, gamma
 from unigrad.geometry import ProxFunction
-from unigrad.oracles import Regularizer, soft_threshold
+from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer, soft_threshold
 from unigrad.problems import LassoInstance, lasso_problem
+from unigrad.udgm import udgm_run
+from unigrad.upgm import upgm_run
 
-
-def check_descent_condition(oracle, x, x_hat, M, eps, geometry):
-    """The online rounds' descent test for component 0 of oracle, with g
-    and its gradient read at x."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    return _descent_ok(float(oracle.value(0, x)), np.asarray(oracle.grad(0, x), dtype=float),
-                       float(oracle.value(0, x_hat)), x, x_hat, M, eps, geometry)
+RUNNERS = (upgm_run, udgm_run)
 
 
 def _lasso_oracle(a, b):
@@ -171,95 +161,130 @@ def test_bregman_map_numeric_reports_residual_on_failure():
 
 
 # ---------------------------------------------------------------------------
-# backtrack
+# backtracking: the doublings M = 2^i L_t of the round loop
+
+
+def _square(a):
+    """The one-sample stream g_0(x) = (a x)^2 on the line, curvature 2 a^2,
+    with h = 0."""
+    return lasso_problem(LassoInstance(A=np.array([[a]]), b=np.array([0.0])))
+
+
+def _first_round(runner, prob, x0, L0, eps=1e-12):
+    """(i_0, L_1) of round 0 of runner from x0."""
+    _, trace = runner(prob, np.array([0]), np.array([x0]), L0, eps, 0)
+    return trace.i_t[0], trace.L_next[0]
 
 
 def test_backtrack_accept_first_try_halves_modulus():
-    trial = lambda M: (("cand", M), True)
-    i, L_next, cand = backtrack(4.0, trial)
-    assert i == 0
-    assert L_next == pytest.approx(2.0)
-    assert cand == ("cand", 4.0)
+    """From L0 = 64 on g = 4x^2 (curvature 8) every trial down to M = 8
+    passes at once; that one steps to the minimizer 0, where the trial
+    point is the point itself, so every later trial passes too and each
+    round halves L."""
+    T = 6
+    for runner in RUNNERS:
+        _, trace = runner(_square(2.0), np.zeros(T + 1, dtype=int), np.array([1.0]),
+                          64.0, 1e-12, T)
+        assert trace.i_t == [0] * (T + 1)
+        assert trace.L_next == [64.0 / 2.0 ** (t + 1) for t in range(T + 1)]
 
 
 def test_backtrack_returns_smallest_accepted_doubling():
-    accepted_at = 6.0  # accept once M reaches 8 = 2^3 * 1
+    """From x = 1 on g = 4x^2 the trials M = 1, 2, 4 fail and M = 8 passes:
+    i = 3, L_next = M / 2 = 4."""
+    for runner in RUNNERS:
+        assert _first_round(runner, _square(2.0), 1.0, 1.0) == (3, 4.0)
 
-    def trial(M):
-        return M, M >= accepted_at
 
-    i, L_next, cand = backtrack(1.0, trial)
-    assert i == 3
-    assert cand == 8.0
-    assert L_next == pytest.approx(4.0)
+def _never_descends(trials, dim=2):
+    """A stream whose one component is 0 at the origin and 1 everywhere
+    else, with gradient ones: from x = 0 every trial point y = -1/M lies
+    above the descent bound 0 - dim/(2M) + eps/2 for eps < 2.  Each value
+    read away from the origin is counted in trials."""
+
+    def value(i, x):
+        if x.any():
+            trials.append(None)
+            return 1.0
+        return 0.0
+
+    return CompositeProblem(
+        components=ComponentOracle(
+            value=value,
+            grad=lambda i, x: np.ones(dim),
+            values=lambda idx, x: np.array([value(i, x) for i in idx]),
+            n=1,
+            holder_degree=1.0,
+            holder_modulus=1.0,
+        ),
+        regularizer=Regularizer(),
+        dimension=dim,
+        mean_value_fn=lambda x: float(x.any()),
+        mean_grad_fn=lambda x: np.ones(dim),
+        mean_values_fn=lambda X: X.any(axis=1).astype(float),
+        gap_fn=lambda x: 0.0,
+    )
 
 
 def test_backtrack_overflow_after_64_doublings():
-    calls = []
-
-    def trial(M):
-        calls.append(M)
-        return None, False
-
-    with pytest.raises(LineSearchOverflow):
-        backtrack(1.0, trial)
-    assert len(calls) == 65
-    assert calls[-1] == pytest.approx(2.0 ** 64)
+    """Both adaptive runners raise after exactly 65 trials M = 2^i L_0,
+    i = 0..64, all rejected."""
+    message = (r"no accepted modulus after 64 doublings from L = 1\.0; "
+               "check the oracle's Holder certificate and the geometry")
+    for runner in RUNNERS:
+        trials = []
+        with pytest.raises(LineSearchOverflow, match=message):
+            runner(_never_descends(trials), np.array([0, 0]), np.zeros(2), 1.0, 1e-2, 1)
+        assert len(trials) == MAX_DOUBLINGS + 1 == 65
 
 
 def test_backtrack_rejects_nonpositive_start():
-    for bad in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="initial_L"):
-            backtrack(bad, lambda M: (None, True))
+    for runner in RUNNERS:
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="L0 must be positive and finite"):
+                _first_round(runner, _square(1.0), 1.0, bad)
 
 
 def test_backtrack_with_descent_trial_respects_modulus_cap():
     """Starting from a tiny modulus, the accepted modulus never exceeds the
     accuracy-matched cap 2 * gamma(M_v, eps)."""
     rng = np.random.default_rng(2)
-    geom = ProxFunction(3)
-    h = Regularizer(0.1)
     eps = 1e-2
-    for _ in range(20):
-        a = rng.normal(size=3)
-        comp = _lasso_oracle(a, float(rng.normal()))
-        cap = gamma(comp.holder_modulus, comp.holder_degree, eps)
-        x = rng.normal(size=3)
-
-        def trial(M, comp=comp, x=x):
-            y = bregman_map(h, x, comp.grad(0, x), M)
-            return y, check_descent_condition(comp, x, y, M, eps, geom)
-
-        i, L_next, _ = backtrack(1e-6, trial)
-        assert 2.0 * L_next <= 2.0 * cap * (1.0 + 1e-12)
+    for runner in RUNNERS:
+        for _ in range(20):
+            inst = LassoInstance(A=rng.normal(size=(1, 3)), b=rng.normal(size=1),
+                                 l1_weight=0.1)
+            prob = lasso_problem(inst)
+            cap = gamma(prob.components.holder_modulus, prob.components.holder_degree, eps)
+            _, trace = runner(prob, np.zeros(6, dtype=int), rng.normal(size=3), 1e-6, eps, 5)
+            assert max(trace.i_t) > 0
+            assert 2.0 * max(trace.L_next) <= 2.0 * cap * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# check_descent_condition
+# the descent test g(y) <= g(x) + <grad g(x), y - x> + M dist(x, y) + eps/2,
+# read from the trial the round loop accepts
 
 
 def test_descent_trivially_true_at_same_point():
-    geom = ProxFunction(2)
-    comp = _lasso_oracle([1.0, -2.0], 0.5)
-    x = np.array([0.3, 0.4])
-    for M in (1e-6, 1.0, 1e6):
-        assert check_descent_condition(comp, x, x, M, 1e-9, geom)
+    """At a stationary point of g with h = 0 the trial point is the point
+    itself, and the test holds at every modulus."""
+    for runner in RUNNERS:
+        for L0 in (1e-6, 1.0, 1e6):
+            assert _first_round(runner, _square(1.0), 0.0, L0) == (0, 0.5 * L0)
 
 
 def test_descent_equality_case_at_curvature():
-    comp = _lasso_oracle([1.0], 0.0)  # g(x) = x^2, curvature 2
-    geom = ProxFunction(1)
-    x = np.array([1.0])
-    xhat = np.array([0.0])
-    assert check_descent_condition(comp, x, xhat, 2.0, 0.0, geom)
+    """g = x^2 (curvature 2) from x = 1: the trial M = 2 steps to 0, where
+    g equals its model, and passes with slack eps / 2 = 5e-13."""
+    for runner in RUNNERS:
+        assert _first_round(runner, _square(1.0), 1.0, 2.0) == (0, 1.0)
 
 
 def test_descent_fails_below_curvature():
-    comp = _lasso_oracle([1.0], 0.0)
-    geom = ProxFunction(1)
-    x = np.array([1.0])
-    xhat = np.array([0.0])
-    assert not check_descent_condition(comp, x, xhat, 1.9, 0.0, geom)
+    """The trial M = 1.9 below the curvature 2 fails; the doubling 3.8 passes."""
+    for runner in RUNNERS:
+        assert _first_round(runner, _square(1.0), 1.0, 1.9) == (1, 1.9)
 
 
 # ---------------------------------------------------------------------------

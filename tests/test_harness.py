@@ -30,7 +30,7 @@ from unigrad.problems import (
     steiner_problem,
     synth_lasso,
 )
-from unigrad.trace import RunTrace, parse_trace_csv, write_trace_csv
+from unigrad.trace import CSV_COLUMNS, RunTrace, parse_trace_csv, write_trace_csv
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +640,48 @@ def test_check_bounds_keeps_the_verdicts_of_golden_traces(path):
     assert (ok, report["checked"]) == (saved["ok"], saved["checked"])
     satisfied = [key for key in saved if key.endswith("_satisfied")]
     assert {key: report[key] for key in satisfied} == {key: saved[key] for key in satisfied}
+
+
+def _without_elapsed(path):
+    """The trace file's lines with each data row's last field, elapsed_s,
+    cut off."""
+    lines = Path(path).read_text().splitlines()
+    header = lines.index(",".join(CSV_COLUMNS))
+    return lines[:header + 1] + [line.rpartition(",")[0] for line in lines[header + 1:]]
+
+
+def _assert_report_matches(got, want, where="report"):
+    """Same keys, same strings, ints and verdicts; floats within 1e-14 relative."""
+    assert sorted(got) == sorted(want), where
+    for key, value in want.items():
+        if isinstance(value, dict):
+            _assert_report_matches(got[key], value, f"{where}.{key}")
+        elif isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=1e-14, abs=0.0), f"{where}.{key}"
+        else:
+            assert (type(got[key]), got[key]) == (type(value), value), f"{where}.{key}"
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.parent.name for p in GOLDEN])
+def test_golden_runs_replay_from_their_metadata(path, tmp_path):
+    """run_experiment, given the configuration the trace's metadata records,
+    writes the same trace (all but elapsed_s), the same bound curve and the
+    same report: every verdict exact, every float within 1e-14 relative."""
+    meta = parse_trace_csv(path)
+    extra = meta.extra_meta
+    paths = run_experiment(RunConfig(
+        algorithm=meta.algorithm, problem=meta.problem_meta, out=str(tmp_path),
+        eps=meta.eps, T=meta.T, L0=1.0 if meta.L0 is None else meta.L0,
+        M=extra.get("M"), order=meta.order_kind or "random", seed=meta.seed,
+        fixed_step=extra.get("fixed_step", False), holder_modulus=extra.get("Mv"),
+        holder_degree=extra.get("v"), tol=extra["tol"], dist0_sq=extra.get("dist0_sq"),
+    ))
+    assert _without_elapsed(paths["trace"]) == _without_elapsed(path)
+    golden_bounds = path.parent / "bounds.csv"
+    if golden_bounds.exists():
+        assert Path(paths["bounds"]).read_bytes() == golden_bounds.read_bytes()
+    _assert_report_matches(json.loads(Path(paths["report"]).read_text()),
+                           json.loads((path.parent / "report.json").read_text()))
 
 
 def test_golden_sug_bound_curve_is_written_byte_for_byte(tmp_path):

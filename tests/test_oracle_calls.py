@@ -6,9 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from unigrad import harness
-from unigrad.geometry import ProxFunction
+from unigrad import harness, upgm
+from unigrad.bregman import bregman_map
 from unigrad.harness import RunConfig, run_experiment, sample_order
+from unigrad.oracles import Regularizer
 from unigrad.problems import lasso_problem, steiner_problem, synth_lasso, synth_steiner
 from unigrad.sug import SugConfig, sug_run
 from unigrad.udgm import udgm_fixed_step_run, udgm_run
@@ -69,29 +70,64 @@ def test_fixed_step_rounds_read_two_values_and_one_gradient(family, runner):
     assert counts == {"value": 2 * (T + 1), "grad": T + 1}
 
 
+def _spy_maps_and_proxes(monkeypatch):
+    """Count every Bregman mapping the round driver takes and every prox."""
+    maps, proxes = [], []
+    prox = Regularizer.prox
+
+    def map_spy(*args):
+        maps.append(None)
+        return bregman_map(*args)
+
+    def prox_spy(self, z, tau):
+        proxes.append(None)
+        return prox(self, z, tau)
+
+    monkeypatch.setattr(upgm, "bregman_map", map_spy)
+    monkeypatch.setattr(Regularizer, "prox", prox_spy)
+    return maps, proxes
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+@pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed-step"])
+def test_oupgm_maps_once_per_trial_and_proxes_only_in_its_maps(
+    family, fixed, monkeypatch
+):
+    """One Bregman mapping per trial of the line search (one per round at a
+    fixed step), and every prox is a mapping's."""
+    maps, proxes = _spy_maps_and_proxes(monkeypatch)
+    problem = PROBLEMS[family]()
+    x0 = np.zeros(problem.dimension)
+    if fixed:
+        _, trace = upgm_fixed_step_run(problem, _order(problem), x0, 1e-1, T)
+        trials = sum(i + 1 for i in trace.i_t)
+        assert trials == T + 1
+    else:
+        _, trace = upgm_run(problem, _order(problem), x0, 1.0, 1e-2, T)
+        trials = sum(i + 1 for i in trace.i_t)
+        assert trials > T + 1  # some rounds backtracked
+    assert len(maps) == trials
+    assert len(proxes) == len(maps)
+
+
 @pytest.mark.parametrize("family", sorted(PROBLEMS))
 @pytest.mark.parametrize("fixed", [False, True], ids=["adaptive", "fixed-step"])
 def test_oudgm_takes_bregman_distances_only_in_its_trials(family, fixed, monkeypatch):
-    """One distance per descent test and none for the model: the dual
-    rounds fold and minimize without evaluating the model."""
-    calls = []
-    bregman = ProxFunction.bregman
-
-    def spy(self, x, y):
-        calls.append(None)
-        return bregman(self, x, y)
-
-    monkeypatch.setattr(ProxFunction, "bregman", spy)
+    """One Bregman mapping per descent-test trial and none at a fixed step:
+    the dual rounds fold and minimize without a Bregman point, so every other
+    prox is one of the T + 1 model minimizers."""
+    maps, proxes = _spy_maps_and_proxes(monkeypatch)
     problem = PROBLEMS[family]()
     x0 = np.zeros(problem.dimension)
     if fixed:
         udgm_fixed_step_run(problem, _order(problem), x0, 1e-1, T)
-        assert calls == []
+        assert maps == []
     else:
         _, trace = udgm_run(problem, _order(problem), x0, 1.0, 1e-2, T)
         trials = sum(i + 1 for i in trace.i_t)
         assert trials > T + 1  # some rounds backtracked
-        assert len(calls) == trials
+        assert len(maps) == trials
+    assert len(proxes) == len(maps) + T + 1
 
 
 @pytest.mark.parametrize("family", sorted(PROBLEMS))

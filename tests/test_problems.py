@@ -13,6 +13,7 @@ from helpers import (
     steiner_bregman_step,
     steiner_dual_average,
 )
+from unigrad import problems
 from unigrad.bregman import bregman_map
 from unigrad.oracles import soft_threshold
 from unigrad.problems import (
@@ -177,6 +178,33 @@ def test_load_samples_non_finite(tmp_path, field):
     path.write_text(f"1.0,2.0\n# comment\n0.5,{field}\n")
     with pytest.raises(ValueError, match="line 3: non-finite field"):
         load_samples(path)
+
+
+def test_load_samples_one_pass_equals_float_of_every_field(tmp_path, monkeypatch):
+    """The one-pass read gives the float() of every field, bit for bit, on a
+    file with comments and blank lines among fields written to 6, 17 and
+    25 significant digits; the line-by-line read is not reached."""
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-40, 40, size=(300, 7))
+    formats = ["{:.6e}", "{:.17g}", "{:.25g}", "{!r}"]
+    lines = ["# b,a_1,...,a_6"]
+    for t, row in enumerate(data.tolist()):
+        lines.append(",".join(formats[(t + j) % 4].format(v) for j, v in enumerate(row)))
+        if t % 50 == 7:
+            lines += ["", "   ", "# a comment among the rows"]
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n\n")
+    want = np.array([[float(field) for field in line.split(",")]
+                     for line in lines if line.strip() and not line.startswith("#")])
+
+    def no_line_by_line(path):
+        raise AssertionError("the one-pass read fell back")
+
+    monkeypatch.setattr(problems, "_read_rows", no_line_by_line)
+    inst = load_samples(path)
+    assert inst.b.tobytes() == want[:, 0].tobytes()
+    assert inst.A.tobytes() == np.ascontiguousarray(want[:, 1:]).tobytes()
+    assert inst.A.shape == (300, 6)
 
 
 def test_save_load_round_trip_exact(tmp_path):
