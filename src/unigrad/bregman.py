@@ -29,6 +29,11 @@ class LineSearchOverflow(RuntimeError):
     """Backtracking exceeded the doubling cap; oracle or geometry misfit."""
 
 
+class ModulusUnderflow(RuntimeError):
+    """The halved modulus L fell below the smallest normal float: on a stream
+    whose every first trial passes, L halves each round until 1/L overflows."""
+
+
 MAX_DOUBLINGS = 64
 
 

@@ -30,8 +30,11 @@ need beyond the columns:
 
 Reference minimizers always come from the one batch proximal-gradient
 solve, run to a fixed-point residual tolerance, so every reported gap
-shares one ground truth.  The solve's point is certified by the problem's
-gap (an upper bound on f(x*) - f*), so f* lies in [f - gap, f].
+shares one ground truth.  A lasso with 2p < n steps on its quadratic, A'A
+built once and shared with the f_full pass; any other problem on its data.
+The solve's point has its f computed from the data and is certified by
+the problem's gap (an upper bound on f(x*) - f*), so f* lies in
+[f - gap, f].
 `--algorithm batch` solves nothing more: its trace is the reference solve's
 own steps, stopped at T.  check-bounds solves nothing either: it rebuilds
 the reference from the stored x_star, re-certifying it on the rebuilt data,
@@ -104,8 +107,14 @@ def reference_solution(
     drops to tol.  Each step doubles its modulus from the previous step's
     (1 before the first) until the descent test holds; the accepted trial's
     smooth value serves the next iterate, so each trial costs one prox and
-    one mean_smooth_value call, and recording a step one h value.  The
-    point it stops at is certified once, by problem.gap.
+    one smooth value, and recording a step one h value.  A problem whose
+    smooth average is a quadratic (x'Gx - 2c'x + const) / n it offers
+    (quadratic_fn: lasso with 2p < n) steps on G: the gradient is
+    (2/n)(G x - c) and a trial's smooth value is value + grad'd + d'G d / n
+    along the step d, O(p^2) a trial.  Any other problem evaluates its
+    smooth average and gradient, O(np) each.  The point it stops at takes
+    its f from mean_smooth_value whichever steps led there, and is certified
+    once, by problem.gap.
     Raises ReferenceSolverError if the cap is hit first, or at once when
     the smooth average is NaN or infinite.
     """
@@ -114,18 +123,27 @@ def reference_solution(
     regularizer = problem.regularizer
     start = time.perf_counter()
     x = np.zeros(problem.dimension)
-    value = _finite_smooth_value(problem, x, 0)
+    value = _finite_smooth_value(problem.mean_smooth_value(x), 0)
+    quadratic = None if problem.quadratic_fn is None else problem.quadratic_fn()
+    n = problem.n_components
     f_x = value + regularizer.value(x)
     M = 1.0
     steps = []
     residual = math.inf
     for it in range(1, max_iters + 1):
-        grad = problem.mean_smooth_grad(x)
+        if quadratic is None:
+            grad = problem.mean_smooth_grad(x)
+        else:
+            G, c = quadratic
+            grad = (2.0 / n) * (G @ x - c)
         for doublings in range(300):
             x_next = regularizer.prox(x - grad / M, 1.0 / M)
             diff = x_next - x
-            quad = value + float(grad @ diff) + 0.5 * M * float(diff @ diff)
-            value_next = _finite_smooth_value(problem, x_next, it)
+            linear = value + float(grad @ diff)
+            quad = linear + 0.5 * M * float(diff @ diff)
+            value_next = _finite_smooth_value(
+                problem.mean_smooth_value(x_next) if quadratic is None
+                else linear + float(diff @ (G @ diff)) / n, it)
             if value_next <= quad + 1e-15 * (1.0 + abs(quad)):
                 break
             M *= 2.0
@@ -134,9 +152,11 @@ def reference_solution(
         # M is never halved between steps: halving lets float cancellation in
         # the descent test drag M below the curvature near the optimum, where
         # the iterates then limit-cycle above any tight tolerance
+        residual = float(np.linalg.norm(diff))
+        if residual <= tol and quadratic is not None:
+            value_next = _finite_smooth_value(problem.mean_smooth_value(x_next), it)
         f_next = value_next + regularizer.value(x_next)
         steps.append((doublings, M, f_x, f_next, time.perf_counter() - start))
-        residual = float(np.linalg.norm(diff))
         if residual <= tol:
             return ReferenceSolution(
                 x=x_next, f=f_next, iterations=it, residual=residual,
@@ -149,8 +169,7 @@ def reference_solution(
     )
 
 
-def _finite_smooth_value(problem: CompositeProblem, x: np.ndarray, it: int) -> float:
-    value = problem.mean_smooth_value(x)
+def _finite_smooth_value(value: float, it: int) -> float:
     if not math.isfinite(value):
         kind = "NaN" if math.isnan(value) else "infinite"
         raise ReferenceSolverError(

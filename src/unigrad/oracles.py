@@ -166,7 +166,10 @@ class CompositeProblem:
     than that array, one value per component, or BLOCK_BYTES; a problem may
     cache data-sized state for it, as lasso does A'A and |A'A|.  gap_fn is
     the family's optimality certificate: an upper bound on f(x) - f* that
-    needs no knowledge of f*.
+    needs no knowledge of f*.  quadratic_fn, for a family whose smooth
+    average is the quadratic (x'Gx - 2c'x + const) / n, n the number of
+    components, returns (G, c), built on its first call; a family sets it
+    only where stepping on G is cheaper than on the components.
     """
 
     components: ComponentOracle
@@ -176,6 +179,7 @@ class CompositeProblem:
     mean_grad_fn: Callable[[np.ndarray], np.ndarray]
     mean_values_fn: Callable[[np.ndarray], np.ndarray]
     gap_fn: Callable[[np.ndarray], float]
+    quadratic_fn: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None
     geometry: ProxFunction = field(init=False)
 
     def __post_init__(self):

@@ -9,6 +9,11 @@ subgradients (degree 0, modulus 2) and no composite part.
 
 Each family also certifies a point: lasso and elastic net by a duality gap,
 Steiner by its least-norm subgradient (CompositeProblem.gap_fn).
+
+A lasso with 2p < n (gram_form_pays) keeps one Gram state, A'A, A'b and
+|A'A|, built on first use: by the first block of points whose full-objective
+pass repays it, or by the reference solve, which steps on the smooth part's
+quadratic (CompositeProblem.quadratic_fn).  Building the problem builds none.
 """
 
 import math
@@ -116,6 +121,21 @@ def _residual_sums(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
     return total
 
 
+def gram_form_pays(n: int, p: int) -> bool:
+    """Whether a lasso of n samples in dimension p evaluates its smooth
+    average from A'A, built once for n p^2 flops: a full-objective point
+    then costs 4p^2 flops plus its share of 4np a block, a reference trial
+    2p^2, against 2np for either in residual form.  Only when 2p < n can the
+    saving repay the build."""
+    return 2 * p < n
+
+
+def _gram_state(A: np.ndarray, b: np.ndarray) -> tuple:
+    """(A'A, A'b, |A'A|), the lasso's Gram state."""
+    G = A.T @ A
+    return G, A.T @ b, np.abs(G)
+
+
 def lasso_problem(inst: LassoInstance) -> CompositeProblem:
     """Composite problem (1/n) sum_t (a_t' x - b_t)^2 + h(x)."""
     A, b = inst.A, inst.b
@@ -156,7 +176,17 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         return (2.0 / n) * (A.T @ (A @ x - b))
 
     p = inst.p
-    G = G_abs = None  # A'A and |A'A|, built by the first block that repays them
+    gram_pays = gram_form_pays(n, p)
+    state = None  # the Gram state (A'A, A'b, |A'A|) once built
+
+    def gram():
+        nonlocal state
+        if state is None:
+            state = _gram_state(A, b)
+        return state
+
+    def quadratic():
+        return gram()[:2]
 
     def mean_values(X):
         # Centred Gram form.  With r_c = A x_c - b at the block's last point
@@ -173,16 +203,14 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         #
         # Cost: the residual form takes 2np flops a point; the Gram form
         # 4p^2 (D A'A and D |A'A|) plus 4np a block, after n p^2 to build
-        # A'A.  So the Gram form pays only when 2p < n, and the matrices are
-        # built only for a block whose saving of 2p (n - 2p) flops a point
-        # repays the build by itself; until then, and always when 2p >= n,
-        # the block is summed in residual form, as it would be without them.
-        nonlocal G, G_abs
-        if G is None:
-            if 2 * len(X) * (n - 2 * p) < n * p:
-                return _residual_sums(A, b, X) / n
-            G = A.T @ A
-            G_abs = np.abs(G)
+        # A'A.  So the Gram form pays only when 2p < n, and the state is
+        # built here only for a block whose saving of 2p (n - 2p) flops a
+        # point repays the build by itself; until then, unless the reference
+        # solve has built it, and always when 2p >= n, the block is summed
+        # in residual form, as it would be without it.
+        if state is None and (not gram_pays or 2 * len(X) * (n - 2 * p) < n * p):
+            return _residual_sums(A, b, X) / n
+        G, _, G_abs = gram()
         x_c = X[-1]
         r_c = A @ x_c - b
         g = A.T @ r_c
@@ -230,6 +258,7 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         mean_grad_fn=mean_grad,
         mean_values_fn=mean_values,
         gap_fn=gap,
+        quadratic_fn=quadratic if gram_pays else None,
     )
 
 

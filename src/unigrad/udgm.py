@@ -33,11 +33,17 @@ from .upgm import _run_rounds
 @dataclass
 class DualModel:
     """The part of phi(x) = dist(anchor, x) + <s, x> + A h(x) + c that its
-    minimizer reads: the anchor, s and A."""
+    minimizer reads: the anchor, s and A.
+
+    A round minimizes the model with its linearization added, then folds
+    that linearization in: argmin keeps the sum s + coeff * grad it builds,
+    and fold takes it over when handed the same s, coeff and grad, so the
+    sum is computed once a round."""
 
     anchor: np.ndarray
     s: np.ndarray = field(default=None)  # type: ignore[assignment]
     A: float = 0.0
+    _sum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.anchor = np.asarray(self.anchor, dtype=float).copy()
@@ -56,12 +62,18 @@ class DualModel:
         if extra_coeff < 0:
             raise ValueError(f"extra_coeff must be nonnegative, got {extra_coeff}")
         w = self.s + extra_coeff * np.asarray(extra_grad, dtype=float)
+        self._sum = (self.s, extra_coeff, extra_grad, w)
         return regularizer.prox(self.anchor - w, self.A + extra_coeff)
 
     def fold(self, coeff: float, g_grad: np.ndarray) -> None:
         """Add coeff * [<grad g(x_t), x> + h(x)] to the model: the round's
         linearization without its constant."""
-        self.s = self.s + coeff * np.asarray(g_grad, dtype=float)
+        last = self._sum
+        self._sum = None
+        if last is not None and last[0] is self.s and last[1] == coeff and last[2] is g_grad:
+            self.s = last[3]
+        else:
+            self.s = self.s + coeff * np.asarray(g_grad, dtype=float)
         self.A += coeff
 
 

@@ -10,17 +10,20 @@ mapping, then steps to that mapping:
 The running output is the step-size weighted average of the produced
 iterates, xbar = sum_t x_{t+1} / L_{t+1} / sum_t 1 / L_{t+1}.  The doubling
 cap guarantees 2 L_{t+1} <= 2 gamma(M_v, v, eps) for every round; past
-MAX_DOUBLINGS rejected doublings the round raises LineSearchOverflow.  The
-fixed-step variant replaces the search by one always-accepted trial at
+MAX_DOUBLINGS rejected doublings the round raises LineSearchOverflow, and
+a round whose L_{t+1} falls below the smallest normal float raises
+ModulusUnderflow before any weight 1 / L_{t+1} overflows.  The fixed-step
+variant replaces the search by one always-accepted trial at
 M = 2 gamma(M_v, v, eps), recorded as i_t = 0 and L_{t+1} = gamma.
 """
 
 import math
+import sys
 import time
 
 import numpy as np
 
-from .bregman import MAX_DOUBLINGS, LineSearchOverflow, bregman_map, gamma
+from .bregman import MAX_DOUBLINGS, LineSearchOverflow, ModulusUnderflow, bregman_map, gamma
 from .oracles import CompositeProblem, check_answer
 from .trace import RunTrace
 
@@ -128,6 +131,12 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
                     "check the oracle's Holder certificate and the geometry"
                 )
             L = 0.5 * M
+            if L < sys.float_info.min:
+                raise ModulusUnderflow(
+                    f"round {t}: the modulus L = {L!r} fell below the smallest normal "
+                    f"float {sys.float_info.min!r}: L halves after every round "
+                    "whose first trial passes"
+                )
         elif model is None:
             y = bregman_map(regularizer, x, g_grad, 2.0 * L)
             g_y = float(value(k, y))

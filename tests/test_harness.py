@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unigrad import harness
+from unigrad import harness, problems
 from unigrad.harness import (
     ReferenceSolution,
     ReferenceSolverError,
@@ -77,9 +77,11 @@ def test_reference_records_one_step_per_iteration():
 def test_reference_fails_fast_on_a_non_finite_smooth_value(bad, kind):
     # the fourth evaluation of the smooth average, a backtracking trial of
     # the first step, spoils: the solve must stop there, not keep doubling
-    # the modulus against it until the cap
+    # the modulus against it until the cap.  Without its quadratic the lasso
+    # takes the residual steps, which evaluate the average at every trial.
     problem = lasso_problem(synth_lasso(p=5, n=40, sparsity=2, noise=0.1, seed=1,
                                         l1_weight=0.1))
+    problem.quadratic_fn = None
     calls = []
     mean_value = problem.mean_value_fn
 
@@ -91,6 +93,81 @@ def test_reference_fails_fast_on_a_non_finite_smooth_value(bad, kind):
     with pytest.raises(ReferenceSolverError, match=f"{kind} .* at reference iteration 1"):
         reference_solution(problem)
     assert len(calls) == 4
+
+
+GRAM_SHAPES = {
+    "battery": dict(p=20, n=2001, sparsity=5, seed=0, l1_weight=0.1),
+    "large": dict(p=60, n=4000, sparsity=6, seed=3, l1_weight=0.1),
+    "elastic-net": dict(p=20, n=500, sparsity=5, seed=0, l1_weight=0.1, ridge_weight=1.0),
+    "h0": dict(p=5, n=60, sparsity=2, seed=1),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("shape", sorted(GRAM_SHAPES))
+def test_gram_steps_match_the_residual_steps(shape, tol):
+    """A lasso with 2p < n steps on A'A; without its quadratic it takes the
+    residual steps.  Both take the same steps, to rounding."""
+    inst = synth_lasso(noise=0.1, **GRAM_SHAPES[shape])
+    gram = lasso_problem(inst)
+    residual = lasso_problem(inst)
+    residual.quadratic_fn = None
+    got, want = reference_solution(gram, tol=tol), reference_solution(residual, tol=tol)
+    assert got.iterations == want.iterations
+    assert [step[:2] for step in got.steps] == [step[:2] for step in want.steps]
+    np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=1e-12)
+    assert got.f == pytest.approx(want.f, rel=1e-14)
+    # the stopping point's f and certificate are the data's, as without A'A
+    assert got.f == gram.value(got.x) and got.gap == gram.gap(got.x)
+
+
+def _count_gram_builds(monkeypatch):
+    builds = []
+    gram_state = problems._gram_state
+
+    def spy(A, b):
+        builds.append(A.shape)
+        return gram_state(A, b)
+
+    monkeypatch.setattr(problems, "_gram_state", spy)
+    return builds
+
+
+@pytest.mark.parametrize("algorithm", ["oupgm", "oudgm", "sug", "batch"])
+@pytest.mark.parametrize("p, n, want", [(10, 60, 1), (40, 60, 0)])
+def test_a_run_builds_the_gram_state_at_most_once(tmp_path, monkeypatch, algorithm, p, n,
+                                                  want):
+    """The reference solve builds A'A where 2p < n, and the f_full pass
+    reuses it; building the problem and check-bounds build none."""
+    builds = _count_gram_builds(monkeypatch)
+    desc = dict(SYNTH_DESC, p=p, n=n, ridge=10.0)
+    problem = problem_from_descriptor(desc)
+    assert builds == [] and (problem.quadratic_fn is None) is (want == 0)
+    paths = run_experiment(_cfg(algorithm=algorithm, problem=desc, T=30, M=1.0,
+                                out=str(tmp_path / "run")))
+    assert builds == [(n, p)] * want
+    _recheck(paths)
+    assert builds == [(n, p)] * want
+
+
+def test_nan_data_stops_the_gram_solve_before_it_builds(monkeypatch):
+    builds = _count_gram_builds(monkeypatch)
+    inst = synth_lasso(p=5, n=40, sparsity=2, noise=0.1, seed=1, l1_weight=0.1)
+    b = inst.b.copy()
+    b[7] = np.nan
+    problem = lasso_problem(LassoInstance(A=inst.A, b=b, l1_weight=0.1))
+    with pytest.raises(ReferenceSolverError, match="NaN .* at reference iteration 0"):
+        reference_solution(problem)
+    assert builds == []
+
+
+def test_a_nan_quadratic_stops_the_gram_solve_at_its_first_trial():
+    problem = lasso_problem(synth_lasso(p=5, n=40, sparsity=2, noise=0.1, seed=1,
+                                        l1_weight=0.1))
+    G, c = problem.quadratic_fn()
+    problem.quadratic_fn = lambda: (G * np.nan, c)
+    with pytest.raises(ReferenceSolverError, match="NaN .* at reference iteration 1"):
+        reference_solution(problem)
 
 
 def test_batch_solver_evaluates_the_smooth_average_once_per_trial(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
 """The round loop shared by oupgm, oudgm and their fixed-step variants."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from unigrad.bregman import bregman_map, gamma
+from helpers import zero_problem
+from unigrad.bregman import ModulusUnderflow, bregman_map, gamma
 from unigrad.harness import sample_order
 from unigrad.oracles import NonFiniteOracleValue
 from unigrad.problems import lasso_problem, synth_lasso
@@ -121,3 +123,18 @@ def test_bad_gradient_shape_names_round_component_and_shapes(runner, shape):
                r"the point has shape \(3,\)")
     with pytest.raises(ValueError, match=message):
         RUNNERS[runner](prob, np.array([0, 2, 1]), np.zeros(3), 2)
+
+
+@pytest.mark.parametrize("runner", [upgm_run, udgm_run], ids=["oupgm", "oudgm"])
+def test_a_modulus_halved_below_the_normal_floats_fails_fast(runner):
+    """On g = 0 every first trial passes and L_t = 2^-t: round 1022 halves L
+    below the smallest normal float and must stop the run, before 1 / L or
+    the model's coefficient 1 / (2 L) overflows into inf or NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModulusUnderflow,
+                           match="round 1022: .* below the smallest normal float"):
+            runner(zero_problem(), np.zeros(1200, dtype=int), np.zeros(2), 1.0, 1e-2, 1199)
+    # one round fewer keeps every L normal and runs through
+    _, trace = runner(zero_problem(), np.zeros(1022, dtype=int), np.zeros(2), 1.0, 1e-2, 1021)
+    assert trace.L_next == [2.0 ** -(t + 1) for t in range(1022)]

@@ -64,6 +64,30 @@ def test_argmin_validates_extra_term():
         model.argmin(Regularizer(), -0.1, np.zeros(2))
 
 
+def test_fold_takes_over_the_sum_argmin_built():
+    rng = np.random.default_rng(4)
+    model = _fresh_model(3, x0=rng.normal(size=3))
+    model.fold(0.3, rng.normal(size=3))
+    grad, coeff = rng.normal(size=3), 0.7
+    want = model.s + coeff * grad
+    model.argmin(Regularizer(0.1), coeff, grad)
+    built = model._sum[3]
+    model.fold(coeff, grad)
+    assert model.s is built
+    np.testing.assert_array_equal(model.s, want)
+    # another coefficient, another gradient array, another s, or no argmin
+    # since the last fold: the sum is built afresh
+    for args, s in (((0.5, grad), None), ((0.2, grad.copy()), None),
+                    ((0.2, grad), rng.normal(size=3)), (None, None)):
+        if args is not None:
+            model.argmin(Regularizer(0.1), *args)
+        if s is not None:
+            model.s = s
+        before = model.s
+        model.fold(0.2, grad)
+        np.testing.assert_array_equal(model.s, before + 0.2 * grad)
+
+
 def test_model_value_reconstruction():
     rng = np.random.default_rng(1)
     model = _fresh_model(3, x0=rng.normal(size=3))
