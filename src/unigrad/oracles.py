@@ -127,9 +127,9 @@ class Regularizer:
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        out = self.l1_weight * float(np.abs(x).sum()) if self.l1_weight else 0.0
+        out = self.l1_weight * float(np.add.reduce(np.abs(x))) if self.l1_weight else 0.0
         if self.ridge_weight > 0:
-            out += 0.5 * self.ridge_weight * float(x @ x)
+            out += 0.5 * self.ridge_weight * float(x.dot(x))
         return out
 
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -145,10 +145,15 @@ class Regularizer:
         if tau < 0:
             raise ValueError(f"prox weight must be nonnegative, got {tau}")
         z = np.asarray(z, dtype=float)
-        # soft_threshold(z, tau * l1_weight), checked once; with no l1 term a
-        # copy is that threshold up to the sign of zero, and cheaper
-        y = (np.sign(z) * np.maximum(np.abs(z) - tau * self.l1_weight, 0.0)
-             if self.l1_weight else z.copy())
+        # soft_threshold(z, tau * l1_weight) in place, checked once; with no
+        # l1 term a copy is that threshold up to the sign of zero, and cheaper
+        if self.l1_weight:
+            y = np.abs(z)
+            y -= tau * self.l1_weight
+            np.maximum(y, 0.0, out=y)
+            y *= np.sign(z)
+        else:
+            y = z.copy()
         if self.ridge_weight > 0:
             y /= 1.0 + tau * self.ridge_weight
         return y

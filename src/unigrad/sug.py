@@ -8,7 +8,9 @@ All surrogates share the one modulus M, so the average G^k is
 (M / 2) ||x||^2 plus a linear term plus a constant.  The subproblem
 argmin_x G^k(x) + h(x) reads only the linear term's O(p) aggregate and
 is one prox evaluation at modulus M.  Every iteration re-anchors one
-uniformly sampled surrogate at the fresh iterate.  When M exceeds the Holder
+uniformly sampled surrogate at the fresh iterate: one prox, one component
+gradient, two component values and one value of h (at the new iterate; h at
+the old one is carried over).  When M exceeds the Holder
 threshold (2/eps)^((1-v)/(1+v)) M_v^(2/(1+v)), the surrogates overestimate
 g_i up to eps/4, which drives the geometric convergence bound.  With
 rho = (1/n)(M / mu_h) + 1 - 1/n < 1 the bound reaches eps within
@@ -27,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import CompositeProblem, Regularizer, oracle_grad, oracle_value
+from .oracles import (CompositeProblem, Regularizer, block_len, check_answer, oracle_grad,
+                      oracle_value)
 from .trace import RunTrace
 
 
@@ -91,8 +94,8 @@ def sug_subproblem(table: SurrogateTable, regularizer: Regularizer) -> np.ndarra
     G^k is (M / 2) ||x||^2 + <lin, x> / n plus a constant, so with
     w = lin / n the minimizer is prox_{h/M}(-w / M).
     """
-    w = table.lin / table.n
-    return regularizer.prox(-w / table.M, 1.0 / table.M)
+    # lin / -n is -(lin / n) bit for bit, the sign of zero included
+    return regularizer.prox(table.lin / -table.n / table.M, 1.0 / table.M)
 
 
 def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> float:
@@ -109,7 +112,10 @@ def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> 
     value = oracle_value(oracle, j, x_new, t)
     table.anchors[j] = x_new
     table.grads[j] = new_grad
-    table.lin = table.lin + (new_grad - table.M * x_new - old_lin)
+    # lin + (new_grad - M x_new - old_lin), in that float order, in place
+    delta = new_grad - table.M * x_new
+    delta -= old_lin
+    table.lin += delta
     return value
 
 
@@ -128,21 +134,25 @@ def sug_run(
     """
     trace = RunTrace("sug", cfg.eps, cfg.max_iters, x0, seed=cfg.seed,
                      extra_meta={"M": cfg.M})
-    regularizer = problem.regularizer
+    regularizer, value = problem.regularizer, problem.components.value
     table = sug_init(problem, trace.x0, cfg.M)
     rng = np.random.default_rng(cfg.seed)
+    K, step = cfg.max_iters, block_len(8)
     x = trace.x0
+    h_x = regularizer.value(x)  # h at the iterate, carried from the last iteration
     start = time.perf_counter()
-    for k in range(cfg.max_iters):
-        x_next = sug_subproblem(table, regularizer)
-        j = int(rng.integers(0, table.n))
-        f_j_x = oracle_value(problem.components, j, x, k) + regularizer.value(x)
-        f_j_next = sug_update(table, j, x_next, k) + regularizer.value(x_next)
-        trace.add_row(
-            k, 0, cfg.M, f_j_x, f_j_next, f_j_next, np.nan,
-            time.perf_counter() - start, component=j, x_next=x_next,
-        )
-        x = x_next
+    for s in range(0, K, step):
+        # a block of draws is the stream of as many scalar draws
+        for k, j in enumerate(rng.integers(0, table.n, size=min(step, K - s)).tolist(), s):
+            x_next = sug_subproblem(table, regularizer)
+            g_x = float(value(j, x))
+            if not math.isfinite(g_x):
+                check_answer(j, k, g_x)
+            f_x, h_x = g_x + h_x, regularizer.value(x_next)
+            f_next = sug_update(table, j, x_next, k) + h_x
+            trace.add_row(k, 0, cfg.M, f_x, f_next, f_next, math.nan,
+                          time.perf_counter() - start, j, x_next)
+            x = x_next
     trace.fill_f_full(problem.values)
     return x.copy(), trace
 

@@ -7,10 +7,12 @@ the fixed column schema
 
 Floats are written with shortest round-trip formatting, so writing and
 re-parsing a trace reproduces it exactly.  Both directions work by column:
-the writer formats each column with one map and joins the rows with
-another, and the parser splits every data line in one pass and converts
-each column with one map, falling back to a line-by-line pass only to
-name the offending line of a malformed file.
+the writer formats each column lazily, with one map, and joins the rows
+with another.  A repeated value is formatted once: L_next through a memo,
+and f_gt_yt, when it equals f_gt_xnext, through f_gt_xnext's text.  The
+parser splits every data line in one pass and converts each column with
+one map, falling back to a line-by-line pass only to name the offending
+line of a malformed file.
 
 f_full is the full objective f(x_t) at the iterate round t starts from.
 The solvers compute it after the rounds, in one blocked batch pass over
@@ -24,7 +26,7 @@ not part of the CSV schema.
 
 import json
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import repeat, tee
 from operator import itemgetter
 
 import numpy as np
@@ -128,8 +130,14 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     }
     lines = [f"# {key}={json.dumps(value, sort_keys=True)}" for key, value in meta.items()]
     lines.append(",".join(CSV_COLUMNS))
-    columns = [map(str, trace.t), map(str, trace.i_t)]
-    columns += [map(repr, map(float, getattr(trace, name))) for name in CSV_COLUMNS[2:]]
+    floats = {name: map(repr, map(float, getattr(trace, name))) for name in CSV_COLUMNS[2:]}
+    if all(trace.L_next):  # a value formatted once, 0.0 and -0.0 being one key
+        floats["L_next"] = map({v: repr(float(v)) for v in set(trace.L_next)}.__getitem__,
+                               trace.L_next)
+    if trace.f_gt_yt == trace.f_gt_xnext and all(trace.f_gt_xnext):
+        # equal floats have equal text, unless they are 0.0 and -0.0
+        floats["f_gt_xnext"], floats["f_gt_yt"] = tee(floats["f_gt_xnext"])
+    columns = (map(str, trace.t), map(str, trace.i_t), *floats.values())
     lines.extend(map(",".join, zip(*columns)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

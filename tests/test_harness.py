@@ -1,6 +1,7 @@
 """Reference solver, regret evaluation, orders, run configs, artifacts."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -759,6 +760,21 @@ def test_golden_runs_replay_from_their_metadata(path, tmp_path):
         assert Path(paths["bounds"]).read_bytes() == golden_bounds.read_bytes()
     _assert_report_matches(json.loads(Path(paths["report"]).read_text()),
                            json.loads((path.parent / "report.json").read_text()))
+
+
+@pytest.mark.parametrize("bounds", [
+    [1.0, math.inf, np.float64(0.1), -math.inf, 3, math.inf],
+    [1.0, 2.5, np.float64(0.1), 1e-300, 3, 0.0],
+    [math.inf] * 6,
+    None,
+], ids=["mixed", "finite", "infinite", "none"])
+def test_bound_curve_writes_each_bound_and_leaves_infinite_ones_empty(bounds, tmp_path):
+    gaps = [0.5, 0.25, 0.0, -0.0, np.float64(1e-300), 2]
+    harness._write_bound_curve(tmp_path / "bounds.csv", (range(1, 7), gaps, bounds))
+    texts = [""] * 6 if bounds is None else [
+        repr(float(b)) if math.isfinite(b) else "" for b in bounds]
+    want = [f"{k},{float(g)!r},{b}" for k, g, b in zip(range(1, 7), gaps, texts)]
+    assert (tmp_path / "bounds.csv").read_text() == "\n".join(["k,gap,bound", *want]) + "\n"
 
 
 def test_golden_sug_bound_curve_is_written_byte_for_byte(tmp_path):

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from unigrad import harness, upgm
+from unigrad import harness, sug, upgm
 from unigrad.bregman import bregman_map
 from unigrad.harness import RunConfig, run_experiment, sample_order
 from unigrad.oracles import Regularizer
@@ -130,14 +130,33 @@ def test_oudgm_takes_bregman_distances_only_in_its_trials(family, fixed, monkeyp
     assert len(proxes) == len(maps) + T + 1
 
 
+def _spy(monkeypatch, owner, name):
+    """Count the calls of owner.name; returns the list each call appends to."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("family", sorted(PROBLEMS))
-def test_sug_reads_every_component_once_then_two_values_per_iteration(family):
+def test_sug_reads_every_component_once_then_two_values_per_iteration(family, monkeypatch):
+    """Past initialization an iteration reads one gradient and two values,
+    and takes one subproblem, one update and one prox: the calls the
+    benchmark's per-layer spans count."""
     problem = PROBLEMS[family]()
     counts = _counted(problem)
+    steps = {name: _spy(monkeypatch, owner, name) for owner, name in
+             ((sug, "sug_subproblem"), (sug, "sug_update"), (Regularizer, "prox"))}
     n, K = problem.n_components, 45
     sug_run(problem, np.zeros(problem.dimension),
             SugConfig(M=5.0, eps=1e-2, seed=4, max_iters=K))
     assert counts == {"value": 2 * K, "grad": n + K}
+    assert {name: len(calls) for name, calls in steps.items()} == dict.fromkeys(steps, K)
 
 
 @pytest.mark.parametrize("family", sorted(PROBLEMS))

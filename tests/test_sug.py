@@ -185,6 +185,26 @@ def test_run_seed_determinism():
     assert ta.component == tb.component
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**33 + 5])
+def test_block_draws_are_the_stream_of_scalar_draws(n):
+    """sug_run draws its components a block at a time.  numpy does not
+    promise stable streams (NEP 19), so this pins what the sug traces rely
+    on: a block of k draws gives the values of k scalar draws and leaves
+    the generator in the same state, odd k included."""
+    block, scalar = np.random.default_rng(5), np.random.default_rng(5)
+    for k in (1, 3, 64, 1000):
+        want = [int(scalar.integers(0, n)) for _ in range(k)]
+        assert block.integers(0, n, size=k).tolist() == want
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+
+def test_run_samples_the_scalar_stream_of_its_seed():
+    prob = _quadratic_problem(n=7, p=3, seed=15, l1_weight=0.1, ridge_weight=2.0)
+    _, trace = sug_run(prob, np.zeros(3), SugConfig(M=1.0, eps=1e-2, seed=21, max_iters=99))
+    rng = np.random.default_rng(21)
+    assert trace.component == [int(rng.integers(0, 7)) for _ in range(99)]
+
+
 @pytest.mark.parametrize(
     "value_fn, message",
     [

@@ -202,6 +202,63 @@ def test_write_refuses_non_finite_values(tmp_path):
         write_trace_csv(trace, tmp_path / "trace.csv")
 
 
+def _text_columns(path):
+    """The data fields of a written trace, column by column, as text."""
+    rows = [line.split(",") for line in Path(path).read_text().splitlines()
+            if not line.startswith("#")]
+    assert tuple(rows[0]) == CSV_COLUMNS
+    return dict(zip(CSV_COLUMNS, zip(*rows[1:])))
+
+
+def _assert_written_per_value(trace, path):
+    """Every float column holds the repr of each of its values, as a float."""
+    columns = _text_columns(path)
+    for name in CSV_COLUMNS[2:]:
+        assert columns[name] == tuple(repr(float(v)) for v in getattr(trace, name)), name
+
+
+def _trace_of_rows(n):
+    """The sample trace with its three rows repeated to n rows."""
+    trace = _sample_trace()
+    for name in CSV_COLUMNS:
+        column = getattr(trace, name)
+        setattr(trace, name, [column[k % 3] for k in range(n)])
+    trace.t = list(range(n))
+    return trace
+
+
+_RESULTS = [1.5, -2.25, 1e-300, np.float64(0.1), 7]
+
+
+@pytest.mark.parametrize("f_gt_xnext, f_gt_yt", [
+    (_RESULTS, _RESULTS),
+    (_RESULTS, [float(v) for v in _RESULTS]),
+    ([1.5, 0.0, -0.0, 0.0, 2.0], [1.5, -0.0, 0.0, 0.0, 2.0]),
+], ids=["same-objects", "equal-values", "signed-zeros"])
+def test_equal_result_columns_are_written_per_value(f_gt_xnext, f_gt_yt, tmp_path):
+    """f_gt_yt equal to f_gt_xnext, even but for 0.0 against -0.0, writes
+    the text of each value in both columns."""
+    assert f_gt_yt == f_gt_xnext
+    trace = _trace_of_rows(5)
+    trace.f_gt_xnext, trace.f_gt_yt = f_gt_xnext, f_gt_yt
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    _assert_written_per_value(trace, tmp_path / "trace.csv")
+
+
+@pytest.mark.parametrize("L_next", [
+    [2.0, 2.0, 0.5, 2, np.float64(0.5), 1e300, np.float64(2.0), 0.5, 3.75],
+    [2.0, 2.0, 0.5, 0.0, -0.0, 2, np.float64(0.5), -0.0, 0.0, 1e300, 2.0],
+], ids=["nonzero", "signed-zeros"])
+def test_repeated_step_sizes_are_written_per_value(L_next, tmp_path):
+    """An L_next column of repeated and distinct values, some ints and numpy
+    floats, with or without zeros of either sign, comes out as the text of
+    each value."""
+    trace = _trace_of_rows(len(L_next))
+    trace.L_next = L_next
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    _assert_written_per_value(trace, tmp_path / "trace.csv")
+
+
 def test_n_rows_tracks_appends():
     trace = _sample_trace()
     assert trace.n_rows == 3
