@@ -64,7 +64,7 @@ from .problems import (
     synth_steiner,
 )
 from .sug import SugConfig, sug_bounds, sug_iteration_estimate, sug_rho, sug_run
-from .trace import RunTrace, parse_trace_csv, write_trace_csv
+from .trace import RunTrace, block_rows, parse_trace_csv, write_trace_csv
 from .udgm import udgm_fixed_step_run, udgm_run
 from .upgm import upgm_fixed_step_run, upgm_run
 
@@ -227,7 +227,7 @@ class RegretReport:
 
 def _trace_components(trace: RunTrace, problem: CompositeProblem) -> np.ndarray:
     if len(trace.component) == trace.n_rows:
-        comps = np.asarray(trace.component, dtype=int)
+        comps = trace.component
     elif trace.order_kind is not None:
         comps = sample_order(
             trace.order_kind, problem.n_components, trace.T, trace.seed
@@ -266,13 +266,10 @@ def evaluate_regret(
     comps = _trace_components(trace, problem)
     f_star_rows = problem.components.values(comps, x_star)
     f_star_rows += problem.regularizer.value(x_star)
-    f_xt = np.asarray(trace.f_gt_xt, dtype=float)
-    f_xnext = np.asarray(trace.f_gt_xnext, dtype=float)
-    f_yt = np.asarray(trace.f_gt_yt, dtype=float)
-    L_next = np.asarray(trace.L_next, dtype=float)
-    inv_L = 1.0 / L_next
+    f_xt, f_xnext, f_yt = trace.f_gt_xt, trace.f_gt_xnext, trace.f_gt_yt
+    inv_L = 1.0 / trace.L_next
     S_T = float(inv_L.sum())
-    r0 = problem.geometry.bregman(np.asarray(trace.x0, dtype=float), x_star)
+    r0 = problem.geometry.bregman(trace.x0, x_star)
     lhs1 = float((inv_L * (f_xnext - f_star_rows)).sum())
     rhs1 = 0.5 * eps * S_T + 2.0 * r0
     lhs2 = float((0.5 * inv_L * (f_yt - f_star_rows)).sum())
@@ -445,8 +442,9 @@ def run_experiment(cfg: RunConfig) -> dict:
         x_out, trace = sug_run(problem, x0, sug_cfg)
         extra["f_final"] = problem.value(x_out)
     else:  # batch: the reference solve's own steps, stopped at T
-        trace = RunTrace("batch", eps, max(cfg.T, 1), x0)
-        for k, (doublings, M, f_x, f_next, elapsed) in enumerate(reference.steps[: trace.T]):
+        steps = reference.steps[: max(cfg.T, 1)]
+        trace = RunTrace("batch", eps, max(cfg.T, 1), x0, rows=len(steps))
+        for k, (doublings, M, f_x, f_next, elapsed) in enumerate(steps):
             trace.add_row(k, doublings, M, f_x, f_next, f_next, f_x, elapsed)
     trace.problem_meta = cfg.problem
     trace.seed = cfg.seed
@@ -474,14 +472,14 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
     check-bounds on its saved trace build the same report.  The report ends
     in the verdict: `checked` names the bound judged and `ok` is False only
     when it fails.  curve holds the bounds.csv columns (k, gap, bound): a
-    range, a list, and a list or None when no bound applies, the gaps
+    range, an array, and an array or None when no bound applies, the gaps
     measured from the reference's f; the sug verdict measures them from
     the certified lower bound f - gap on f*, so a reference that stopped
     short of f* cannot pass a run.
     """
     f_star = reference.f
     extra = trace.extra_meta
-    first, gaps, bounds = 0, np.asarray(trace.f_full) - f_star, None
+    first, gaps, bounds = 0, trace.f_full - f_star, None
     if trace.algorithm in ("oupgm", "oudgm"):
         rep = evaluate_regret(trace, problem, reference.x)
         fixed = bool(extra.get("fixed_step", False))
@@ -509,11 +507,11 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             ok = rep.thm1_satisfied if primal else rep.thm2_satisfied
             report["checked"] = "thm1" if primal else "thm2"
         # prefix k of thm1 (oupgm) or thm2 (oudgm)
-        weights = np.cumsum(1.0 / np.asarray(trace.L_next, dtype=float))
+        weights = np.cumsum(1.0 / trace.L_next)
         if primal:
-            bounds = (0.5 * trace.eps * weights + 2.0 * rep.r0).tolist()
+            bounds = 0.5 * trace.eps * weights + 2.0 * rep.r0
         else:
-            bounds = (0.25 * trace.eps * weights + rep.r0).tolist()
+            bounds = 0.25 * trace.eps * weights + rep.r0
     elif trace.algorithm == "sug":
         mu_h = problem.regularizer.strong_convexity
         n = problem.n_components
@@ -533,7 +531,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "f_star": f_star,
             "iterations": trace.n_rows,
         }
-        values = np.asarray(trace.f_full, dtype=float)
+        values = trace.f_full
         if "f_final" in extra:  # older traces judge the rows only
             values = np.append(values, extra["f_final"])
             report["final_gap"] = extra["f_final"] - f_star
@@ -541,8 +539,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
         active = rho is not None and rho < 1.0
         first, gaps, ok = 1, values[1:] - f_star, True
         if active:
-            bounds = sug_bounds(range(1, len(values)), M, mu_h, n, trace.eps, dist0_sq)
-            b = np.asarray(bounds)
+            b = bounds = sug_bounds(range(1, len(values)), M, mu_h, n, trace.eps, dist0_sq)
             f_low = f_star - reference.gap
             ok = bool(np.all(values[1:] - f_low <= b + SLACK_SCALE * (1.0 + np.abs(b))))
         report.update(
@@ -560,7 +557,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "eps": trace.eps,
             "iterations": trace.n_rows,
             "f_star": f_star,
-            "final_gap": trace.f_gt_xnext[-1] - f_star,
+            "final_gap": float(trace.f_gt_xnext[-1]) - f_star,
             "checked": "none",
         }
         ok = True
@@ -571,7 +568,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
         "residual": reference.residual,
     }
     report["ok"] = bool(ok)
-    return report, (range(first, first + len(gaps)), gaps.tolist(), bounds)
+    return report, (range(first, first + len(gaps)), gaps, bounds)
 
 
 def _sha256(path) -> str:
@@ -579,16 +576,24 @@ def _sha256(path) -> str:
 
 
 def _write_bound_curve(path, curve) -> None:
-    """Write the columns (k, gap, bound) of verify's curve by column; with
-    no bounds, or where a bound is not finite, the field is empty."""
+    """Write the columns (k, gap, bound) of verify's curve by column, a
+    block of rows at a time; with no bounds, or where a bound is not
+    finite, the field is empty."""
     ks, gaps, bounds = curve
-    if not all(map(math.isfinite, gaps)):
+    gaps = np.asarray(gaps, dtype=float)
+    if not np.isfinite(gaps).all():
         raise ValueError("bound curve contains a non-finite gap")
-    texts = repeat("") if bounds is None else (
-        repr(float(b)) if math.isfinite(b) else "" for b in bounds)
-    columns = (map(str, ks), map(repr, map(float, gaps)), texts)
+    if bounds is not None:
+        bounds = np.asarray(bounds, dtype=float)
+    step = block_rows()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(["k,gap,bound", *map(",".join, zip(*columns))]) + "\n")
+        fh.write("k,gap,bound\n")
+        for s in range(0, len(gaps), step):
+            block = slice(s, s + step)
+            texts = repeat("") if bounds is None else (
+                repr(b) if math.isfinite(b) else "" for b in bounds[block].tolist())
+            columns = (map(str, ks[block]), map(repr, gaps[block].tolist()), texts)
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 # ---------------------------------------------------------------------------

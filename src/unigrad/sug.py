@@ -133,7 +133,7 @@ def sug_run(
     records the modulus M and the sampling seed.
     """
     trace = RunTrace("sug", cfg.eps, cfg.max_iters, x0, seed=cfg.seed,
-                     extra_meta={"M": cfg.M})
+                     extra_meta={"M": cfg.M}, rows=cfg.max_iters)
     regularizer, value = problem.regularizer, problem.components.value
     table = sug_init(problem, trace.x0, cfg.M)
     rng = np.random.default_rng(cfg.seed)
@@ -168,7 +168,7 @@ def sug_rho(M: float, mu_h: float, n: int) -> float:
 
 def sug_bounds(
     ks, M: float, mu_h: float, n: int, eps: float, dist0_sq: float
-) -> list[float]:
+) -> np.ndarray:
     """Convergence bound at each iterate k of ks (every k >= 1):
 
         M rho^(k-1) dist0_sq + (3 eps / (4 n mu_h)) (1 - rho^(k-1)) / (1 - rho)
@@ -176,7 +176,8 @@ def sug_bounds(
 
     or math.inf when rho >= 1 (geometric sum invalid; bound vacuous).  The
     arguments are checked, and rho and the k-independent factors computed,
-    once for all of ks.
+    once for all of ks, and the powers of rho taken one at a time, as
+    Python floats.
     """
     if min(ks, default=1) < 1:
         raise ValueError(f"k must be >= 1, got {min(ks)}")
@@ -184,12 +185,12 @@ def sug_bounds(
         raise ValueError("need eps > 0, M > 0, dist0_sq >= 0")
     rho = sug_rho(M, mu_h, n)
     if rho >= 1.0:
-        return [math.inf] * len(ks)
+        return np.full(len(ks), math.inf)
     scale = 3.0 * eps / (4.0 * n * mu_h)
     one_minus_rho = 1.0 - rho
     tail = 0.75 * eps
-    return [M * r * dist0_sq + scale * ((1.0 - r) / one_minus_rho) + tail
-            for r in (rho ** (k - 1) for k in ks)]
+    r = np.fromiter((rho ** (k - 1) for k in ks), float, len(ks))
+    return M * r * dist0_sq + scale * ((1.0 - r) / one_minus_rho) + tail
 
 
 def sug_iteration_estimate(

@@ -6,13 +6,15 @@ the fixed column schema
     t,i_t,L_next,f_gt_xt,f_gt_xnext,f_gt_yt,f_full,elapsed_s
 
 Floats are written with shortest round-trip formatting, so writing and
-re-parsing a trace reproduces it exactly.  Both directions work by column:
-the writer formats each column lazily, with one map, and joins the rows
-with another.  A repeated value is formatted once: L_next through a memo,
-and f_gt_yt, when it equals f_gt_xnext, through f_gt_xnext's text.  The
-parser splits every data line in one pass and converts each column with
-one map, falling back to a line-by-line pass only to name the offending
-line of a malformed file.
+re-parsing a trace reproduces it exactly; every float field is finite.
+In memory each column is one numpy array (int64 for t and i_t, float64
+otherwise) sized to the rows the run writes, which add_row fills in place.
+Files are written and parsed a block of rows at a time, so neither holds
+more than a block of text beside the arrays.  The writer formats a block
+by column, one map a column, and a repeated value once: L_next through a
+memo, and f_gt_yt, when it equals f_gt_xnext, through f_gt_xnext's text.
+The parser converts each column of a block with one map, falling back to
+a line-by-line pass only to name the offending line of a malformed block.
 
 f_full is the full objective f(x_t) at the iterate round t starts from.
 The solvers compute it after the rounds, in one blocked batch pass over
@@ -20,13 +22,13 @@ the stored iterates (RunTrace.fill_f_full), so elapsed_s is solver-only
 wall time: it excludes that diagnostic.
 
 In-memory traces additionally record the visited component index and the
-post-round iterate, which the prefix-bound checks need; those extras are
-not part of the CSV schema.
+post-round iterate, one row of a (rows, p) array, which the prefix-bound
+checks need; those extras are not part of the CSV schema.
 """
 
 import json
 from dataclasses import dataclass, field
-from itertools import repeat, tee
+from itertools import islice, repeat, tee
 from operator import itemgetter
 
 import numpy as np
@@ -34,10 +36,21 @@ import numpy as np
 from .oracles import block_len
 
 CSV_COLUMNS = ("t", "i_t", "L_next", "f_gt_xt", "f_gt_xnext", "f_gt_yt", "f_full", "elapsed_s")
+_KINDS = (int, int) + (float,) * (len(CSV_COLUMNS) - 2)  # also the column dtypes
+
+
+def block_rows() -> int:
+    """Rows of a trace or bound curve written or parsed at a time: a block
+    of trace text, about 16 characters a field, fills one BLOCK_BYTES."""
+    return block_len(16 * len(CSV_COLUMNS))
 
 
 @dataclass
 class RunTrace:
+    """Made without columns, a trace has `rows` rows (T + 1 unless given)
+    for add_row to fill, n_rows of them so far, and the in-memory extras
+    component and x_next; made with them, as the parser does, no extras."""
+
     algorithm: str
     eps: float
     T: int
@@ -47,75 +60,87 @@ class RunTrace:
     order_kind: str | None = None
     problem_meta: dict = field(default_factory=dict)
     extra_meta: dict = field(default_factory=dict)
+    rows: int | None = None
 
-    t: list = field(default_factory=list)
-    i_t: list = field(default_factory=list)
-    L_next: list = field(default_factory=list)
-    f_gt_xt: list = field(default_factory=list)
-    f_gt_xnext: list = field(default_factory=list)
-    f_gt_yt: list = field(default_factory=list)
-    f_full: list = field(default_factory=list)
-    elapsed_s: list = field(default_factory=list)
-
-    # in-memory extras (absent after CSV parsing)
-    component: list = field(default_factory=list)
-    x_next: list = field(default_factory=list)
+    t: np.ndarray | None = None
+    i_t: np.ndarray | None = None
+    L_next: np.ndarray | None = None
+    f_gt_xt: np.ndarray | None = None
+    f_gt_xnext: np.ndarray | None = None
+    f_gt_yt: np.ndarray | None = None
+    f_full: np.ndarray | None = None
+    elapsed_s: np.ndarray | None = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).copy()
+        if self.t is None:
+            self.rows = self.T + 1 if self.rows is None else self.rows
+            for name, kind in zip(CSV_COLUMNS, _KINDS):
+                setattr(self, name, np.empty(self.rows, kind))
+            self.n_rows, extras = 0, self.rows
+        else:
+            self.rows = self.n_rows = len(self.t)
+            extras = 0
+        self.component = np.empty(extras, int)
+        self.x_next = np.empty((extras, *self.x0.shape))
 
     def add_row(self, t: int, i_t: int, L_next: float, f_gt_xt: float, f_gt_xnext: float,
                 f_gt_yt: float, f_full: float, elapsed_s: float, component: int | None = None,
                 x_next: np.ndarray | None = None) -> None:
-        """Append one row as given, unconverted; x_next is stored, not copied,
-        so the caller must not change it afterwards."""
-        self.t.append(t)
-        self.i_t.append(i_t)
-        self.L_next.append(L_next)
-        self.f_gt_xt.append(f_gt_xt)
-        self.f_gt_xnext.append(f_gt_xnext)
-        self.f_gt_yt.append(f_gt_yt)
-        self.f_full.append(f_full)
-        self.elapsed_s.append(elapsed_s)
-        if component is not None:
-            self.component.append(component)
-        if x_next is not None:
-            self.x_next.append(x_next)
+        """Write the next row in place, x_next copied into the iterate array.
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.t)
+        A trace keeps component and x_next for every row or for none: the
+        first row without one empties that array.
+        """
+        k = self.n_rows
+        self.t[k] = t
+        self.i_t[k] = i_t
+        self.L_next[k] = L_next
+        self.f_gt_xt[k] = f_gt_xt
+        self.f_gt_xnext[k] = f_gt_xnext
+        self.f_gt_yt[k] = f_gt_yt
+        self.f_full[k] = f_full
+        self.elapsed_s[k] = elapsed_s
+        if component is not None:
+            self.component[k] = component
+        elif len(self.component):
+            self.component = self.component[:0].copy()
+        if x_next is not None:
+            self.x_next[k] = x_next
+        elif len(self.x_next):
+            self.x_next = self.x_next[:0].copy()
+        self.n_rows = k + 1
 
     def fill_f_full(self, values) -> None:
         """Set f_full[t] = f(x_t) for every row, x_0 = x0, x_t = x_next[t-1].
 
-        values maps a (k, p) stack of points to their k objective values
-        (CompositeProblem.values); the iterates are stacked a block at a
-        time, each block within BLOCK_BYTES.  Lasso with 2p < n evaluates a
-        block around its last point from the cached Gram matrix A'A, p^2 per
-        point rather than np.
+        values maps a (k, p) block of points to their k objective values
+        (CompositeProblem.values); the blocks are slices of the iterate
+        array, the first led by x0, each within BLOCK_BYTES.  Lasso with
+        2p < n evaluates a block around its last point from the cached Gram
+        matrix A'A, p^2 per point rather than np.
         """
-        points = [self.x0, *self.x_next][: self.n_rows]
-        if len(points) != self.n_rows:
+        n = self.n_rows
+        if len(self.x_next) < n - 1:
             raise ValueError("trace lacks the stored iterates f_full needs")
         # at most 256 iterates a block: wide enough for efficient matrix
         # products, small enough to leave the budget to values' temporaries
         step = min(256, block_len(8 * len(self.x0)))
-        f_full = []
-        for s in range(0, len(points), step):
-            f_full.extend(values(np.stack(points[s:s + step])).tolist())
-        self.f_full = f_full
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            block = self.x_next[max(s - 1, 0):e - 1]
+            self.f_full[s:e] = values(np.vstack([self.x0, block]) if s == 0 else block)
 
     def check_finite(self) -> None:
         """Raise if any recorded scalar is NaN or infinite."""
-        for name in ("L_next", "f_gt_xt", "f_gt_xnext", "f_gt_yt", "f_full", "elapsed_s"):
-            vals = np.asarray(getattr(self, name), dtype=float)
-            if vals.size and not np.isfinite(vals).all():
+        for name in CSV_COLUMNS[2:]:
+            if not np.isfinite(getattr(self, name)[:self.n_rows]).all():
                 raise ValueError(f"trace column {name} contains non-finite values")
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
-    """Serialize the trace with metadata header lines; deterministic output."""
+    """Serialize the trace with metadata header lines, a block of rows at a
+    time; deterministic output."""
     trace.check_finite()
     meta = {
         "algorithm": trace.algorithm,
@@ -125,22 +150,32 @@ def write_trace_csv(trace: RunTrace, path) -> None:
         "seed": trace.seed,
         "order": trace.order_kind,
         "problem": trace.problem_meta,
-        "x0": [float(v) for v in np.asarray(trace.x0, dtype=float)],
+        "x0": trace.x0.tolist(),
         "extra": trace.extra_meta,
     }
-    lines = [f"# {key}={json.dumps(value, sort_keys=True)}" for key, value in meta.items()]
-    lines.append(",".join(CSV_COLUMNS))
-    floats = {name: map(repr, map(float, getattr(trace, name))) for name in CSV_COLUMNS[2:]}
-    if all(trace.L_next):  # a value formatted once, 0.0 and -0.0 being one key
-        floats["L_next"] = map({v: repr(float(v)) for v in set(trace.L_next)}.__getitem__,
-                               trace.L_next)
-    if trace.f_gt_yt == trace.f_gt_xnext and all(trace.f_gt_xnext):
-        # equal floats have equal text, unless they are 0.0 and -0.0
-        floats["f_gt_xnext"], floats["f_gt_yt"] = tee(floats["f_gt_xnext"])
-    columns = (map(str, trace.t), map(str, trace.i_t), *floats.values())
-    lines.extend(map(",".join, zip(*columns)))
+    n = trace.n_rows
+    # a value formatted once, 0.0 and -0.0 being one key
+    memo = {} if trace.L_next[:n].all() else None
+    # equal floats have equal text, unless they are 0.0 and -0.0
+    shared = (trace.f_gt_xnext[:n].all()
+              and np.array_equal(trace.f_gt_yt[:n], trace.f_gt_xnext[:n]))
+    step = block_rows()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {key}={json.dumps(value, sort_keys=True)}\n"
+                      for key, value in meta.items())
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for s in range(0, n, step):
+            block = slice(s, min(s + step, n))
+            floats = {name: getattr(trace, name)[block].tolist() for name in CSV_COLUMNS[2:]}
+            texts = {name: map(repr, values) for name, values in floats.items()}
+            if memo is not None:
+                memo.update((v, repr(v)) for v in set(floats["L_next"]).difference(memo))
+                texts["L_next"] = map(memo.__getitem__, floats["L_next"])
+            if shared:
+                texts["f_gt_xnext"], texts["f_gt_yt"] = tee(texts["f_gt_xnext"])
+            columns = (map(str, trace.t[block].tolist()), map(str, trace.i_t[block].tolist()),
+                       *texts.values())
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _read_metadata(meta: dict, line: str, lineno: int) -> None:
@@ -155,45 +190,56 @@ def _read_metadata(meta: dict, line: str, lineno: int) -> None:
         ) from exc
 
 
-_KINDS = (int, int) + (float,) * (len(CSV_COLUMNS) - 2)
-
-
-def _columns(rows: list, lineno: int, meta: dict) -> list:
-    """The column lists of the split data lines rows, rows[0] being file
-    line lineno, each converted by one map.  Only when that fails are the
-    lines read one at a time: blank lines are skipped and '#' lines read
-    into meta, as the format allows among the rows, and a line of the wrong
-    width or with a non-numeric field raises ValueError naming its file
-    line."""
-    if set(map(len, rows)) <= {len(_KINDS)}:
-        try:
-            return [list(map(kind, map(itemgetter(j), rows))) for j, kind in enumerate(_KINDS)]
-        except ValueError:
-            pass
-    kept = []
-    for lineno, parts in enumerate(rows, start=lineno):
-        line = ",".join(parts).strip()
-        if line.startswith("#"):
-            _read_metadata(meta, line, lineno)
-        elif line:
-            parts = line.split(",")
-            if len(parts) != len(_KINDS):
-                raise ValueError(f"line {lineno}: expected {len(_KINDS)} fields, got {len(parts)}")
-            try:
-                kept.append([kind(text) for kind, text in zip(_KINDS, parts)])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: non-numeric field") from exc
-    return [list(column) for column in zip(*kept)]
+def _read_block(rows: list, lineno: int, meta: dict, columns: list, n: int) -> int:
+    """Convert the split data lines rows, rows[0] being file line lineno,
+    into the column arrays from row n on, each column by one map; returns
+    the row count after them.  Only when that fails are the lines read one
+    at a time: blank lines are skipped and '#' lines read into meta, as the
+    format allows among the rows, and a line of the wrong width or with a
+    non-numeric field raises ValueError naming its file line, as does a
+    non-finite field."""
+    k = len(rows)
+    try:
+        if set(map(len, rows)) != {len(_KINDS)}:
+            raise ValueError("a line of another width")
+        for j, (column, kind) in enumerate(zip(columns, _KINDS)):
+            column[n:n + k] = np.fromiter(map(kind, map(itemgetter(j), rows)), kind, k)
+        linenos = range(lineno, lineno + k)
+    except (ValueError, OverflowError):
+        linenos = []
+        for lineno, parts in enumerate(rows, start=lineno):
+            line = ",".join(parts).strip()
+            if line.startswith("#"):
+                _read_metadata(meta, line, lineno)
+            elif line:
+                parts = line.split(",")
+                if len(parts) != len(_KINDS):
+                    raise ValueError(f"line {lineno}: expected {len(_KINDS)} fields, got {len(parts)}")
+                try:
+                    for column, kind, text in zip(columns, _KINDS, parts):
+                        column[n + len(linenos)] = kind(text)
+                except (ValueError, OverflowError) as exc:  # int64 overflows too
+                    raise ValueError(f"line {lineno}: non-numeric field") from exc
+                linenos.append(lineno)
+        k = len(linenos)
+    for name, column in zip(CSV_COLUMNS[2:], columns[2:]):
+        bad = np.flatnonzero(~np.isfinite(column[n:n + k]))
+        if bad.size:
+            raise ValueError(f"line {linenos[bad[0]]}: non-finite value in column {name}")
+    return n + k
 
 
 def parse_trace_csv(path) -> RunTrace:
-    """Parse a trace CSV written by write_trace_csv.
+    """Parse a trace CSV written by write_trace_csv, a block of lines at a
+    time.
 
-    Raises ValueError naming the offending line for schema violations.
+    Raises ValueError naming the offending line for schema violations and
+    non-finite fields.
     """
     meta: dict = {}
-    rows = None
     with open(path, "r", encoding="utf-8") as fh:
+        lines = sum(1 for _ in fh)  # sizes the columns
+        fh.seek(0)
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):
@@ -201,12 +247,16 @@ def parse_trace_csv(path) -> RunTrace:
             elif line:
                 if tuple(line.split(",")) != CSV_COLUMNS:
                     raise ValueError(f"line {lineno}: unexpected column header {line!r}")
-                # each data line split once; int and float skip the trailing newline
-                rows = list(map(str.split, fh, repeat(",")))
                 break
-    if rows is None:
-        raise ValueError(f"{path}: no column header found")
-    columns = _columns(rows, lineno + 1, meta)
+        else:
+            raise ValueError(f"{path}: no column header found")
+        columns = [np.empty(lines - lineno, kind) for kind in _KINDS]
+        n, step = 0, block_rows()
+        # each data line split once; int and float skip the trailing newline
+        while rows := list(map(str.split, islice(fh, step), repeat(","))):
+            n = _read_block(rows, lineno + 1, meta, columns, n)
+            lineno += len(rows)
+            del rows  # before the next block is split
     required = ("algorithm", "eps", "T", "x0")
     for key in required:
         if key not in meta:
@@ -221,5 +271,5 @@ def parse_trace_csv(path) -> RunTrace:
         order_kind=meta.get("order"),
         problem_meta=meta.get("problem") or {},
         extra_meta=meta.get("extra") or {},
-        **dict(zip(CSV_COLUMNS, columns)),
+        **{name: column[:n] for name, column in zip(CSV_COLUMNS, columns)},
     )

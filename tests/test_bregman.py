@@ -185,8 +185,8 @@ def test_backtrack_accept_first_try_halves_modulus():
     for runner in RUNNERS:
         _, trace = runner(_square(2.0), np.zeros(T + 1, dtype=int), np.array([1.0]),
                           64.0, 1e-12, T)
-        assert trace.i_t == [0] * (T + 1)
-        assert trace.L_next == [64.0 / 2.0 ** (t + 1) for t in range(T + 1)]
+        assert np.array_equal(trace.i_t, [0] * (T + 1))
+        assert np.array_equal(trace.L_next, [64.0 / 2.0 ** (t + 1) for t in range(T + 1)])
 
 
 def test_backtrack_returns_smallest_accepted_doubling():

@@ -9,6 +9,7 @@ from helpers import save_samples
 from unigrad.cli import build_parser, main
 from unigrad.harness import problem_from_descriptor
 from unigrad.problems import synth_lasso
+from unigrad.trace import CSV_COLUMNS
 
 
 def test_parser_run_defaults():
@@ -95,6 +96,31 @@ def test_check_bounds_round_trip(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert report["checked"] == "thm2"
+
+
+@pytest.mark.parametrize("flags, column, text", [
+    (["--algorithm", "oupgm", "--problem", "synth-lasso"], "f_full", "nan"),
+    (["--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10", "--M", "1"],
+     "L_next", "inf"),
+], ids=["oupgm-f_full-nan", "sug-L_next-inf"])
+def test_check_bounds_refuses_a_non_finite_field(tmp_path, capsys, flags, column, text):
+    """check-bounds refuses a trace field the writer would refuse, naming
+    its file line and column, though no bound it judges reads that column
+    (thm1 reads no f_full; the sug curve no L_next)."""
+    out = tmp_path / "run"
+    assert main(["run", *flags, "--T", "50", "--out", str(out)]) == 0
+    path = out / "trace.csv"
+    lines = path.read_text().splitlines()
+    k = lines.index(",".join(CSV_COLUMNS)) + 20
+    parts = lines[k].split(",")
+    parts[CSV_COLUMNS.index(column)] = text
+    lines[k] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check-bounds", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: line {k + 1}: non-finite value in column {column}" in captured.err
 
 
 def test_check_bounds_missing_file_exits_2(tmp_path, capsys):

@@ -15,7 +15,7 @@ from unigrad.problems import (
     synth_steiner,
 )
 from unigrad.sug import SugConfig, sug_run
-from unigrad.trace import RunTrace
+from unigrad.trace import RunTrace, parse_trace_csv, write_trace_csv
 from unigrad.udgm import udgm_fixed_step_run, udgm_run
 from unigrad.upgm import upgm_fixed_step_run, upgm_run
 
@@ -64,15 +64,21 @@ def test_f_full_is_the_objective_at_each_starting_iterate(solver, family, monkey
     np.testing.assert_allclose(trace.f_full, want, rtol=1e-12, atol=0.0)
 
 
-def test_fill_f_full_needs_the_stored_iterates():
+def test_fill_f_full_needs_the_stored_iterates(tmp_path):
     trace = RunTrace(algorithm="oupgm", eps=1e-2, T=1, x0=np.zeros(2))
     trace.add_row(0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, x_next=np.ones(2))
-    trace.add_row(1, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    trace.add_row(1, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, x_next=np.ones(2))
     trace.fill_f_full(lambda X: np.zeros(len(X)))
-    assert trace.f_full == [0.0, 0.0]
-    trace.x_next.clear()
-    with pytest.raises(ValueError, match="iterates"):
-        trace.fill_f_full(lambda X: np.zeros(len(X)))
+    assert np.array_equal(trace.f_full, [0.0, 0.0])
+    # a trace whose rows give no iterates, and a parsed one, hold none
+    short = RunTrace(algorithm="oupgm", eps=1e-2, T=1, x0=np.zeros(2))
+    short.add_row(0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    short.add_row(1, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    for stored in (short, parse_trace_csv(tmp_path / "trace.csv")):
+        assert len(stored.x_next) == 0
+        with pytest.raises(ValueError, match="iterates"):
+            stored.fill_f_full(lambda X: np.zeros(len(X)))
 
 
 def test_values_rejects_points_of_the_wrong_width():

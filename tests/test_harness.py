@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -521,10 +522,37 @@ def test_batch_trace_is_the_reference_steps(tmp_path, T):
     ref = reference_solution(problem_from_descriptor(SYNTH_DESC), tol=1e-10)
     steps = ref.steps[:T]
     assert trace.n_rows == len(steps) == min(T, ref.iterations)
-    assert trace.i_t == [d for d, *_ in steps]
-    assert trace.L_next == [M for _, M, *_ in steps]
-    assert trace.f_gt_xt == trace.f_full == [f_x for _, _, f_x, _, _ in steps]
-    assert trace.f_gt_xnext == trace.f_gt_yt == [f for _, _, _, f, _ in steps]
+    assert np.array_equal(trace.i_t, [d for d, *_ in steps])
+    assert np.array_equal(trace.L_next, [M for _, M, *_ in steps])
+    assert trace.f_gt_xt.tobytes() == trace.f_full.tobytes()
+    assert np.array_equal(trace.f_full, [f_x for _, _, f_x, _, _ in steps])
+    assert trace.f_gt_xnext.tobytes() == trace.f_gt_yt.tobytes()
+    assert np.array_equal(trace.f_gt_yt, [f for _, _, _, f, _ in steps])
+
+
+def test_batch_trace_is_sized_by_the_steps_not_by_T(tmp_path):
+    """A batch trace holds the reference steps it writes, never T rows: at
+    T = 10^7 a T-sized float64 column alone would be 80 MB."""
+    runs = {}
+    for T in (10_000, 10_000_000):
+        tracemalloc.start()
+        try:
+            paths = run_experiment(_cfg(algorithm="batch", out=str(tmp_path / str(T)), T=T,
+                                        eps=1e-2, tol=1e-10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        lines = Path(paths["trace"]).read_text().splitlines()
+        assert lines.pop(2) == f"# T={T}"
+        # the rows but their elapsed_s, which is wall time
+        runs[T] = ([line.rsplit(",", 1)[0] for line in lines],
+                   Path(paths["report"]).read_bytes(), Path(paths["bounds"]).read_bytes())
+    assert runs[10_000] == runs[10_000_000]
+    lines = runs[10_000][0]
+    rows = len(lines) - 1 - lines.index(",".join(CSV_COLUMNS[:-1]))
+    assert rows == reference_solution(problem_from_descriptor(SYNTH_DESC),
+                                      tol=1e-10).iterations < 10_000
 
 
 def test_batch_report_keys_name_the_reference_once(tmp_path):

@@ -181,8 +181,8 @@ def test_run_seed_determinism():
     xa, ta = sug_run(prob, np.zeros(3), cfg)
     xb, tb = sug_run(prob, np.zeros(3), cfg)
     np.testing.assert_array_equal(xa, xb)
-    assert ta.f_full == tb.f_full
-    assert ta.component == tb.component
+    assert ta.f_full.tobytes() == tb.f_full.tobytes()
+    assert ta.component.tobytes() == tb.component.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**33 + 5])
@@ -202,7 +202,7 @@ def test_run_samples_the_scalar_stream_of_its_seed():
     prob = _quadratic_problem(n=7, p=3, seed=15, l1_weight=0.1, ridge_weight=2.0)
     _, trace = sug_run(prob, np.zeros(3), SugConfig(M=1.0, eps=1e-2, seed=21, max_iters=99))
     rng = np.random.default_rng(21)
-    assert trace.component == [int(rng.integers(0, 7)) for _ in range(99)]
+    assert np.array_equal(trace.component, [int(rng.integers(0, 7)) for _ in range(99)])
 
 
 @pytest.mark.parametrize(
@@ -255,7 +255,7 @@ def test_run_trace_schema_for_sampled_rounds():
     cfg = SugConfig(M=2.0, eps=1e-2, seed=1, max_iters=10)
     _, trace = sug_run(prob, np.zeros(2), cfg)
     assert trace.algorithm == "sug"
-    assert trace.i_t == [0] * 10
+    assert np.array_equal(trace.i_t, [0] * 10)
     assert all(L == 2.0 for L in trace.L_next)
     assert trace.extra_meta["M"] == 2.0
     assert all(0 <= c < 5 for c in trace.component)

@@ -1,11 +1,14 @@
 """Run-trace recording, CSV serialization, and parsing."""
 
+import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unigrad.trace import CSV_COLUMNS, RunTrace, parse_trace_csv, write_trace_csv
+from unigrad import oracles
+from unigrad.trace import CSV_COLUMNS, RunTrace, block_rows, parse_trace_csv, write_trace_csv
 
 
 def _sample_trace():
@@ -56,10 +59,10 @@ def test_round_trip_preserves_everything(tmp_path):
     assert back.problem_meta == trace.problem_meta
     assert back.extra_meta == trace.extra_meta
     np.testing.assert_array_equal(back.x0, trace.x0)
-    assert back.t == trace.t
-    assert back.i_t == trace.i_t
+    assert back.t.tobytes() == trace.t.tobytes()
+    assert back.i_t.tobytes() == trace.i_t.tobytes()
     for col in CSV_COLUMNS[2:]:
-        assert getattr(back, col) == getattr(trace, col), col
+        assert getattr(back, col).tobytes() == getattr(trace, col).tobytes(), col
 
 
 def test_floats_round_trip_exactly(tmp_path):
@@ -167,7 +170,7 @@ def test_parse_skips_blank_and_reads_metadata_lines_among_the_rows(tmp_path):
     trace = _sample_trace()
     assert back.n_rows == 3
     for col in CSV_COLUMNS:
-        assert getattr(back, col) == getattr(trace, col), col
+        assert getattr(back, col).tobytes() == getattr(trace, col).tobytes(), col
 
 
 GOLDEN = sorted((Path(__file__).parent / "data").glob("*/trace.csv"))
@@ -220,11 +223,9 @@ def _assert_written_per_value(trace, path):
 def _trace_of_rows(n):
     """The sample trace with its three rows repeated to n rows."""
     trace = _sample_trace()
-    for name in CSV_COLUMNS:
-        column = getattr(trace, name)
-        setattr(trace, name, [column[k % 3] for k in range(n)])
-    trace.t = list(range(n))
-    return trace
+    columns = {name: getattr(trace, name)[np.arange(n) % 3] for name in CSV_COLUMNS}
+    columns["t"] = np.arange(n)
+    return dataclasses.replace(trace, **columns)
 
 
 _RESULTS = [1.5, -2.25, 1e-300, np.float64(0.1), 7]
@@ -240,7 +241,9 @@ def test_equal_result_columns_are_written_per_value(f_gt_xnext, f_gt_yt, tmp_pat
     the text of each value in both columns."""
     assert f_gt_yt == f_gt_xnext
     trace = _trace_of_rows(5)
-    trace.f_gt_xnext, trace.f_gt_yt = f_gt_xnext, f_gt_yt
+    trace.f_gt_xnext = np.array(f_gt_xnext, dtype=float)
+    trace.f_gt_yt = (trace.f_gt_xnext if f_gt_yt is f_gt_xnext
+                     else np.array(f_gt_yt, dtype=float))
     write_trace_csv(trace, tmp_path / "trace.csv")
     _assert_written_per_value(trace, tmp_path / "trace.csv")
 
@@ -254,7 +257,7 @@ def test_repeated_step_sizes_are_written_per_value(L_next, tmp_path):
     floats, with or without zeros of either sign, comes out as the text of
     each value."""
     trace = _trace_of_rows(len(L_next))
-    trace.L_next = L_next
+    trace.L_next = np.array(L_next, dtype=float)
     write_trace_csv(trace, tmp_path / "trace.csv")
     _assert_written_per_value(trace, tmp_path / "trace.csv")
 
@@ -263,3 +266,135 @@ def test_n_rows_tracks_appends():
     trace = _sample_trace()
     assert trace.n_rows == 3
     assert len(trace.t) == len(trace.elapsed_s) == 3
+
+
+def test_parse_rejects_non_finite_fields_naming_line_and_column(tmp_path):
+    """The parser refuses what the writer refuses: a NaN or infinite field."""
+    for row, column, text in [(0, "f_full", "nan"), (2, "L_next", "inf"),
+                              (1, "elapsed_s", "-inf")]:
+
+        def non_finite(lines):
+            parts = lines[10 + row].split(",")
+            parts[CSV_COLUMNS.index(column)] = text
+            lines[10 + row] = ",".join(parts)
+
+        path, _ = _edited_trace(tmp_path, non_finite)
+        with pytest.raises(ValueError,
+                           match=rf"^line {11 + row}: non-finite value in column {column}$"):
+            parse_trace_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# traces of several blocks: the writer and the parser take block_rows() rows
+# at a time
+
+
+def _long_trace(n, shared=True):
+    """The sample trace's metadata over n rows of random values: L_next
+    drawn from three values plus a fourth in the last row, and f_gt_yt
+    equal to f_gt_xnext when shared."""
+    rng = np.random.default_rng(n)
+    L_next = rng.choice([0.5, 2.0, 1.0 / 3.0], size=n)
+    L_next[-1] = 7.25
+    f_gt_xnext = rng.normal(size=n)
+    return dataclasses.replace(
+        _sample_trace(), t=np.arange(n), i_t=rng.integers(0, 3, size=n), L_next=L_next,
+        f_gt_xt=rng.normal(size=n), f_gt_xnext=f_gt_xnext,
+        f_gt_yt=f_gt_xnext.copy() if shared else rng.normal(size=n),
+        f_full=rng.normal(size=n), elapsed_s=rng.uniform(size=n))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+@pytest.mark.parametrize("extra", [-1, 0, 1, None], ids=["B-1", "B", "B+1", "2B+1"])
+def test_traces_across_block_boundaries_round_trip(extra, shared, tmp_path):
+    B = block_rows()
+    n = 2 * B + 1 if extra is None else B + extra
+    trace = _long_trace(n, shared)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_trace_csv(trace, first)
+    _assert_written_per_value(trace, first)
+    back = parse_trace_csv(first)
+    assert back.n_rows == n
+    for col in CSV_COLUMNS:
+        assert getattr(back, col).tobytes() == getattr(trace, col).tobytes(), col
+    write_trace_csv(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _long_lines(tmp_path, edit):
+    """A written trace of 2B + 1 rows with edit(lines, k) applied to its list
+    of lines, k the index of the line of row B + 5, in the second block."""
+    path = tmp_path / "trace.csv"
+    write_trace_csv(_long_trace(2 * block_rows() + 1), path)
+    lines = path.read_text().splitlines()
+    edit(lines, 10 + block_rows() + 5)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _set_field(j, text):
+    def edit(lines, k):
+        parts = lines[k].split(",")
+        parts[j] = text
+        lines[k] = ",".join(parts)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines, k: lines.__setitem__(k, "1,2,3"), "expected 8 fields, got 3"),
+    (_set_field(1, "x"), "non-numeric field"),
+    (_set_field(0, str(2**63)), "non-numeric field"),
+    (_set_field(6, "nan"), "non-finite value in column f_full"),
+], ids=["short-row", "non-numeric", "beyond-int64", "non-finite"])
+def test_parse_errors_in_a_later_block_name_the_file_line(edit, message, tmp_path):
+    path = _long_lines(tmp_path, edit)
+    with pytest.raises(ValueError, match=rf"^line {10 + block_rows() + 6}: {message}$"):
+        parse_trace_csv(path)
+
+
+def test_parse_skips_blank_and_metadata_lines_in_a_later_block(tmp_path):
+    def insert(lines, k):
+        lines[k:k] = ["", '# late="yes"']
+
+    back = parse_trace_csv(_long_lines(tmp_path, insert))
+    trace = _long_trace(2 * block_rows() + 1)
+    assert back.n_rows == trace.n_rows
+    for col in CSV_COLUMNS:
+        assert getattr(back, col).tobytes() == getattr(trace, col).tobytes(), col
+
+    def insert_then_bad_field(lines, k):
+        insert(lines, k)
+        _set_field(1, "x")(lines, k + 2)
+
+    # the two inserted lines count: row B + 5 moves two lines down
+    path = _long_lines(tmp_path, insert_then_bad_field)
+    with pytest.raises(ValueError, match=rf"^line {10 + block_rows() + 8}: non-numeric field$"):
+        parse_trace_csv(path)
+
+
+def _write_parse_overhead(n, tmp_path):
+    """Bytes tracemalloc saw at its peak while a trace of n rows was written
+    and parsed back, beyond the parsed columns."""
+    trace = _long_trace(n)
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        back = parse_trace_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(getattr(back, col).nbytes for col in CSV_COLUMNS)
+
+
+def test_write_and_parse_hold_one_block_beside_the_columns(tmp_path, monkeypatch):
+    """Written and parsed a block at a time, a trace costs its columns plus
+    a block of text that does not grow with its rows.  Blocks of 256 rows
+    and traces of 10 and 20 such blocks keep tracemalloc, which slows every
+    allocation tenfold, to about a second; written and parsed whole, the
+    20 blocks took 3 MiB beside the columns, and 10 blocks 1.5 MiB."""
+    monkeypatch.setattr(oracles, "BLOCK_BYTES", 2**15)
+    assert block_rows() == 256
+    _write_parse_overhead(256, tmp_path)  # first-call allocations
+    half, full = (_write_parse_overhead(n, tmp_path) for n in (2560, 5120))
+    assert full <= 2**20
+    assert full - half <= 16 * 2**10

@@ -159,7 +159,7 @@ def test_step_on_zero_objective_stays_at_anchor(monkeypatch):
     folds = _record_folds(monkeypatch)
     x0 = np.array([0.7, -0.3])
     x_final, trace = udgm_run(zero_problem(), np.array([0]), x0, 4.0, 1e-2, 0)
-    assert trace.i_t == [0]
+    assert np.array_equal(trace.i_t, [0])
     assert trace.L_next[0] == pytest.approx(2.0)
     np.testing.assert_array_equal(x_final, x0)
     [(model, A)] = folds
@@ -171,7 +171,7 @@ def test_step_quadratic_equality_case():
     inst = LassoInstance(A=np.array([[1.0]]), b=np.array([0.0]))
     prob = lasso_problem(inst)
     _, trace = udgm_run(prob, np.array([0]), np.array([1.0]), 2.0, 1e-12, 0)
-    assert trace.i_t == [0]
+    assert np.array_equal(trace.i_t, [0])
     assert trace.L_next[0] == pytest.approx(1.0)
 
 
@@ -213,7 +213,7 @@ def test_run_is_deterministic():
     xa, ta = udgm_run(prob, order, np.zeros(3), 1.0, 1e-1, 100)
     xb, tb = udgm_run(prob, order, np.zeros(3), 1.0, 1e-1, 100)
     np.testing.assert_array_equal(xa, xb)
-    assert ta.L_next == tb.L_next
+    assert ta.L_next.tobytes() == tb.L_next.tobytes()
     for a, b in zip(ta.x_next, tb.x_next, strict=True):
         np.testing.assert_array_equal(a, b)
 

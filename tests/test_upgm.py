@@ -23,7 +23,7 @@ from unigrad.upgm import upgm_fixed_step_run, upgm_run
 def test_step_on_zero_objective_keeps_point_and_halves_modulus():
     prob = zero_problem()
     xbar, trace = upgm_run(prob, np.array([0]), np.array([1.0, -2.0]), 4.0, 1e-2, 0)
-    assert trace.i_t == [0]
+    assert np.array_equal(trace.i_t, [0])
     assert trace.L_next[0] == pytest.approx(2.0)
     np.testing.assert_array_equal(trace.x_next[0], np.array([1.0, -2.0]))
     np.testing.assert_array_equal(xbar, np.array([1.0, -2.0]))
@@ -35,7 +35,7 @@ def test_step_one_dim_quadratic_equality_case():
     inst = LassoInstance(A=np.array([[1.0]]), b=np.array([0.0]))
     prob = lasso_problem(inst)
     _, trace = upgm_run(prob, np.array([0]), np.array([1.0]), 2.0, 1e-12, 0)
-    assert trace.i_t == [0]
+    assert np.array_equal(trace.i_t, [0])
     np.testing.assert_allclose(trace.x_next[0], np.array([0.0]), atol=1e-15)
     assert trace.L_next[0] == pytest.approx(1.0)
 
@@ -100,8 +100,8 @@ def test_run_is_deterministic():
     xa, ta = upgm_run(prob, order, np.zeros(5), 1.0, 1e-2, 100)
     xb, tb = upgm_run(prob, order, np.zeros(5), 1.0, 1e-2, 100)
     np.testing.assert_array_equal(xa, xb)
-    assert ta.L_next == tb.L_next
-    assert ta.f_full == tb.f_full
+    assert ta.L_next.tobytes() == tb.L_next.tobytes()
+    assert ta.f_full.tobytes() == tb.f_full.tobytes()
 
 
 def test_duplicated_component_stream_matches_single_component_stream():
@@ -118,8 +118,8 @@ def test_duplicated_component_stream_matches_single_component_stream():
     alternating = np.arange(T + 1) % 2
     xd, td = upgm_run(double, alternating, x0, 1.0, 1e-2, T)
     np.testing.assert_array_equal(xs, xd)
-    assert ts.L_next == td.L_next
-    assert ts.f_gt_xnext == td.f_gt_xnext
+    assert ts.L_next.tobytes() == td.L_next.tobytes()
+    assert ts.f_gt_xnext.tobytes() == td.f_gt_xnext.tobytes()
 
 
 def test_weighted_average_uses_inverse_moduli():
