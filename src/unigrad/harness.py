@@ -7,7 +7,9 @@ A run produces three artifacts in the output directory:
                 and the verdict: `checked` names the bound judged, `ok`
                 says whether it holds
     bounds.csv  plotting curve "k,gap,bound": objective gap f(x^k) - f*
-                and the applicable theorem bound at prefix k
+                and, for sug, its bound at k; for oupgm and oudgm the
+                prefix-k right-hand side of thm1 or thm2, which bounds the
+                weighted prefix regret, not the gap beside it
 
 Both `run` and `check-bounds` judge a trace with the one function verify,
 which reads only the trace, its metadata and the reference, so a saved
@@ -15,7 +17,8 @@ trace re-verifies everything the live run verified.  The solvers record
 only what they alone know; after the run, run_experiment stamps the trace
 with the problem descriptor, the seed, the order kind (none for batch) and
 its own `extra` keys.  The trace's `extra` metadata carries what the bounds
-need beyond the columns:
+need beyond the columns, and check-bounds refuses a trace that lacks a key
+its run writes (EXTRA_KEYS):
 
     tol       residual tolerance of the reference solve (every run)
     x_star    the reference minimizer, floats written to round-trip (every run)
@@ -26,7 +29,7 @@ need beyond the columns:
     data_sha256  lasso-csv: the data file's sha256 at run time
     M         sug: the surrogate modulus (solver)
     dist0_sq  sug: the ||x0 - x*||^2 the run used (--dist0 or the reference's)
-    f_final   sug: the objective at the final iterate
+    f_final   sug: the objective at the final iterate, the last point judged
 
 Reference minimizers always come from the one batch proximal-gradient
 solve, run to a fixed-point residual tolerance, so every reported gap
@@ -38,9 +41,9 @@ the problem's gap (an upper bound on f(x*) - f*), so f* lies in
 `--algorithm batch` solves nothing more: its trace is the reference solve's
 own steps, stopped at T.  check-bounds solves nothing either: it rebuilds
 the reference from the stored x_star, re-certifying it on the rebuilt data,
-and solves again only for traces without x_star or when the certificate
-comes out non-finite or larger than the stored one; it refuses a lasso-csv
-file whose sha256 is not the run's.
+and solves again, at the stored tol, only when the certificate comes out
+non-finite or larger than the stored one; it refuses a lasso-csv file
+whose sha256 is not the run's.
 """
 
 import hashlib
@@ -70,8 +73,7 @@ from .upgm import upgm_fixed_step_run, upgm_run
 
 SLACK_SCALE = 1e-9
 
-# Fixed-point residual tolerance of the reference solve, unless a run sets
-# its own; also the one check-bounds assumes for traces that record none.
+# Fixed-point residual tolerance of the reference solve unless a run sets its own.
 REFERENCE_TOL = 1e-10
 
 
@@ -226,14 +228,8 @@ class RegretReport:
 
 
 def _trace_components(trace: RunTrace, problem: CompositeProblem) -> np.ndarray:
-    if len(trace.component) == trace.n_rows:
-        comps = trace.component
-    elif trace.order_kind is not None:
-        comps = sample_order(
-            trace.order_kind, problem.n_components, trace.T, trace.seed
-        )
-    else:
-        raise ValueError("trace lacks both a component list and order metadata")
+    comps = (trace.component if len(trace.component) == trace.n_rows
+             else sample_order(trace.order_kind, problem.n_components, trace.T, trace.seed))
     if comps.size and (comps.min() < 0 or comps.max() >= problem.n_components):
         raise ValueError("trace references components the problem does not have")
     return comps
@@ -397,6 +393,16 @@ def resolve_eps(cfg: RunConfig, problem: CompositeProblem) -> float:
     return float(cfg.T) ** (-(1.0 + v) / 2.0)
 
 
+# The `extra` keys a run writes and check_bounds requires: those of every run,
+# then of a sug run, a fixed-step run (its solver writes them) and a lasso-csv run.
+EXTRA_KEYS = {
+    "every": ("tol", "x_star", "reference_gap", "reference_iterations", "reference_residual"),
+    "sug": ("M", "dist0_sq", "f_final"),
+    "fixed_step": ("fixed_step", "Mv", "v"),
+    "lasso-csv": ("data_sha256",),
+}
+
+
 def run_experiment(cfg: RunConfig) -> dict:
     """Run one experiment and write trace.csv, report.json, bounds.csv.
 
@@ -516,9 +522,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
         mu_h = problem.regularizer.strong_convexity
         n = problem.n_components
         M = float(extra["M"])
-        dist0_sq = extra.get("dist0_sq")
-        if dist0_sq is None:  # traces written before the run recorded it
-            dist0_sq = float(np.sum((reference.x - trace.x0) ** 2))
+        dist0_sq = extra["dist0_sq"]
         report = {
             "algorithm": "sug",
             "eps": trace.eps,
@@ -530,11 +534,9 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "dist0_sq": dist0_sq,
             "f_star": f_star,
             "iterations": trace.n_rows,
+            "final_gap": extra["f_final"] - f_star,
         }
-        values = trace.f_full
-        if "f_final" in extra:  # older traces judge the rows only
-            values = np.append(values, extra["f_final"])
-            report["final_gap"] = extra["f_final"] - f_star
+        values = np.append(trace.f_full, extra["f_final"])
         rho = sug_rho(M, mu_h, n) if mu_h > 0 else None
         active = rho is not None and rho < 1.0
         first, gaps, ok = 1, values[1:] - f_star, True
@@ -603,12 +605,12 @@ def _write_bound_curve(path, curve) -> None:
 def check_bounds(trace_path) -> tuple[dict, bool]:
     """Rebuild the problem from trace metadata and verify the trace.
 
-    The reference is the run's: x* as the trace stores it, with f = f(x*)
-    and the certificate recomputed on the rebuilt problem, so both judge
-    against the same f*.  A trace without x_star (written before runs
-    stored it), or whose x* the rebuilt problem certifies worse than the
-    run did, is judged against a new solve at the tol the run recorded
-    (REFERENCE_TOL for traces without one).  A lasso-csv file whose sha256
+    A trace that lacks an `extra` key its run writes (EXTRA_KEYS) raises
+    ValueError naming the key.  The reference is the run's: x* as the trace
+    stores it, with f = f(x*) and the certificate recomputed on the rebuilt
+    problem, so both judge against the same f*.  A trace whose x* the
+    rebuilt problem certifies worse than the run did is judged against a
+    new solve at the tol the run recorded.  A lasso-csv file whose sha256
     is not the run's raises ValueError naming it.  Returns the report verify
     builds, as in the run's report.json, and its verdict `ok`.
     """
@@ -616,22 +618,24 @@ def check_bounds(trace_path) -> tuple[dict, bool]:
     if not trace.problem_meta:
         raise ValueError(f"{trace_path}: trace has no problem descriptor metadata")
     extra = trace.extra_meta
-    if "data_sha256" in extra:
+    kind = trace.problem_meta.get("kind")
+    for run in ("every", trace.algorithm, "fixed_step" if "fixed_step" in extra else None, kind):
+        for key in EXTRA_KEYS.get(run, ()):
+            if key not in extra:
+                raise ValueError(f"{trace_path}: extra metadata key {key!r} missing")
+    if kind == "lasso-csv":
         path = trace.problem_meta["path"]
         if _sha256(path) != extra["data_sha256"]:
             raise ValueError(f"{path}: data file changed since the run wrote {trace_path}")
     problem = problem_from_descriptor(trace.problem_meta)
-    reference = None
-    if "x_star" in extra:
-        x = np.asarray(extra["x_star"], dtype=float)
-        gap = problem.gap(x)
-        if math.isfinite(gap) and gap <= extra["reference_gap"]:
-            reference = ReferenceSolution(
-                x=x, f=problem.value(x), iterations=extra["reference_iterations"],
-                residual=extra["reference_residual"], gap=gap, steps=[],
-            )
-    if reference is None:
-        tol = float(extra.get("tol", REFERENCE_TOL))
-        reference = reference_solution(problem, tol=tol)
+    x = np.asarray(extra["x_star"], dtype=float)
+    gap = problem.gap(x)
+    if math.isfinite(gap) and gap <= extra["reference_gap"]:
+        reference = ReferenceSolution(
+            x=x, f=problem.value(x), iterations=extra["reference_iterations"],
+            residual=extra["reference_residual"], gap=gap, steps=[],
+        )
+    else:
+        reference = reference_solution(problem, tol=float(extra["tol"]))
     report, _ = verify(trace, problem, reference)
     return report, report["ok"]

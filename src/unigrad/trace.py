@@ -1,10 +1,12 @@
 """Run traces: per-round scalars plus enough metadata to replay checks.
 
-The CSV serialization carries `# key=json-value` header lines followed by
-the fixed column schema
+The CSV serialization is one schema: `# key=json-value` header lines, the
+first `# schema=1`, then the fixed column header
 
     t,i_t,L_next,f_gt_xt,f_gt_xnext,f_gt_yt,f_full,elapsed_s
 
+and one line a row.  The parser refuses another schema or none, a missing
+header key, and a line among the rows that is not a row, naming its line.
 Floats are written with shortest round-trip formatting, so writing and
 re-parsing a trace reproduces it exactly; every float field is finite.
 In memory each column is one numpy array (int64 for t and i_t, float64
@@ -35,6 +37,7 @@ import numpy as np
 
 from .oracles import block_len
 
+SCHEMA = 1
 CSV_COLUMNS = ("t", "i_t", "L_next", "f_gt_xt", "f_gt_xnext", "f_gt_yt", "f_full", "elapsed_s")
 _KINDS = (int, int) + (float,) * (len(CSV_COLUMNS) - 2)  # also the column dtypes
 
@@ -143,6 +146,7 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     time; deterministic output."""
     trace.check_finite()
     meta = {
+        "schema": SCHEMA,
         "algorithm": trace.algorithm,
         "eps": trace.eps,
         "T": trace.T,
@@ -178,54 +182,32 @@ def write_trace_csv(trace: RunTrace, path) -> None:
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _read_metadata(meta: dict, line: str, lineno: int) -> None:
-    key, sep, value = line[1:].strip().partition("=")
-    if not sep:
-        raise ValueError(f"line {lineno}: malformed metadata line {line!r}")
-    try:
-        meta[key.strip()] = json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"line {lineno}: metadata value for {key.strip()!r} is not JSON"
-        ) from exc
-
-
-def _read_block(rows: list, lineno: int, meta: dict, columns: list, n: int) -> int:
+def _read_block(rows: list, lineno: int, columns: list, n: int) -> int:
     """Convert the split data lines rows, rows[0] being file line lineno,
     into the column arrays from row n on, each column by one map; returns
     the row count after them.  Only when that fails are the lines read one
-    at a time: blank lines are skipped and '#' lines read into meta, as the
-    format allows among the rows, and a line of the wrong width or with a
-    non-numeric field raises ValueError naming its file line, as does a
-    non-finite field."""
+    at a time, to raise ValueError naming the file line of the first of the
+    wrong width (a blank or '#' line among them) or with a non-numeric
+    field; a non-finite field raises too."""
     k = len(rows)
     try:
         if set(map(len, rows)) != {len(_KINDS)}:
             raise ValueError("a line of another width")
         for j, (column, kind) in enumerate(zip(columns, _KINDS)):
             column[n:n + k] = np.fromiter(map(kind, map(itemgetter(j), rows)), kind, k)
-        linenos = range(lineno, lineno + k)
     except (ValueError, OverflowError):
-        linenos = []
-        for lineno, parts in enumerate(rows, start=lineno):
-            line = ",".join(parts).strip()
-            if line.startswith("#"):
-                _read_metadata(meta, line, lineno)
-            elif line:
-                parts = line.split(",")
-                if len(parts) != len(_KINDS):
-                    raise ValueError(f"line {lineno}: expected {len(_KINDS)} fields, got {len(parts)}")
-                try:
-                    for column, kind, text in zip(columns, _KINDS, parts):
-                        column[n + len(linenos)] = kind(text)
-                except (ValueError, OverflowError) as exc:  # int64 overflows too
-                    raise ValueError(f"line {lineno}: non-numeric field") from exc
-                linenos.append(lineno)
-        k = len(linenos)
+        for line, parts in enumerate(rows, start=lineno):
+            if len(parts) != len(_KINDS):
+                raise ValueError(f"line {line}: expected {len(_KINDS)} fields, got {len(parts)}")
+            try:
+                for column, kind, text in zip(columns, _KINDS, parts):
+                    column[n + line - lineno] = kind(text)
+            except (ValueError, OverflowError) as exc:  # int64 overflows too
+                raise ValueError(f"line {line}: non-numeric field") from exc
     for name, column in zip(CSV_COLUMNS[2:], columns[2:]):
         bad = np.flatnonzero(~np.isfinite(column[n:n + k]))
         if bad.size:
-            raise ValueError(f"line {linenos[bad[0]]}: non-finite value in column {name}")
+            raise ValueError(f"line {lineno + bad[0]}: non-finite value in column {name}")
     return n + k
 
 
@@ -233,8 +215,8 @@ def parse_trace_csv(path) -> RunTrace:
     """Parse a trace CSV written by write_trace_csv, a block of lines at a
     time.
 
-    Raises ValueError naming the offending line for schema violations and
-    non-finite fields.
+    Raises ValueError naming the schema found if it is not SCHEMA, a missing
+    header key, or the offending line of any other violation.
     """
     meta: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -243,33 +225,44 @@ def parse_trace_csv(path) -> RunTrace:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):
-                _read_metadata(meta, line, lineno)
+                key, sep, value = line[1:].partition("=")
+                if not sep:
+                    raise ValueError(f"line {lineno}: malformed metadata line {line!r}")
+                try:
+                    meta[key.strip()] = json.loads(value)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"line {lineno}: metadata value for {key.strip()!r} is not JSON"
+                    ) from exc
             elif line:
                 if tuple(line.split(",")) != CSV_COLUMNS:
                     raise ValueError(f"line {lineno}: unexpected column header {line!r}")
                 break
         else:
             raise ValueError(f"{path}: no column header found")
+        schema = meta.get("schema")
+        if schema != SCHEMA:
+            found = f"schema={json.dumps(schema)}" if "schema" in meta else "no schema line"
+            raise ValueError(f"{path}: trace has {found}; this version reads schema={SCHEMA}")
+        for key in ("algorithm", "eps", "T", "L0", "seed", "order", "problem", "x0", "extra"):
+            if key not in meta:
+                raise ValueError(f"{path}: metadata key {key!r} missing")
         columns = [np.empty(lines - lineno, kind) for kind in _KINDS]
         n, step = 0, block_rows()
         # each data line split once; int and float skip the trailing newline
         while rows := list(map(str.split, islice(fh, step), repeat(","))):
-            n = _read_block(rows, lineno + 1, meta, columns, n)
+            n = _read_block(rows, lineno + 1, columns, n)
             lineno += len(rows)
             del rows  # before the next block is split
-    required = ("algorithm", "eps", "T", "x0")
-    for key in required:
-        if key not in meta:
-            raise ValueError(f"{path}: metadata key {key!r} missing")
     return RunTrace(
         algorithm=meta["algorithm"],
         eps=float(meta["eps"]),
         T=int(meta["T"]),
         x0=meta["x0"],
-        L0=None if meta.get("L0") is None else float(meta["L0"]),
-        seed=None if meta.get("seed") is None else int(meta["seed"]),
-        order_kind=meta.get("order"),
-        problem_meta=meta.get("problem") or {},
-        extra_meta=meta.get("extra") or {},
+        L0=None if meta["L0"] is None else float(meta["L0"]),
+        seed=None if meta["seed"] is None else int(meta["seed"]),
+        order_kind=meta["order"],
+        problem_meta=meta["problem"],
+        extra_meta=meta["extra"],
         **{name: column[:n] for name, column in zip(CSV_COLUMNS, columns)},
     )

@@ -123,6 +123,51 @@ def test_check_bounds_refuses_a_non_finite_field(tmp_path, capsys, flags, column
     assert f"error: line {k + 1}: non-finite value in column {column}" in captured.err
 
 
+def _without_extra_key(key):
+    """An edit of a trace's lines that drops key from its extra header."""
+    def edit(lines):
+        k = next(k for k, line in enumerate(lines) if line.startswith("# extra="))
+        extra = json.loads(lines[k].partition("=")[2])
+        del extra[key]
+        lines[k] = f"# extra={json.dumps(extra, sort_keys=True)}"
+    return edit
+
+
+OUPGM = ["--algorithm", "oupgm", "--problem", "synth-lasso"]
+
+
+@pytest.mark.parametrize("flags, edit, message", [
+    (OUPGM, lambda lines: lines.pop(0), "trace has no schema line; this version reads schema=1"),
+    (OUPGM, lambda lines: lines.__setitem__(0, "# schema=2"),
+     "trace has schema=2; this version reads schema=1"),
+    (OUPGM, _without_extra_key("x_star"), "extra metadata key 'x_star' missing"),
+    (["--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10", "--M", "1"],
+     _without_extra_key("M"), "extra metadata key 'M' missing"),
+    ([*OUPGM, "--fixed-step"], _without_extra_key("Mv"), "extra metadata key 'Mv' missing"),
+    (["--algorithm", "oupgm", "--problem", "lasso-csv"], _without_extra_key("data_sha256"),
+     "extra metadata key 'data_sha256' missing"),
+], ids=["no-schema", "schema-2", "no-x_star", "sug-no-M", "fixed-step-no-Mv",
+        "lasso-csv-no-data_sha256"])
+def test_check_bounds_refuses_a_trace_off_the_schema(tmp_path, capsys, flags, edit, message):
+    """A trace of no or another schema, or without an extra key its run
+    writes, exits 2 naming the schema or the key: never 1, the status of a
+    violated bound, and never with a traceback."""
+    if "lasso-csv" in flags:
+        save_samples(synth_lasso(p=3, n=40, sparsity=1, noise=0.1, seed=6), tmp_path / "d.csv")
+        flags = [*flags, "--data", str(tmp_path / "d.csv")]
+    assert main(["run", *flags, "--T", "30", "--out", str(tmp_path / "run")]) == 0
+    path = tmp_path / "run" / "trace.csv"
+    assert main(["check-bounds", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check-bounds", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_check_bounds_missing_file_exits_2(tmp_path, capsys):
     code = main(["check-bounds", str(tmp_path / "nope.csv")])
     assert code == 2

@@ -256,7 +256,7 @@ def test_regret_rejects_incomplete_trace():
 def test_regret_needs_components_or_order():
     prob = _scalar_problem()
     rows = [(0, 0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0)]  # no component recorded
-    with pytest.raises(ValueError, match="lacks both"):
+    with pytest.raises(ValueError, match="unknown order kind: None"):
         evaluate_regret(_fabricated_trace(rows, T=0), prob, np.zeros(1))
 
 
@@ -472,23 +472,6 @@ def test_run_experiment_sug_and_recheck(tmp_path, dist0_sq):
     assert rep["ok"] and rep["checked"] == "sug bound curve"
 
 
-def test_check_bounds_sug_trace_without_dist0_or_final_value(tmp_path):
-    # traces that predate the dist0_sq and f_final keys: dist0_sq comes from
-    # the reference, and only the recorded rows are judged
-    desc = dict(SYNTH_DESC, ridge=20.0)
-    cfg = _cfg(algorithm="sug", problem=desc, out=str(tmp_path / "run"),
-               eps=1e-2, T=100, M=1.0, seed=4)
-    paths = run_experiment(cfg)
-    report = json.loads(Path(paths["report"]).read_text())
-    trace = parse_trace_csv(paths["trace"])
-    del trace.extra_meta["dist0_sq"], trace.extra_meta["f_final"]
-    write_trace_csv(trace, paths["trace"])
-    rep, ok = check_bounds(paths["trace"])
-    assert ok and rep["checked"] == "sug bound curve"
-    assert rep["dist0_sq"] == report["dist0_sq"]
-    assert "final_gap" not in rep
-
-
 def test_run_experiment_sug_vacuous_bound(tmp_path):
     # no strong convexity in the steiner composite: nothing to check
     desc = {"kind": "steiner", "p": 3, "m": 5, "seed": 1}
@@ -544,7 +527,7 @@ def test_batch_trace_is_sized_by_the_steps_not_by_T(tmp_path):
             tracemalloc.stop()
         assert peak <= 2**20
         lines = Path(paths["trace"]).read_text().splitlines()
-        assert lines.pop(2) == f"# T={T}"
+        assert lines.pop(3) == f"# T={T}"
         # the rows but their elapsed_s, which is wall time
         runs[T] = ([line.rsplit(",", 1)[0] for line in lines],
                    Path(paths["report"]).read_bytes(), Path(paths["bounds"]).read_bytes())
@@ -593,6 +576,9 @@ def test_trace_header_carries_the_run_metadata(tmp_path, algorithm, fixed_step, 
     assert header["seed"] == 9
     assert header["order"] == (None if algorithm == "batch" else "cyclic")
     assert set(header["extra"]) == extra
+    # the keys check_bounds requires are the ones the run writes
+    runs = ["every", algorithm] + ["fixed_step"] * fixed_step
+    assert {key for run in runs for key in harness.EXTRA_KEYS.get(run, ())} == extra
 
 
 def test_check_bounds_needs_problem_metadata(tmp_path):
@@ -607,8 +593,6 @@ def test_check_bounds_needs_problem_metadata(tmp_path):
 # ---------------------------------------------------------------------------
 # the stored reference: check-bounds re-certifies it instead of solving again
 
-STORED_REFERENCE_KEYS = ("x_star", "reference_gap", "reference_iterations",
-                         "reference_residual")
 STEINER_DESC = {"kind": "steiner", "p": 3, "m": 8, "seed": 2}
 
 CHECKED_RUNS = pytest.mark.parametrize(
@@ -660,17 +644,24 @@ def test_check_bounds_re_certifies_the_stored_reference(tmp_path, monkeypatch, a
 
 
 @CHECKED_RUNS
-def test_trace_without_a_stored_reference_is_checked_by_one_solve(tmp_path, monkeypatch,
-                                                                  algorithm, fixed_step, desc):
-    # traces written before runs stored their reference
+def test_check_bounds_solves_again_when_the_stored_x_star_certifies_worse(
+        tmp_path, monkeypatch, algorithm, fixed_step, desc):
+    """x* moved off the optimum certifies worse on the rebuilt problem than
+    the run's reference did: check-bounds judges the trace against one new
+    solve at the stored tol, which reaches the run's verdict."""
     paths = _checked_run(tmp_path, algorithm, fixed_step, desc)
+    report = json.loads(Path(paths["report"]).read_text())
     trace = parse_trace_csv(paths["trace"])
-    for key in STORED_REFERENCE_KEYS:
-        del trace.extra_meta[key]
+    trace.extra_meta["x_star"] = [v + 0.5 for v in trace.extra_meta["x_star"]]
     write_trace_csv(trace, paths["trace"])
+    fresh = reference_solution(problem_from_descriptor(desc), tol=trace.extra_meta["tol"])
     calls = _count_solves(monkeypatch)
-    _recheck(paths)
+    rep, ok = check_bounds(paths["trace"])
     assert len(calls) == 1
+    assert rep["f_star"] == fresh.f
+    assert rep["reference"] == {"f": fresh.f, "gap": fresh.gap,
+                                "iterations": fresh.iterations, "residual": fresh.residual}
+    assert (ok, rep["checked"]) == (report["ok"], report["checked"])
 
 
 def _csv_run_then_edit(tmp_path):
@@ -698,18 +689,16 @@ def test_check_bounds_refuses_a_csv_that_changed(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_check_bounds_solves_again_when_the_csv_changed(tmp_path, monkeypatch):
-    # a trace written before runs stored the data file's sha256
-    desc, paths = _csv_run_then_edit(tmp_path)
+def test_check_bounds_refuses_a_csv_trace_without_the_data_sha256(tmp_path, monkeypatch):
+    # without the run's sha256 no changed data file could be refused
+    _, paths = _csv_run_then_edit(tmp_path)
     trace = parse_trace_csv(paths["trace"])
     del trace.extra_meta["data_sha256"]
     write_trace_csv(trace, paths["trace"])
-    fresh = reference_solution(problem_from_descriptor(desc), tol=1e-10)
     calls = _count_solves(monkeypatch)
-    rep, _ = check_bounds(paths["trace"])
-    assert len(calls) == 1
-    assert rep["f_star"] == fresh.f
-    assert rep["reference"]["gap"] == fresh.gap
+    with pytest.raises(ValueError, match=r": extra metadata key 'data_sha256' missing$"):
+        check_bounds(paths["trace"])
+    assert calls == []
 
 
 def test_sug_verdict_measures_gaps_from_the_certified_lower_bound(tmp_path):
@@ -734,7 +723,8 @@ def test_sug_verdict_measures_gaps_from_the_certified_lower_bound(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# traces written by an earlier version: same verdicts, same bound curve
+# committed golden runs: check-bounds keeps their verdicts, and run_experiment
+# replays their trace, report and bound curve
 
 GOLDEN = sorted((Path(__file__).parent / "data").glob("*/trace.csv"))
 

@@ -1,6 +1,7 @@
 """Run-trace recording, CSV serialization, and parsing."""
 
 import dataclasses
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -87,21 +88,21 @@ def test_header_line_matches_columns(tmp_path):
 
 def test_parse_rejects_malformed_metadata(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("# algorithm\n" + ",".join(CSV_COLUMNS) + "\n")
-    with pytest.raises(ValueError, match="line 1"):
+    path.write_text("# schema=1\n# algorithm\n" + ",".join(CSV_COLUMNS) + "\n")
+    with pytest.raises(ValueError, match="line 2"):
         parse_trace_csv(path)
 
 
 def test_parse_rejects_non_json_metadata(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text('# algorithm=oupgm\n' + ",".join(CSV_COLUMNS) + "\n")
+    path.write_text('# schema=1\n# algorithm=oupgm\n' + ",".join(CSV_COLUMNS) + "\n")
     with pytest.raises(ValueError, match="not JSON"):
         parse_trace_csv(path)
 
 
 def test_parse_rejects_unexpected_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text('# algorithm="oupgm"\nt,i_t\n')
+    path.write_text('# schema=1\n# algorithm="oupgm"\nt,i_t\n')
     with pytest.raises(ValueError, match="column header"):
         parse_trace_csv(path)
 
@@ -141,36 +142,38 @@ def _edited_trace(tmp_path, edit):
 
 
 def test_parse_errors_name_the_file_line(tmp_path):
-    # 9 metadata lines and the header, so the three rows are lines 11-13
+    # the schema line, 9 metadata lines and the header, so the three rows
+    # are lines 12-14
     path, lines = _edited_trace(tmp_path, lambda lines: lines.__setitem__(-1, "1,2,3"))
-    assert len(lines) == 13
-    with pytest.raises(ValueError, match=r"^line 13: expected 8 fields, got 3$"):
+    assert len(lines) == 14
+    with pytest.raises(ValueError, match=r"^line 14: expected 8 fields, got 3$"):
         parse_trace_csv(path)
 
     def bad_field(lines):
-        parts = lines[11].split(",")
+        parts = lines[12].split(",")
         parts[1] = "x"
-        lines[11] = ",".join(parts)
+        lines[12] = ",".join(parts)
 
     path, _ = _edited_trace(tmp_path, bad_field)
-    with pytest.raises(ValueError, match=r"^line 12: non-numeric field$"):
-        parse_trace_csv(path)
-
-    # a blank line after the header still counts: the bad row moves to line 13
-    path, _ = _edited_trace(tmp_path, lambda lines: (bad_field(lines), lines.insert(10, "")))
     with pytest.raises(ValueError, match=r"^line 13: non-numeric field$"):
         parse_trace_csv(path)
 
 
-def test_parse_skips_blank_and_reads_metadata_lines_among_the_rows(tmp_path):
-    path, _ = _edited_trace(
-        tmp_path, lambda lines: (lines.insert(11, ""), lines.insert(12, '# late="yes"'))
-    )
-    back = parse_trace_csv(path)
-    trace = _sample_trace()
-    assert back.n_rows == 3
-    for col in CSV_COLUMNS:
-        assert getattr(back, col).tobytes() == getattr(trace, col).tobytes(), col
+# lines that are not rows: blank, a metadata line of one field and one of
+# eight, as wide as a row
+NOT_ROWS = pytest.mark.parametrize("line, message", [
+    ("", "expected 8 fields, got 1"),
+    ('# late="yes"', "expected 8 fields, got 1"),
+    ("# x0=[1,2,3,4,5,6,7,8]", "non-numeric field"),
+], ids=["blank", "metadata", "metadata-of-eight-fields"])
+
+
+@NOT_ROWS
+@pytest.mark.parametrize("k", [11, 12, 14], ids=["first", "middle", "last"])
+def test_parse_refuses_a_line_among_the_rows_that_is_not_a_row(k, line, message, tmp_path):
+    path, _ = _edited_trace(tmp_path, lambda lines: lines.insert(k, line))
+    with pytest.raises(ValueError, match=rf"^line {k + 1}: {message}$"):
+        parse_trace_csv(path)
 
 
 GOLDEN = sorted((Path(__file__).parent / "data").glob("*/trace.csv"))
@@ -178,8 +181,8 @@ GOLDEN = sorted((Path(__file__).parent / "data").glob("*/trace.csv"))
 
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.parent.name for p in GOLDEN])
 def test_golden_traces_parse_and_write_back_byte_for_byte(path, tmp_path):
-    """Traces written by an earlier version of the writer, elapsed_s
-    included, come back unchanged from the parser and the writer."""
+    """The committed golden traces, elapsed_s included, come back unchanged
+    from the parser and the writer."""
     out = tmp_path / "trace.csv"
     write_trace_csv(parse_trace_csv(path), out)
     assert out.read_bytes() == path.read_bytes()
@@ -193,8 +196,29 @@ def test_golden_traces_cover_every_algorithm():
 
 def test_parse_requires_core_metadata(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text('# algorithm="oupgm"\n' + ",".join(CSV_COLUMNS) + "\n")
-    with pytest.raises(ValueError, match="metadata key"):
+    path.write_text('# schema=1\n# algorithm="oupgm"\n' + ",".join(CSV_COLUMNS) + "\n")
+    with pytest.raises(ValueError, match="metadata key 'eps' missing"):
+        parse_trace_csv(path)
+
+
+@pytest.mark.parametrize("key", ["L0", "seed", "order", "problem", "x0", "extra"])
+def test_parse_requires_every_header_key_the_writer_writes(key, tmp_path):
+    path, _ = _edited_trace(tmp_path, lambda lines: lines.remove(
+        next(line for line in lines if line.startswith(f"# {key}="))))
+    message = rf"^{re.escape(str(path))}: metadata key '{key}' missing$"
+    with pytest.raises(ValueError, match=message):
+        parse_trace_csv(path)
+
+
+@pytest.mark.parametrize("edit, found", [
+    (lambda lines: lines.pop(0), "no schema line"),
+    (lambda lines: lines.__setitem__(0, "# schema=2"), "schema=2"),
+    (lambda lines: lines.__setitem__(0, '# schema="1"'), 'schema="1"'),
+], ids=["none", "2", "text"])
+def test_parse_refuses_a_trace_of_no_or_another_schema(edit, found, tmp_path):
+    path, _ = _edited_trace(tmp_path, edit)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: trace has {found}; "
+                                         r"this version reads schema=1$"):
         parse_trace_csv(path)
 
 
@@ -274,13 +298,13 @@ def test_parse_rejects_non_finite_fields_naming_line_and_column(tmp_path):
                               (1, "elapsed_s", "-inf")]:
 
         def non_finite(lines):
-            parts = lines[10 + row].split(",")
+            parts = lines[11 + row].split(",")
             parts[CSV_COLUMNS.index(column)] = text
-            lines[10 + row] = ",".join(parts)
+            lines[11 + row] = ",".join(parts)
 
         path, _ = _edited_trace(tmp_path, non_finite)
         with pytest.raises(ValueError,
-                           match=rf"^line {11 + row}: non-finite value in column {column}$"):
+                           match=rf"^line {12 + row}: non-finite value in column {column}$"):
             parse_trace_csv(path)
 
 
@@ -327,7 +351,7 @@ def _long_lines(tmp_path, edit):
     path = tmp_path / "trace.csv"
     write_trace_csv(_long_trace(2 * block_rows() + 1), path)
     lines = path.read_text().splitlines()
-    edit(lines, 10 + block_rows() + 5)
+    edit(lines, 11 + block_rows() + 5)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -348,27 +372,14 @@ def _set_field(j, text):
 ], ids=["short-row", "non-numeric", "beyond-int64", "non-finite"])
 def test_parse_errors_in_a_later_block_name_the_file_line(edit, message, tmp_path):
     path = _long_lines(tmp_path, edit)
-    with pytest.raises(ValueError, match=rf"^line {10 + block_rows() + 6}: {message}$"):
+    with pytest.raises(ValueError, match=rf"^line {11 + block_rows() + 6}: {message}$"):
         parse_trace_csv(path)
 
 
-def test_parse_skips_blank_and_metadata_lines_in_a_later_block(tmp_path):
-    def insert(lines, k):
-        lines[k:k] = ["", '# late="yes"']
-
-    back = parse_trace_csv(_long_lines(tmp_path, insert))
-    trace = _long_trace(2 * block_rows() + 1)
-    assert back.n_rows == trace.n_rows
-    for col in CSV_COLUMNS:
-        assert getattr(back, col).tobytes() == getattr(trace, col).tobytes(), col
-
-    def insert_then_bad_field(lines, k):
-        insert(lines, k)
-        _set_field(1, "x")(lines, k + 2)
-
-    # the two inserted lines count: row B + 5 moves two lines down
-    path = _long_lines(tmp_path, insert_then_bad_field)
-    with pytest.raises(ValueError, match=rf"^line {10 + block_rows() + 8}: non-numeric field$"):
+@NOT_ROWS
+def test_parse_refuses_a_line_that_is_not_a_row_in_a_later_block(line, message, tmp_path):
+    path = _long_lines(tmp_path, lambda lines, k: lines.insert(k, line))
+    with pytest.raises(ValueError, match=rf"^line {11 + block_rows() + 6}: {message}$"):
         parse_trace_csv(path)
 
 
