@@ -67,7 +67,7 @@ from .problems import (
     synth_steiner,
 )
 from .sug import SugConfig, sug_bounds, sug_iteration_estimate, sug_rho, sug_run
-from .trace import RunTrace, block_rows, parse_trace_csv, write_trace_csv
+from .trace import ALGORITHMS, RunTrace, block_rows, parse_trace_csv, write_trace_csv
 from .udgm import udgm_fixed_step_run, udgm_run
 from .upgm import upgm_fixed_step_run, upgm_run
 
@@ -123,7 +123,7 @@ def reference_solution(
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     regularizer = problem.regularizer
-    start = time.perf_counter()
+    start = time.perf_counter_ns()
     x = np.zeros(problem.dimension)
     value = _finite_smooth_value(problem.mean_smooth_value(x), 0)
     quadratic = None if problem.quadratic_fn is None else problem.quadratic_fn()
@@ -141,11 +141,11 @@ def reference_solution(
         for doublings in range(300):
             x_next = regularizer.prox(x - grad / M, 1.0 / M)
             diff = x_next - x
-            linear = value + float(grad @ diff)
-            quad = linear + 0.5 * M * float(diff @ diff)
+            linear = value + float(grad.dot(diff))
+            quad = linear + 0.5 * M * float(diff.dot(diff))
             value_next = _finite_smooth_value(
                 problem.mean_smooth_value(x_next) if quadratic is None
-                else linear + float(diff @ (G @ diff)) / n, it)
+                else linear + float(diff.dot(G @ diff)) / n, it)
             if value_next <= quad + 1e-15 * (1.0 + abs(quad)):
                 break
             M *= 2.0
@@ -158,7 +158,7 @@ def reference_solution(
         if residual <= tol and quadratic is not None:
             value_next = _finite_smooth_value(problem.mean_smooth_value(x_next), it)
         f_next = value_next + regularizer.value(x_next)
-        steps.append((doublings, M, f_x, f_next, time.perf_counter() - start))
+        steps.append((doublings, M, f_x, f_next, (time.perf_counter_ns() - start) / 1e9))
         if residual <= tol:
             return ReferenceSolution(
                 x=x_next, f=f_next, iterations=it, residual=residual,
@@ -297,34 +297,54 @@ def evaluate_regret(
 # Problem descriptors (serialized into trace metadata, rebuilt by check-bounds)
 
 
+def _descriptor_field(desc: dict, key: str, kind, default=None):
+    """desc[key] converted by kind, or default when the key is absent and a
+    default is given; ValueError naming the field when it is missing or
+    kind refuses it."""
+    if key not in desc:
+        if default is None:
+            raise ValueError(f"{desc['kind']} problem descriptor lacks the field {key!r}")
+        return default
+    try:
+        return kind(desc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"problem descriptor field {key!r} is {desc[key]!r}, not of type {kind.__name__}"
+        ) from exc
+
+
 def problem_from_descriptor(desc: dict) -> CompositeProblem:
-    """Rebuild a problem from its trace-metadata descriptor."""
+    """Rebuild a problem from its trace-metadata descriptor; a field its
+    kind needs that is missing or of the wrong type raises ValueError
+    naming it."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ValueError("problem descriptor must be a dict with a 'kind' key")
     kind = desc["kind"]
     if kind == "synth-lasso":
         inst = synth_lasso(
-            p=int(desc["p"]),
-            n=int(desc["n"]),
-            sparsity=int(desc["sparsity"]),
-            noise=float(desc["noise"]),
-            seed=int(desc["seed"]),
-            l1_weight=float(desc.get("mu", 0.0)),
-            ridge_weight=float(desc.get("ridge", 0.0)),
+            p=_descriptor_field(desc, "p", int),
+            n=_descriptor_field(desc, "n", int),
+            sparsity=_descriptor_field(desc, "sparsity", int),
+            noise=_descriptor_field(desc, "noise", float),
+            seed=_descriptor_field(desc, "seed", int),
+            l1_weight=_descriptor_field(desc, "mu", float, 0.0),
+            ridge_weight=_descriptor_field(desc, "ridge", float, 0.0),
         )
         return lasso_problem(inst)
     if kind == "lasso-csv":
-        l1_weight = float(desc.get("mu", 0.0))
-        ridge_weight = float(desc.get("ridge", 0.0))
+        l1_weight = _descriptor_field(desc, "mu", float, 0.0)
+        ridge_weight = _descriptor_field(desc, "ridge", float, 0.0)
         # before reading a data file of any size
         check_nonnegative("l1_weight (--mu)", l1_weight)
         check_nonnegative("ridge_weight (--ridge)", ridge_weight)
-        inst = load_samples(desc["path"])
+        inst = load_samples(_descriptor_field(desc, "path", str))
         inst = LassoInstance(A=inst.A, b=inst.b, l1_weight=l1_weight,
                              ridge_weight=ridge_weight)
         return lasso_problem(inst)
     if kind == "steiner":
-        inst = synth_steiner(p=int(desc["p"]), m=int(desc["m"]), seed=int(desc["seed"]))
+        inst = synth_steiner(p=_descriptor_field(desc, "p", int),
+                             m=_descriptor_field(desc, "m", int),
+                             seed=_descriptor_field(desc, "seed", int))
         return steiner_problem(inst)
     raise ValueError(f"unknown problem kind: {kind!r}")
 
@@ -353,8 +373,8 @@ class RunConfig:
     dist0_sq: float | None = None
 
     def validate(self) -> None:
-        if self.algorithm not in ("oupgm", "oudgm", "sug", "batch"):
-            raise ValueError(f"algorithm must be oupgm|oudgm|sug|batch, got {self.algorithm!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be {'|'.join(ALGORITHMS)}, got {self.algorithm!r}")
         if isinstance(self.eps, str) and self.eps != "auto":
             raise ValueError(f"eps must be a positive float or 'auto', got {self.eps!r}")
         if self.T < 0:
@@ -553,7 +573,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             ),
             checked="sug bound curve" if active else "none (bound vacuous)",
         )
-    else:  # batch: no theorem bound applies
+    elif trace.algorithm == "batch":  # no theorem bound applies
         report = {
             "algorithm": trace.algorithm,
             "eps": trace.eps,
@@ -563,6 +583,8 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "checked": "none",
         }
         ok = True
+    else:
+        raise ValueError(f"unknown algorithm {trace.algorithm!r}")
     report["reference"] = {
         "f": reference.f,
         "gap": reference.gap,
@@ -624,7 +646,7 @@ def check_bounds(trace_path) -> tuple[dict, bool]:
             if key not in extra:
                 raise ValueError(f"{trace_path}: extra metadata key {key!r} missing")
     if kind == "lasso-csv":
-        path = trace.problem_meta["path"]
+        path = _descriptor_field(trace.problem_meta, "path", str)
         if _sha256(path) != extra["data_sha256"]:
             raise ValueError(f"{path}: data file changed since the run wrote {trace_path}")
     problem = problem_from_descriptor(trace.problem_meta)

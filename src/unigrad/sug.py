@@ -140,7 +140,7 @@ def sug_run(
     K, step = cfg.max_iters, block_len(8)
     x = trace.x0
     h_x = regularizer.value(x)  # h at the iterate, carried from the last iteration
-    start = time.perf_counter()
+    start = time.perf_counter_ns()
     for s in range(0, K, step):
         # a block of draws is the stream of as many scalar draws
         for k, j in enumerate(rng.integers(0, table.n, size=min(step, K - s)).tolist(), s):
@@ -151,7 +151,7 @@ def sug_run(
             f_x, h_x = g_x + h_x, regularizer.value(x_next)
             f_next = sug_update(table, j, x_next, k) + h_x
             trace.add_row(k, 0, cfg.M, f_x, f_next, f_next, math.nan,
-                          time.perf_counter() - start, j, x_next)
+                          (time.perf_counter_ns() - start) / 1e9, j, x_next)
             x = x_next
     trace.fill_f_full(problem.values)
     return x.copy(), trace

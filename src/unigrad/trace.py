@@ -6,7 +6,9 @@ first `# schema=1`, then the fixed column header
     t,i_t,L_next,f_gt_xt,f_gt_xnext,f_gt_yt,f_full,elapsed_s
 
 and one line a row.  The parser refuses another schema or none, a missing
-header key, and a line among the rows that is not a row, naming its line.
+header key, an algorithm other than oupgm, oudgm, sug and batch, a
+problem or extra value that is not a JSON object, and a line among the
+rows that is not a row, naming its line.
 Floats are written with shortest round-trip formatting, so writing and
 re-parsing a trace reproduces it exactly; every float field is finite.
 In memory each column is one numpy array (int64 for t and i_t, float64
@@ -15,13 +17,17 @@ Files are written and parsed a block of rows at a time, so neither holds
 more than a block of text beside the arrays.  The writer formats a block
 by column, one map a column, and a repeated value once: L_next through a
 memo, and f_gt_yt, when it equals f_gt_xnext, through f_gt_xnext's text.
-The parser converts each column of a block with one map, falling back to
-a line-by-line pass only to name the offending line of a malformed block.
+The parser sizes the columns by counting the file's newlines in C, and
+converts each block with one call of numpy's C text reader (np.loadtxt).
+A block the reader refuses, warns about or returns short, or with a
+character the writer never writes, is read again line by line with int()
+and float(), which give the same values and name the offending line.
 
 f_full is the full objective f(x_t) at the iterate round t starts from.
 The solvers compute it after the rounds, in one blocked batch pass over
 the stored iterates (RunTrace.fill_f_full), so elapsed_s is solver-only
-wall time: it excludes that diagnostic.
+wall time: it excludes that diagnostic.  elapsed_s is a whole number of
+nanoseconds of time.perf_counter_ns, in seconds.
 
 In-memory traces additionally record the visited component index and the
 post-round iterate, one row of a (rows, p) array, which the prefix-bound
@@ -29,17 +35,24 @@ checks need; those extras are not part of the CSV schema.
 """
 
 import json
+import warnings
 from dataclasses import dataclass, field
-from itertools import islice, repeat, tee
-from operator import itemgetter
+from functools import partial
+from itertools import islice, tee
 
 import numpy as np
 
 from .oracles import block_len
 
 SCHEMA = 1
+ALGORITHMS = ("oupgm", "oudgm", "sug", "batch")
 CSV_COLUMNS = ("t", "i_t", "L_next", "f_gt_xt", "f_gt_xnext", "f_gt_yt", "f_full", "elapsed_s")
 _KINDS = (int, int) + (float,) * (len(CSV_COLUMNS) - 2)  # also the column dtypes
+# a block of rows as numpy's C reader converts it, and every character the
+# writer puts in a row
+_ROW_DTYPE = np.dtype([(name, "i8" if kind is int else "f8")
+                       for name, kind in zip(CSV_COLUMNS, _KINDS)])
+_ROW_CHARS = b"0123456789.e+-,\n"
 
 
 def block_rows() -> int:
@@ -182,28 +195,30 @@ def write_trace_csv(trace: RunTrace, path) -> None:
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _read_block(rows: list, lineno: int, columns: list, n: int) -> int:
-    """Convert the split data lines rows, rows[0] being file line lineno,
-    into the column arrays from row n on, each column by one map; returns
-    the row count after them.  Only when that fails are the lines read one
-    at a time, to raise ValueError naming the file line of the first of the
-    wrong width (a blank or '#' line among them) or with a non-numeric
-    field; a non-finite field raises too."""
-    k = len(rows)
+def _read_block(lines: list, lineno: int, columns: list, n: int) -> int:
+    """Convert the data lines, lines[0] being file line lineno, into the
+    column arrays from row n on; returns the row count after them.
+
+    numpy's C reader converts the block in one call.  On the characters the
+    writer writes it accepts a subset of what int() and float() accept, with
+    the same values; beyond them it also skips blank lines and strips
+    whitespace that int() and float() refuse.  So a block with any other
+    character, or that the reader refuses, warns about or returns short, is
+    read by _read_lines, whose errors name the file line.  A non-finite
+    field raises ValueError naming its line and column."""
+    k = len(lines)
     try:
-        if set(map(len, rows)) != {len(_KINDS)}:
-            raise ValueError("a line of another width")
-        for j, (column, kind) in enumerate(zip(columns, _KINDS)):
-            column[n:n + k] = np.fromiter(map(kind, map(itemgetter(j), rows)), kind, k)
-    except (ValueError, OverflowError):
-        for line, parts in enumerate(rows, start=lineno):
-            if len(parts) != len(_KINDS):
-                raise ValueError(f"line {line}: expected {len(_KINDS)} fields, got {len(parts)}")
-            try:
-                for column, kind, text in zip(columns, _KINDS, parts):
-                    column[n + line - lineno] = kind(text)
-            except (ValueError, OverflowError) as exc:  # int64 overflows too
-                raise ValueError(f"line {line}: non-numeric field") from exc
+        if "".join(lines).encode("ascii").translate(None, _ROW_CHARS):
+            raise ValueError("a character the writer does not write")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 1.26 parses 3.0 as an int with a warning
+            block = np.loadtxt(lines, _ROW_DTYPE, comments=None, delimiter=",", ndmin=1)
+        if len(block) != k:
+            raise ValueError("a blank line")
+        for name, column in zip(CSV_COLUMNS, columns):
+            column[n:n + k] = block[name]
+    except (ValueError, OverflowError, Warning):  # UnicodeEncodeError is a ValueError
+        _read_lines(lines, lineno, columns, n)
     for name, column in zip(CSV_COLUMNS[2:], columns[2:]):
         bad = np.flatnonzero(~np.isfinite(column[n:n + k]))
         if bad.size:
@@ -211,17 +226,37 @@ def _read_block(rows: list, lineno: int, columns: list, n: int) -> int:
     return n + k
 
 
+def _read_lines(lines: list, lineno: int, columns: list, n: int) -> None:
+    """Convert the data lines into the column arrays from row n on, one line
+    at a time by int() and float(); raise ValueError naming the file line of
+    the first of the wrong width (a blank or '#' line among them) or with a
+    non-numeric field."""
+    for line, text in enumerate(lines, start=lineno):
+        parts = text.split(",")  # int and float skip the trailing newline
+        if len(parts) != len(_KINDS):
+            raise ValueError(f"line {line}: expected {len(_KINDS)} fields, got {len(parts)}")
+        try:
+            for column, kind, field in zip(columns, _KINDS, parts):
+                column[n + line - lineno] = kind(field)
+        except (ValueError, OverflowError) as exc:  # int64 overflows too
+            raise ValueError(f"line {line}: non-numeric field") from exc
+
+
 def parse_trace_csv(path) -> RunTrace:
     """Parse a trace CSV written by write_trace_csv, a block of lines at a
     time.
 
     Raises ValueError naming the schema found if it is not SCHEMA, a missing
-    header key, or the offending line of any other violation.
+    header key, an unknown algorithm, a problem or extra value that is not
+    an object, or the offending line of any other violation.
     """
+    with open(path, "rb") as fh:
+        # sizes the columns: each line ends in \n, \r or both, the last
+        # maybe in neither, so this bounds the lines read below
+        lines = 1 + sum(chunk.count(b"\n") + (b"\r" in chunk and chunk.count(b"\r"))
+                        for chunk in iter(partial(fh.read, block_len(1)), b""))
     meta: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        lines = sum(1 for _ in fh)  # sizes the columns
-        fh.seek(0)
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):
@@ -247,13 +282,19 @@ def parse_trace_csv(path) -> RunTrace:
         for key in ("algorithm", "eps", "T", "L0", "seed", "order", "problem", "x0", "extra"):
             if key not in meta:
                 raise ValueError(f"{path}: metadata key {key!r} missing")
+        if meta["algorithm"] not in ALGORITHMS:
+            raise ValueError(f"{path}: unknown algorithm {json.dumps(meta['algorithm'])}; "
+                             f"this version reads {', '.join(ALGORITHMS)}")
+        for key in ("problem", "extra"):
+            if not isinstance(meta[key], dict):
+                raise ValueError(f"{path}: metadata {key!r} is not a JSON object: "
+                                 f"{json.dumps(meta[key])}")
         columns = [np.empty(lines - lineno, kind) for kind in _KINDS]
         n, step = 0, block_rows()
-        # each data line split once; int and float skip the trailing newline
-        while rows := list(map(str.split, islice(fh, step), repeat(","))):
-            n = _read_block(rows, lineno + 1, columns, n)
-            lineno += len(rows)
-            del rows  # before the next block is split
+        while block := list(islice(fh, step)):
+            n = _read_block(block, lineno + 1, columns, n)
+            lineno += len(block)
+            del block  # before the next block is read
     return RunTrace(
         algorithm=meta["algorithm"],
         eps=float(meta["eps"]),

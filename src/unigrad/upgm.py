@@ -107,7 +107,7 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
     h_x = regularizer.value(x)  # h at the round's point, carried from the last round
     weight_sum = 0.0
     weighted_x = np.zeros_like(x)
-    start = time.perf_counter()
+    start = time.perf_counter_ns()
     for t, k in enumerate(order.tolist()):
         g_value = float(value(k, x))
         g_grad = np.asarray(grad(k, x), dtype=float)
@@ -122,7 +122,7 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
                 if not math.isfinite(g_y):
                     check_answer(k, t, g_y)
                 diff = y - x  # the descent test, with dist(x, y) = 0.5 ||y - x||^2
-                if g_y <= (g_value + float(g_grad @ diff) + M * (0.5 * float(diff @ diff))
+                if g_y <= (g_value + float(g_grad.dot(diff)) + M * (0.5 * float(diff.dot(diff)))
                            + 0.5 * eps):
                     break
             else:
@@ -160,7 +160,8 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
             h_x = regularizer.value(x)
             f_next = g_next + h_x
             f_y = f_next if fixed else g_y + regularizer.value(y)
-        trace.add_row(t, i_t, L, f_xt, f_next, f_y, math.nan, time.perf_counter() - start, k, x)
+        trace.add_row(t, i_t, L, f_xt, f_next, f_y, math.nan,
+                      (time.perf_counter_ns() - start) / 1e9, k, x)
     trace.fill_f_full(problem.values)
     return (weighted_x / weight_sum if model is None else x), trace
 

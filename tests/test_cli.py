@@ -133,25 +133,28 @@ def _without_extra_key(key):
     return edit
 
 
+def _with_header(key, edit):
+    """An edit of a trace's lines that replaces the value of its key header
+    line by edit(value)."""
+    def apply(lines):
+        k = next(k for k, line in enumerate(lines) if line.startswith(f"# {key}="))
+        value = edit(json.loads(lines[k].partition("=")[2]))
+        lines[k] = f"# {key}={json.dumps(value, sort_keys=True)}"
+    return apply
+
+
+def _without(field):
+    """An edit of a descriptor that drops field."""
+    return lambda desc: {k: v for k, v in desc.items() if k != field}
+
+
 OUPGM = ["--algorithm", "oupgm", "--problem", "synth-lasso"]
 
 
-@pytest.mark.parametrize("flags, edit, message", [
-    (OUPGM, lambda lines: lines.pop(0), "trace has no schema line; this version reads schema=1"),
-    (OUPGM, lambda lines: lines.__setitem__(0, "# schema=2"),
-     "trace has schema=2; this version reads schema=1"),
-    (OUPGM, _without_extra_key("x_star"), "extra metadata key 'x_star' missing"),
-    (["--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10", "--M", "1"],
-     _without_extra_key("M"), "extra metadata key 'M' missing"),
-    ([*OUPGM, "--fixed-step"], _without_extra_key("Mv"), "extra metadata key 'Mv' missing"),
-    (["--algorithm", "oupgm", "--problem", "lasso-csv"], _without_extra_key("data_sha256"),
-     "extra metadata key 'data_sha256' missing"),
-], ids=["no-schema", "schema-2", "no-x_star", "sug-no-M", "fixed-step-no-Mv",
-        "lasso-csv-no-data_sha256"])
-def test_check_bounds_refuses_a_trace_off_the_schema(tmp_path, capsys, flags, edit, message):
-    """A trace of no or another schema, or without an extra key its run
-    writes, exits 2 naming the schema or the key: never 1, the status of a
-    violated bound, and never with a traceback."""
+def _refused_after(flags, edit, tmp_path, capsys):
+    """(trace path, stderr) of check-bounds on the trace of a T=30 run with
+    flags, which it passes, once edit changed its lines: it must exit 2
+    and print nothing on stdout."""
     if "lasso-csv" in flags:
         save_samples(synth_lasso(p=3, n=40, sparsity=1, noise=0.1, seed=6), tmp_path / "d.csv")
         flags = [*flags, "--data", str(tmp_path / "d.csv")]
@@ -165,7 +168,45 @@ def test_check_bounds_refuses_a_trace_off_the_schema(tmp_path, capsys, flags, ed
     assert main(["check-bounds", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path}: {message}\n"
+    return path, captured.err
+
+
+@pytest.mark.parametrize("flags, edit, message", [
+    (OUPGM, lambda lines: lines.pop(0), "trace has no schema line; this version reads schema=1"),
+    (OUPGM, lambda lines: lines.__setitem__(0, "# schema=2"),
+     "trace has schema=2; this version reads schema=1"),
+    (OUPGM, _without_extra_key("x_star"), "extra metadata key 'x_star' missing"),
+    (["--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10", "--M", "1"],
+     _without_extra_key("M"), "extra metadata key 'M' missing"),
+    ([*OUPGM, "--fixed-step"], _without_extra_key("Mv"), "extra metadata key 'Mv' missing"),
+    (["--algorithm", "oupgm", "--problem", "lasso-csv"], _without_extra_key("data_sha256"),
+     "extra metadata key 'data_sha256' missing"),
+    (OUPGM, _with_header("algorithm", lambda _: "oupgmx"),
+     'unknown algorithm "oupgmx"; this version reads oupgm, oudgm, sug, batch'),
+    (OUPGM, _with_header("extra", lambda _: None), "metadata 'extra' is not a JSON object: null"),
+], ids=["no-schema", "schema-2", "no-x_star", "sug-no-M", "fixed-step-no-Mv",
+        "lasso-csv-no-data_sha256", "unknown-algorithm", "extra-null"])
+def test_check_bounds_refuses_a_trace_off_the_schema(tmp_path, capsys, flags, edit, message):
+    """A trace of no or another schema, with an algorithm it does not know
+    or an extra that is not an object, or without an extra key its run
+    writes, exits 2 naming the schema, the value or the key: never 1, the
+    status of a violated bound, never a pass as a run of no bound, and
+    never with a traceback."""
+    path, err = _refused_after(flags, edit, tmp_path, capsys)
+    assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("flags, edit, message", [
+    (OUPGM, _with_header("problem", _without("p")),
+     "synth-lasso problem descriptor lacks the field 'p'"),
+    (["--algorithm", "oupgm", "--problem", "lasso-csv"], _with_header("problem", _without("path")),
+     "lasso-csv problem descriptor lacks the field 'path'"),
+], ids=["synth-lasso-no-p", "lasso-csv-no-path"])
+def test_check_bounds_refuses_a_descriptor_without_a_field(tmp_path, capsys, flags, edit, message):
+    """A problem descriptor without a field its kind needs exits 2 naming
+    it, never with a traceback."""
+    _, err = _refused_after(flags, edit, tmp_path, capsys)
+    assert err == f"error: {message}\n"
 
 
 def test_check_bounds_missing_file_exits_2(tmp_path, capsys):

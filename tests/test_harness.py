@@ -362,6 +362,19 @@ def _cfg(**kw):
     return RunConfig(**base)
 
 
+@pytest.mark.parametrize("desc, message", [
+    ({k: v for k, v in SYNTH_DESC.items() if k != "p"},
+     "synth-lasso problem descriptor lacks the field 'p'"),
+    ({"kind": "lasso-csv", "mu": 0.1}, "lasso-csv problem descriptor lacks the field 'path'"),
+    ({"kind": "steiner", "p": 2, "seed": 0}, "steiner problem descriptor lacks the field 'm'"),
+    (dict(SYNTH_DESC, n=None), "problem descriptor field 'n' is None, not of type int"),
+    (dict(SYNTH_DESC, mu=[0.1]), r"problem descriptor field 'mu' is \[0.1\], not of type float"),
+], ids=["synth-lasso-no-p", "lasso-csv-no-path", "steiner-no-m", "null-n", "list-mu"])
+def test_descriptor_names_a_missing_or_malformed_field(desc, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        problem_from_descriptor(desc)
+
+
 @pytest.mark.parametrize(
     "field,kw",
     [
@@ -793,6 +806,30 @@ def test_bound_curve_writes_each_bound_and_leaves_infinite_ones_empty(bounds, tm
         repr(float(b)) if math.isfinite(b) else "" for b in bounds]
     want = [f"{k},{float(g)!r},{b}" for k, g, b in zip(range(1, 7), gaps, texts)]
     assert (tmp_path / "bounds.csv").read_text() == "\n".join(["k,gap,bound", *want]) + "\n"
+
+
+@pytest.mark.parametrize("algorithm, kw", [
+    ("oupgm", {}), ("oudgm", {}), ("oupgm", {"fixed_step": True}),
+    ("sug", {"problem": dict(SYNTH_DESC, ridge=20.0), "M": 1.0}), ("batch", {}),
+], ids=["oupgm", "oudgm", "fixed-step", "sug", "batch"])
+def test_elapsed_s_is_a_whole_number_of_nanoseconds(algorithm, kw, tmp_path):
+    """elapsed_s is read from the nanosecond counter: every value is a count
+    of nanoseconds in seconds, and it never decreases."""
+    paths = run_experiment(_cfg(algorithm=algorithm, out=str(tmp_path), T=60, **kw))
+    elapsed = parse_trace_csv(paths["trace"]).elapsed_s
+    assert len(elapsed) > 1
+    assert all(e == round(e * 1e9) / 1e9 for e in elapsed.tolist())
+    assert (np.diff(elapsed) >= 0).all()
+
+
+def test_verify_refuses_an_algorithm_it_does_not_know():
+    """No trace passes as a batch run for want of a known name."""
+    trace = parse_trace_csv(GOLDEN[0])
+    problem = problem_from_descriptor(trace.problem_meta)
+    reference = reference_solution(problem)
+    trace.algorithm = "oupgmx"
+    with pytest.raises(ValueError, match="^unknown algorithm 'oupgmx'$"):
+        verify(trace, problem, reference)
 
 
 def test_golden_sug_bound_curve_is_written_byte_for_byte(tmp_path):

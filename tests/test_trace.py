@@ -3,12 +3,16 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unigrad import oracles
+from unigrad import oracles, trace as trace_module
 from unigrad.trace import CSV_COLUMNS, RunTrace, block_rows, parse_trace_csv, write_trace_csv
 
 
@@ -409,3 +413,145 @@ def test_write_and_parse_hold_one_block_beside_the_columns(tmp_path, monkeypatch
     half, full = (_write_parse_overhead(n, tmp_path) for n in (2560, 5120))
     assert full <= 2**20
     assert full - half <= 16 * 2**10
+
+
+# ---------------------------------------------------------------------------
+# the C reader: numpy's loadtxt converts a block, and _read_lines reads again
+# one line at a time any block it refuses, warns about or returns short
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREMES)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), *[_FINITE] * 6),
+                min_size=1, max_size=12))
+def test_random_finite_rows_parse_bit_exactly_through_the_c_reader(rows):
+    """Rows as the writer formats them, of any finite floats, signed zeros,
+    subnormals and the extremes included, and any int64 i_t, come back bit
+    for bit from the C reader, which never hands them to _read_lines."""
+    lines = [",".join([str(t), str(i_t), *map(repr, floats)]) + "\n"
+             for t, (i_t, *floats) in enumerate(rows)]
+    columns = [np.empty(len(rows), kind) for kind in (int, int, *[float] * 6)]
+    with mock.patch.object(trace_module, "_read_lines",
+                           side_effect=AssertionError("the line path read the block")):
+        assert trace_module._read_block(lines, 12, columns, 0) == len(rows)
+    assert columns[0].tolist() == list(range(len(rows)))
+    assert columns[1].tolist() == [row[0] for row in rows]
+    for j, column in enumerate(columns[2:], start=1):
+        assert column.tobytes() == np.array([row[j] for row in rows]).tobytes()
+
+
+def _outcome(path):
+    """What parsing path gives: its columns as bytes, or its message."""
+    try:
+        back = parse_trace_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    return [getattr(back, name).tobytes() for name in CSV_COLUMNS]
+
+
+def _outcomes(path, monkeypatch):
+    """(the parse, the parse with every block read by _read_lines)."""
+    first = _outcome(path)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("the C reader is off")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", refuse)
+        return first, _outcome(path)
+
+
+def _field_edit(j, text):
+    """An edit of the sample trace's lines that sets field j of its second
+    row, file line 13, to text."""
+    def edit(lines):
+        parts = lines[12].split(",")
+        parts[j] = text
+        lines[12] = ",".join(parts)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_field_edit(0, "3.0"), "line 13: non-numeric field"),
+    (_field_edit(0, "1e3"), "line 13: non-numeric field"),
+    (_field_edit(0, "+1"), None),
+    (_field_edit(0, " 1 "), None),
+    (_field_edit(0, "1_0"), None),
+    (_field_edit(0, "\uff11"), None),  # full-width 1, a digit to int()
+    (_field_edit(1, ""), "line 13: non-numeric field"),
+    (_field_edit(1, "\x1c2"), "line 13: non-numeric field"),  # numpy strips \x1c, int() does not
+    (_field_edit(2, "nan"), "line 13: non-finite value in column L_next"),
+    (_field_edit(2, "1e500"), "line 13: non-finite value in column L_next"),
+    (_field_edit(2, "0x10"), "line 13: non-numeric field"),
+    (_field_edit(2, "1_0.5"), None),
+    (_field_edit(2, "\uff11.5"), None),
+    (_field_edit(2, ""), "line 13: non-numeric field"),
+    (lambda lines: lines.insert(12, ""), "line 13: expected 8 fields, got 1"),
+    # one row read from two lines would fill both
+    (lambda lines: lines.__setitem__(slice(12, None), [""]), "line 13: expected 8 fields, got 1"),
+    (lambda lines: lines.insert(12, "# x0=[1,2,3,4,5,6,7,8]"), "line 13: non-numeric field"),
+], ids=["float-t", "exponent-t", "plus", "spaces", "underscore", "full-width",
+        "empty-int", "file-separator", "nan", "overflow", "hex", "underscore-float",
+        "full-width-float", "empty-float", "blank-line", "blank-line-after-one-row",
+        "hash-line"])
+def test_odd_fields_read_as_the_line_path_reads_them(edit, message, tmp_path, monkeypatch):
+    """A field or a line the writer never writes gives the same values, or
+    the same message, through the C reader as through _read_lines alone."""
+    path, _ = _edited_trace(tmp_path, edit)
+    first, lines_only = _outcomes(path, monkeypatch)
+    assert first == lines_only
+    if message is None:
+        assert isinstance(first, list)
+    else:
+        assert first == message
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.replace(b"\n", b"\r\n"),
+    lambda data: data.replace(b"\n", b"\r"),
+    lambda data: data[:-1],
+], ids=["crlf", "cr", "no-final-newline"])
+def test_other_line_endings_parse_as_written(edit, tmp_path, monkeypatch):
+    """CRLF and CR line ends, and a last line without one, parse to the
+    written trace: the columns are sized from a count of both ends."""
+    trace = _long_trace(50)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    path.write_bytes(edit(path.read_bytes()))
+    first, lines_only = _outcomes(path, monkeypatch)
+    assert first == lines_only == [getattr(trace, name).tobytes() for name in CSV_COLUMNS]
+
+
+def test_a_block_of_blank_lines_is_refused_naming_its_first_line(tmp_path, monkeypatch):
+    """The C reader warns that a block of only blank lines holds no data;
+    the warning stays inside the parser, and the line path names the line."""
+    monkeypatch.setattr(oracles, "BLOCK_BYTES", 2**10)
+    B = block_rows()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(_long_trace(3 * B), path)
+    lines = path.read_text().splitlines()
+    lines[11 + B:11 + B] = [""] * B
+    path.write_text("\n".join(lines) + "\n")
+    first, lines_only = _outcomes(path, monkeypatch)
+    assert first == lines_only == f"line {12 + B}: expected 8 fields, got 1"
+
+
+def test_a_reader_that_accepts_with_a_warning_is_not_trusted(tmp_path, monkeypatch):
+    """numpy 1.23-1.25 reads 3.0 into an int64 field and only warns.  The
+    parser raises the reader's warnings as errors itself, whatever filter
+    is in force, so the line path reads such a block and refuses it."""
+    path, _ = _edited_trace(tmp_path, _field_edit(0, "3.0"))
+
+    def lenient(lines, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.zeros(len(lines), dtype)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=r"^line 13: non-numeric field$"):
+            parse_trace_csv(path)
