@@ -12,6 +12,7 @@ field; check-bounds exits 1 when a bound is violated.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,6 +46,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
                         help="fixed-point residual tolerance of the reference solver")
 
 
+@functools.cache  # one parser a process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unigrad",

@@ -35,8 +35,8 @@ Reference minimizers always come from the one batch proximal-gradient
 solve, run to a fixed-point residual tolerance, so every reported gap
 shares one ground truth.  A lasso with 2p < n steps on its quadratic, A'A
 built once and shared with the f_full pass; any other problem on its data.
-The solve's point has its f computed from the data and is certified by
-the problem's gap (an upper bound on f(x*) - f*), so f* lies in
+The solve's point has its f computed from the data, in the pass that
+certifies it (problem.certify: gap >= f(x*) - f*), so f* lies in
 [f - gap, f].
 `--algorithm batch` solves nothing more: its trace is the reference solve's
 own steps, stopped at T.  check-bounds solves nothing either: it rebuilds
@@ -115,8 +115,8 @@ def reference_solution(
     (2/n)(G x - c) and a trial's smooth value is value + grad'd + d'G d / n
     along the step d, O(p^2) a trial.  Any other problem evaluates its
     smooth average and gradient, O(np) each.  The point it stops at takes
-    its f from mean_smooth_value whichever steps led there, and is certified
-    once, by problem.gap.
+    its smooth value from the data whichever steps led there, in the one
+    pass that certifies it (problem.certify).
     Raises ReferenceSolverError if the cap is hit first, or at once when
     the smooth average is NaN or infinite.
     """
@@ -155,14 +155,14 @@ def reference_solution(
         # the descent test drag M below the curvature near the optimum, where
         # the iterates then limit-cycle above any tight tolerance
         residual = float(np.linalg.norm(diff))
-        if residual <= tol and quadratic is not None:
-            value_next = _finite_smooth_value(problem.mean_smooth_value(x_next), it)
+        if residual <= tol:
+            value_next, gap = problem.certify(x_next)
+            value_next = _finite_smooth_value(value_next, it)
         f_next = value_next + regularizer.value(x_next)
         steps.append((doublings, M, f_x, f_next, (time.perf_counter_ns() - start) / 1e9))
         if residual <= tol:
             return ReferenceSolution(
-                x=x_next, f=f_next, iterations=it, residual=residual,
-                gap=problem.gap(x_next), steps=steps,
+                x=x_next, f=f_next, iterations=it, residual=residual, gap=gap, steps=steps,
             )
         x, value, f_x = x_next, value_next, f_next
     raise ReferenceSolverError(
@@ -609,13 +609,14 @@ def _write_bound_curve(path, curve) -> None:
         raise ValueError("bound curve contains a non-finite gap")
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)
+    fmt = repr if bounds is None or np.isfinite(bounds).all() else (
+        lambda b: repr(b) if math.isfinite(b) else "")
     step = block_rows()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,gap,bound\n")
         for s in range(0, len(gaps), step):
             block = slice(s, s + step)
-            texts = repeat("") if bounds is None else (
-                repr(b) if math.isfinite(b) else "" for b in bounds[block].tolist())
+            texts = repeat("") if bounds is None else map(fmt, bounds[block].tolist())
             columns = (map(str, ks[block]), map(repr, gaps[block].tolist()), texts)
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
@@ -651,10 +652,11 @@ def check_bounds(trace_path) -> tuple[dict, bool]:
             raise ValueError(f"{path}: data file changed since the run wrote {trace_path}")
     problem = problem_from_descriptor(trace.problem_meta)
     x = np.asarray(extra["x_star"], dtype=float)
-    gap = problem.gap(x)
+    smooth, gap = problem.certify(x)
     if math.isfinite(gap) and gap <= extra["reference_gap"]:
         reference = ReferenceSolution(
-            x=x, f=problem.value(x), iterations=extra["reference_iterations"],
+            x=x, f=smooth + problem.regularizer.value(x),
+            iterations=extra["reference_iterations"],
             residual=extra["reference_residual"], gap=gap, steps=[],
         )
     else:

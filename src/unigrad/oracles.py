@@ -20,15 +20,22 @@ import numpy as np
 
 from .geometry import ProxFunction
 
-# Size cap, in bytes, of each block of points the full-objective pass hands
-# to a batched evaluation and of each blocked temporary a batched evaluation
-# allocates; it bounds the memory of those passes whatever the horizon.
+# Size cap, in bytes, of each block of points a batched evaluation works on
+# and of each blocked temporary it allocates; it bounds the memory of the
+# full-objective pass whatever the horizon.
 BLOCK_BYTES = 1 << 19
 
 
 def block_len(row_bytes: int) -> int:
     """Rows of row_bytes bytes each that one BLOCK_BYTES temporary holds."""
     return max(1, BLOCK_BYTES // row_bytes)
+
+
+def point_blocks(k: int, p: int):
+    """Slices of k points in dimension p, at most 256 and BLOCK_BYTES a slice:
+    wide enough for fast matrix products, leaving room for temporaries."""
+    step = min(256, block_len(8 * p))
+    return (slice(s, s + step) for s in range(0, k, step))
 
 
 class NonFiniteOracleValue(ValueError):
@@ -169,12 +176,13 @@ class CompositeProblem:
     vectorized form, and mean_values_fn the smooth average at every row of
     a (k, p) array at once.  mean_values_fn allocates no temporary larger
     than that array, one value per component, or BLOCK_BYTES; a problem may
-    cache data-sized state for it, as lasso does A'A and |A'A|.  gap_fn is
-    the family's optimality certificate: an upper bound on f(x) - f* that
-    needs no knowledge of f*.  quadratic_fn, for a family whose smooth
-    average is the quadratic (x'Gx - 2c'x + const) / n, n the number of
-    components, returns (G, c), built on its first call; a family sets it
-    only where stepping on G is cheaper than on the components.
+    cache data-sized state for it, as lasso does A'A and |A'A|.  certify_fn
+    gives, in one pass over the data, the smooth average at x and the
+    family's certificate: an upper bound on f(x) - f* that needs no
+    knowledge of f*.  quadratic_fn, for a family whose smooth average is
+    the quadratic (x'Gx - 2c'x + const) / n, n the number of components,
+    returns (G, c), built on its first call; a family sets it only where
+    stepping on G is cheaper than on the components.
     """
 
     components: ComponentOracle
@@ -183,7 +191,7 @@ class CompositeProblem:
     mean_value_fn: Callable[[np.ndarray], float]
     mean_grad_fn: Callable[[np.ndarray], np.ndarray]
     mean_values_fn: Callable[[np.ndarray], np.ndarray]
-    gap_fn: Callable[[np.ndarray], float]
+    certify_fn: Callable[[np.ndarray], tuple[float, float]]
     quadratic_fn: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None
     geometry: ProxFunction = field(init=False)
 
@@ -213,20 +221,22 @@ class CompositeProblem:
         return self.mean_smooth_value(x) + self.regularizer.value(x)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Full objective at each row of the (k, p) array X."""
+        """Full objective at each row of the (k, p) array X, h added a point block at a time."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise ValueError(
                 f"points have shape {X.shape}, expected (k, {self.dimension})"
             )
-        smooth = np.asarray(self.mean_values_fn(X), dtype=float)
-        return smooth + self.regularizer.values(X)
+        out = np.array(self.mean_values_fn(X), dtype=float)
+        for block in point_blocks(len(X), self.dimension):
+            out[block] += self.regularizer.values(X[block])
+        return out
 
-    def gap(self, x: np.ndarray) -> float:
-        """Certified upper bound on f(x) - f*.  A negative value of gap_fn
-        is rounding and reads 0; NaN stays NaN."""
-        gap = float(self.gap_fn(self._check_point(x)))
-        return 0.0 if gap < 0.0 else gap
+    def certify(self, x: np.ndarray) -> tuple[float, float]:
+        """(1/n) sum_i g_i(x) and the certified upper bound on f(x) - f*.  A
+        negative certificate is rounding and reads 0; NaN stays NaN."""
+        smooth, gap = self.certify_fn(self._check_point(x))
+        return float(smooth), (0.0 if gap < 0.0 else float(gap))
 
     def holder_constants(self) -> tuple[float, float]:
         """The stream's Holder certificate (v, M_v)."""

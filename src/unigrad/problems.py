@@ -7,12 +7,12 @@ max_t 2 ||a_t||^2.  The composite part is l1 or elastic net.  Steiner
 components are distances to centers, g_i(x) = ||x - c_i||, with bounded
 subgradients (degree 0, modulus 2) and no composite part.
 
-Each family also certifies a point: lasso and elastic net by a duality gap,
-Steiner by its least-norm subgradient (CompositeProblem.gap_fn).
+Each family also certifies a point in its smooth average's pass: lasso and
+elastic net by a duality gap, Steiner by its least-norm subgradient.
 
 A lasso with 2p < n (gram_form_pays) keeps one Gram state, A'A, A'b and
-|A'A|, built on first use: by the first block of points whose full-objective
-pass repays it, or by the reference solve, which steps on the smooth part's
+|A'A|, built on first use: by the first full-objective call whose points
+repay it, or by the reference solve, which steps on the smooth part's
 quadratic (CompositeProblem.quadratic_fn).  Building the problem builds none.
 """
 
@@ -27,6 +27,7 @@ from .oracles import (
     Regularizer,
     block_len,
     check_nonnegative,
+    point_blocks,
     soft_threshold,
 )
 
@@ -189,8 +190,8 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         return gram()[:2]
 
     def mean_values(X):
-        # Centred Gram form.  With r_c = A x_c - b at the block's last point
-        # x_c and D = X - x_c,
+        # Centred Gram form.  With r_c = A x_c - b at the last point x_c and
+        # D = X - x_c,
         #     n f(x) = r_c'r_c + 2 D (A'r_c) + rowwise(D A'A o D).
         # The rounding error of these sums is a small multiple of the unit
         # roundoff times the same sums over absolute values, the row's scale
@@ -199,35 +200,37 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         # the scale is close to n f(x), as it is for the clustered points of
         # a run.  A row whose scale exceeds 64 n f(x), which covers
         # n f(x) <= 0, has cancelled too far and is summed again in the
-        # residual form.
+        # residual form.  r_c and A'r_c, the only passes over A, are formed
+        # once a call; the rows are expanded a point block at a time.
         #
         # Cost: the residual form takes 2np flops a point; the Gram form
-        # 4p^2 (D A'A and D |A'A|) plus 4np a block, after n p^2 to build
+        # 4p^2 (D A'A and D |A'A|) plus 4np a call, after n p^2 to build
         # A'A.  So the Gram form pays only when 2p < n, and the state is
-        # built here only for a block whose saving of 2p (n - 2p) flops a
+        # built here only for a call whose saving of 2p (n - 2p) flops a
         # point repays the build by itself; until then, unless the reference
-        # solve has built it, and always when 2p >= n, the block is summed
-        # in residual form, as it would be without it.
+        # solve has built it, and always when 2p >= n, the points are summed
+        # in residual form, as they would be without it.
         if state is None and (not gram_pays or 2 * len(X) * (n - 2 * p) < n * p):
             return _residual_sums(A, b, X) / n
         G, _, G_abs = gram()
         x_c = X[-1]
         r_c = A @ x_c - b
         g = A.T @ r_c
-        rr = float(r_c @ r_c)
-        D = X - x_c
-        total = rr + 2.0 * (D @ g) + np.einsum("ij,ij->i", D @ G, D)
-        np.abs(D, out=D)
-        scale = rr + 2.0 * (D @ np.abs(g)) + np.einsum("ij,ij->i", D @ G_abs, D)
-        redo = np.flatnonzero(scale > 64.0 * total)
-        if redo.size:
-            total[redo] = _residual_sums(A, b, X[redo])
+        rr, g_abs, total = float(r_c @ r_c), np.abs(g), np.empty(len(X))
+        for block in point_blocks(len(X), p):
+            D, sums = X[block] - x_c, total[block]
+            sums[:] = rr + 2.0 * (D @ g) + np.einsum("ij,ij->i", D @ G, D)
+            np.abs(D, out=D)
+            scale = rr + 2.0 * (D @ g_abs) + np.einsum("ij,ij->i", D @ G_abs, D)
+            redo = np.flatnonzero(scale > 64.0 * sums)
+            if redo.size:
+                sums[redo] = _residual_sums(A, b, X[block][redo])
         return total / n
 
     mu, ridge = inst.l1_weight, inst.ridge_weight
     regularizer = Regularizer(mu, ridge)
 
-    def gap(x):
+    def certify(x):
         # Duality gap P(x) - D(u) of Fercoq, Gramfort & Salmon, "Mind the
         # duality gap" (ICML 2015), at the dual point u = theta (2/n)(Ax - b),
         # where D(u) = -(u'b + (n/4)||u||^2) - h*(-A'u).  With r = Ax - b and
@@ -238,6 +241,7 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         # l1, and h = 0 as l1 with mu = 0: h* is 0 on the max-norm ball of
         # radius mu and infinite off it, so theta = min(1, mu / ||g||_inf).
         r = A @ x - b
+        rr = float(r @ r)  # rr / n is the smooth average, bit for bit mean_value's
         g = (2.0 / n) * (A.T @ r)
         theta, conj = 1.0, 0.0
         if ridge > 0:
@@ -247,8 +251,8 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
             g_max = float(np.abs(g).max())
             if g_max > mu:
                 theta = mu / g_max
-        return ((1.0 - theta) ** 2 * float(r @ r) / n + theta * float(x @ g)
-                + regularizer.value(x) + conj)
+        return rr / n, ((1.0 - theta) ** 2 * rr / n + theta * float(x @ g)
+                        + regularizer.value(x) + conj)
 
     return CompositeProblem(
         components=components,
@@ -257,7 +261,7 @@ def lasso_problem(inst: LassoInstance) -> CompositeProblem:
         mean_value_fn=mean_value,
         mean_grad_fn=mean_grad,
         mean_values_fn=mean_values,
-        gap_fn=gap,
+        certify_fn=certify,
         quadratic_fn=quadratic if gram_pays else None,
     )
 
@@ -308,13 +312,14 @@ def steiner_problem(inst: SteinerInstance) -> CompositeProblem:
 
     def mean_values(X):
         total = np.zeros(X.shape[0])
-        rows = block_len(8 * X.size)
-        for q in range(0, m, rows):
-            diffs = X[:, None, :] - centers[None, q:q + rows, :]
-            total += np.sqrt(np.einsum("kip,kip->ki", diffs, diffs)).sum(axis=1)
+        for block in point_blocks(len(X), inst.p):
+            rows = block_len(8 * X[block].size)
+            for q in range(0, m, rows):
+                diffs = X[block, None, :] - centers[None, q:q + rows, :]
+                total[block] += np.sqrt(np.einsum("kip,kip->ki", diffs, diffs)).sum(axis=1)
         return total / m
 
-    def gap(x):
+    def certify(x):
         # f(x) - f* <= ||s|| ||x - x*|| for every subgradient s at x, and x*
         # lies in the hull of the centers, so ||x - x*|| <= max_i ||x - c_i||.
         # The subdifferential is g + (k/m) B, with g the sum over the
@@ -326,7 +331,8 @@ def steiner_problem(inst: SteinerInstance) -> CompositeProblem:
         at = norms == 0.0
         g = (diffs[~at] / norms[~at, None]).sum(axis=0) / m
         least = max(float(np.linalg.norm(g)) - int(at.sum()) / m, 0.0)
-        return least * float(norms.max())
+        # the norms are mean_value's, bit for bit
+        return float(norms.mean()), least * float(norms.max())
 
     return CompositeProblem(
         components=components,
@@ -335,7 +341,7 @@ def steiner_problem(inst: SteinerInstance) -> CompositeProblem:
         mean_value_fn=mean_value,
         mean_grad_fn=mean_grad,
         mean_values_fn=mean_values,
-        gap_fn=gap,
+        certify_fn=certify,
     )
 
 
@@ -355,12 +361,12 @@ def synth_lasso(
     check_nonnegative("noise", noise)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    A = rng.normal(size=(n, p))
+    A = rng.standard_normal((n, p))
     x_true = np.zeros(p)
     if sparsity > 0:
         support = rng.choice(p, size=sparsity, replace=False)
-        x_true[support] = rng.normal(size=sparsity)
-    b = A @ x_true + noise * rng.normal(size=n)
+        x_true[support] = rng.standard_normal(sparsity)
+    b = A @ x_true + noise * rng.standard_normal(n)
     return LassoInstance(
         A=A, b=b, l1_weight=l1_weight, ridge_weight=ridge_weight, x_true=x_true
     )
@@ -372,7 +378,7 @@ def synth_steiner(p: int, m: int, seed: int) -> SteinerInstance:
         raise ValueError(f"need p >= 1 and m >= 1, got p={p}, m={m}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    return SteinerInstance(centers=rng.normal(size=(m, p)))
+    return SteinerInstance(centers=rng.standard_normal((m, p)))
 
 
 def load_samples(path) -> LassoInstance:

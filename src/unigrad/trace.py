@@ -7,8 +7,8 @@ first `# schema=1`, then the fixed column header
 
 and one line a row.  The parser refuses another schema or none, a missing
 header key, an algorithm other than oupgm, oudgm, sug and batch, a
-problem or extra value that is not a JSON object, and a line among the
-rows that is not a row, naming its line.
+problem or extra value that is not a JSON object, a header scalar of
+another JSON type, and a line among the rows that is not a row, naming it.
 Floats are written with shortest round-trip formatting, so writing and
 re-parsing a trace reproduces it exactly; every float field is finite.
 In memory each column is one numpy array (int64 for t and i_t, float64
@@ -24,14 +24,14 @@ character the writer never writes, is read again line by line with int()
 and float(), which give the same values and name the offending line.
 
 f_full is the full objective f(x_t) at the iterate round t starts from.
-The solvers compute it after the rounds, in one blocked batch pass over
-the stored iterates (RunTrace.fill_f_full), so elapsed_s is solver-only
-wall time: it excludes that diagnostic.  elapsed_s is a whole number of
+The solvers compute it after the rounds, in one batched call over the
+stored iterates (RunTrace.fill_f_full), so elapsed_s is solver-only wall
+time: it excludes that diagnostic.  elapsed_s is a whole number of
 nanoseconds of time.perf_counter_ns, in seconds.
 
 In-memory traces additionally record the visited component index and the
-post-round iterate, one row of a (rows, p) array, which the prefix-bound
-checks need; those extras are not part of the CSV schema.
+post-round iterate, row t + 1 of a (rows + 1, p) array led by x0, which
+the prefix-bound checks need; those extras are not part of the CSV schema.
 """
 
 import json
@@ -88,7 +88,6 @@ class RunTrace:
     elapsed_s: np.ndarray | None = None
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float).copy()
         if self.t is None:
             self.rows = self.T + 1 if self.rows is None else self.rows
             for name, kind in zip(CSV_COLUMNS, _KINDS):
@@ -98,7 +97,10 @@ class RunTrace:
             self.rows = self.n_rows = len(self.t)
             extras = 0
         self.component = np.empty(extras, int)
-        self.x_next = np.empty((extras, *self.x0.shape))
+        # x0 and x_next are views of the iterate array x_0 = x0, x_1, ...
+        self.iterates = np.empty((extras + 1, *np.shape(self.x0)))
+        self.iterates[0] = self.x0
+        self.x0, self.x_next = self.iterates[0], self.iterates[1:]
 
     def add_row(self, t: int, i_t: int, L_next: float, f_gt_xt: float, f_gt_xnext: float,
                 f_gt_yt: float, f_full: float, elapsed_s: float, component: int | None = None,
@@ -124,28 +126,18 @@ class RunTrace:
         if x_next is not None:
             self.x_next[k] = x_next
         elif len(self.x_next):
-            self.x_next = self.x_next[:0].copy()
+            self.iterates = self.iterates[:1].copy()
+            self.x0, self.x_next = self.iterates[0], self.iterates[1:]
         self.n_rows = k + 1
 
     def fill_f_full(self, values) -> None:
-        """Set f_full[t] = f(x_t) for every row, x_0 = x0, x_t = x_next[t-1].
-
-        values maps a (k, p) block of points to their k objective values
-        (CompositeProblem.values); the blocks are slices of the iterate
-        array, the first led by x0, each within BLOCK_BYTES.  Lasso with
-        2p < n evaluates a block around its last point from the cached Gram
-        matrix A'A, p^2 per point rather than np.
-        """
+        """Set f_full[t] = f(x_t) for every row, x_0 = x0, x_t = x_next[t-1],
+        by one call of values (CompositeProblem.values, which blocks the
+        points itself) on a view of the iterate array."""
         n = self.n_rows
         if len(self.x_next) < n - 1:
             raise ValueError("trace lacks the stored iterates f_full needs")
-        # at most 256 iterates a block: wide enough for efficient matrix
-        # products, small enough to leave the budget to values' temporaries
-        step = min(256, block_len(8 * len(self.x0)))
-        for s in range(0, n, step):
-            e = min(s + step, n)
-            block = self.x_next[max(s - 1, 0):e - 1]
-            self.f_full[s:e] = values(np.vstack([self.x0, block]) if s == 0 else block)
+        self.f_full[:n] = values(self.iterates[:n])
 
     def check_finite(self) -> None:
         """Raise if any recorded scalar is NaN or infinite."""
@@ -248,7 +240,8 @@ def parse_trace_csv(path) -> RunTrace:
 
     Raises ValueError naming the schema found if it is not SCHEMA, a missing
     header key, an unknown algorithm, a problem or extra value that is not
-    an object, or the offending line of any other violation.
+    an object, a header scalar of another JSON type, or the offending line
+    of any other violation.
     """
     with open(path, "rb") as fh:
         # sizes the columns: each line ends in \n, \r or both, the last
@@ -285,6 +278,12 @@ def parse_trace_csv(path) -> RunTrace:
         if meta["algorithm"] not in ALGORITHMS:
             raise ValueError(f"{path}: unknown algorithm {json.dumps(meta['algorithm'])}; "
                              f"this version reads {', '.join(ALGORITHMS)}")
+        for key, kinds, kind in (("eps", (int, float), "number"), ("T", (int,), "integer"),
+                                 ("L0", (int, float, type(None)), "number"),
+                                 ("seed", (int, type(None)), "integer")):  # bool is neither
+            if type(meta[key]) not in kinds:
+                raise ValueError(f"{path}: metadata {key!r} is not a JSON {kind}: "
+                                 f"{json.dumps(meta[key])}")
         for key in ("problem", "extra"):
             if not isinstance(meta[key], dict):
                 raise ValueError(f"{path}: metadata {key!r} is not a JSON object: "
@@ -298,10 +297,10 @@ def parse_trace_csv(path) -> RunTrace:
     return RunTrace(
         algorithm=meta["algorithm"],
         eps=float(meta["eps"]),
-        T=int(meta["T"]),
+        T=meta["T"],
         x0=meta["x0"],
         L0=None if meta["L0"] is None else float(meta["L0"]),
-        seed=None if meta["seed"] is None else int(meta["seed"]),
+        seed=meta["seed"],
         order_kind=meta["order"],
         problem_meta=meta["problem"],
         extra_meta=meta["extra"],

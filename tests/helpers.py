@@ -289,5 +289,5 @@ def zero_problem(dim=2) -> CompositeProblem:
         mean_value_fn=lambda x: 0.0,
         mean_grad_fn=lambda x: np.zeros(dim),
         mean_values_fn=lambda X: np.zeros(len(X)),
-        gap_fn=lambda x: 0.0,
+        certify_fn=lambda x: (0.0, 0.0),
     )

@@ -222,7 +222,7 @@ def _never_descends(trials, dim=2):
         mean_value_fn=lambda x: float(x.any()),
         mean_grad_fn=lambda x: np.ones(dim),
         mean_values_fn=lambda X: X.any(axis=1).astype(float),
-        gap_fn=lambda x: 0.0,
+        certify_fn=lambda x: (float(x.any()), 0.0),
     )
 
 

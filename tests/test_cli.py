@@ -23,6 +23,10 @@ def test_parser_run_defaults():
     assert not args.fixed_step
 
 
+def test_parser_is_built_once_a_process():
+    assert build_parser() is build_parser()
+
+
 def test_parser_rejects_unknown_algorithm(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(
@@ -184,14 +188,19 @@ def _refused_after(flags, edit, tmp_path, capsys):
     (OUPGM, _with_header("algorithm", lambda _: "oupgmx"),
      'unknown algorithm "oupgmx"; this version reads oupgm, oudgm, sug, batch'),
     (OUPGM, _with_header("extra", lambda _: None), "metadata 'extra' is not a JSON object: null"),
+    (OUPGM, _with_header("eps", lambda _: None), "metadata 'eps' is not a JSON number: null"),
+    (OUPGM, _with_header("eps", lambda _: True), "metadata 'eps' is not a JSON number: true"),
+    (OUPGM, _with_header("T", lambda _: None), "metadata 'T' is not a JSON integer: null"),
+    (OUPGM, _with_header("T", lambda _: 1.5), "metadata 'T' is not a JSON integer: 1.5"),
 ], ids=["no-schema", "schema-2", "no-x_star", "sug-no-M", "fixed-step-no-Mv",
-        "lasso-csv-no-data_sha256", "unknown-algorithm", "extra-null"])
+        "lasso-csv-no-data_sha256", "unknown-algorithm", "extra-null", "eps-null", "eps-true",
+        "T-null", "T-1.5"])
 def test_check_bounds_refuses_a_trace_off_the_schema(tmp_path, capsys, flags, edit, message):
-    """A trace of no or another schema, with an algorithm it does not know
-    or an extra that is not an object, or without an extra key its run
-    writes, exits 2 naming the schema, the value or the key: never 1, the
-    status of a violated bound, never a pass as a run of no bound, and
-    never with a traceback."""
+    """A trace of no or another schema, with an algorithm it does not know,
+    an extra that is not an object or a header scalar of the wrong JSON
+    type, or without an extra key its run writes, exits 2 naming the
+    schema, the value or the key: never 1, the status of a violated bound,
+    never a pass as a run of no bound, and never with a traceback."""
     path, err = _refused_after(flags, edit, tmp_path, capsys)
     assert err == f"error: {path}: {message}\n"
 
@@ -234,7 +243,7 @@ def test_reference_prints_the_certificate_of_its_point(capsys):
     problem = problem_from_descriptor({"kind": "synth-lasso", "p": 20, "n": 100,
                                        "sparsity": 5, "noise": 0.1, "seed": 0, "mu": 0.1})
     x = np.array(out["x_star"])
-    assert problem.gap(x) == out["gap"]
+    assert problem.certify(x)[1] == out["gap"]
     assert problem.value(x) == out["f_star"]
 
 

@@ -1,5 +1,7 @@
 """The full-objective column, filled after the rounds by the batched pass."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,25 @@ def test_fill_f_full_needs_the_stored_iterates(tmp_path):
             stored.fill_f_full(lambda X: np.zeros(len(X)))
 
 
+@pytest.mark.parametrize("solver", ["oupgm", "oudgm", "sug"])
+def test_fill_f_full_calls_values_once_on_the_iterate_array(solver, monkeypatch):
+    """The 41 iterates span 11 point blocks of 4 under a 200-byte budget;
+    values still gets them all at once, as a view of the trace's iterates."""
+    monkeypatch.setattr(oracles, "BLOCK_BYTES", 200)
+    calls = []
+
+    def values(X):
+        calls.append(X)
+        return problem.values(X)
+
+    problem = PROBLEMS["lasso-l1"]()
+    spied = dataclasses.replace(problem)
+    monkeypatch.setattr(spied, "values", values)
+    trace = _run(solver, spied, np.zeros(problem.dimension))
+    assert len(calls) == 1 and calls[0].base is trace.iterates
+    assert len(calls[0]) == trace.n_rows
+
+
 def test_values_rejects_points_of_the_wrong_width():
     problem = PROBLEMS["lasso-l1"]()
     with pytest.raises(ValueError, match="shape"):
@@ -156,11 +177,13 @@ def fallback_rows(monkeypatch):
 @needs_long_double
 @pytest.mark.parametrize("solver, ridge", [("oupgm", 0.0), ("oudgm", 2.0), ("sug", 2.0)])
 def test_f_full_of_a_run_is_accurate_to_rounding(solver, ridge, fallback_rows):
+    """The 2001 iterates, eight blocks of 256, are all expanded around the
+    last one."""
     inst = synth_lasso(p=30, n=2000, sparsity=5, noise=0.1, seed=4,
                        l1_weight=0.1, ridge_weight=ridge)
     problem = lasso_problem(inst)
     x0 = np.zeros(inst.p)
-    T = 400
+    T = 2000
     if solver == "sug":
         _, Mv = problem.holder_constants()
         trace = sug_run(problem, x0, SugConfig(M=Mv, eps=1e-3, seed=4, max_iters=T))[1]

@@ -120,7 +120,7 @@ def test_gram_steps_match_the_residual_steps(shape, tol):
     np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=1e-12)
     assert got.f == pytest.approx(want.f, rel=1e-14)
     # the stopping point's f and certificate are the data's, as without A'A
-    assert got.f == gram.value(got.x) and got.gap == gram.gap(got.x)
+    assert got.f == gram.value(got.x) and got.gap == gram.certify(got.x)[1]
 
 
 def _count_gram_builds(monkeypatch):
@@ -724,7 +724,7 @@ def test_sug_verdict_measures_gaps_from_the_certified_lower_bound(tmp_path):
     # an uncertified reference: x* pushed off the optimum, so f_ref > f*
     x = true.x + 0.1
     planted = ReferenceSolution(x=x, f=problem.value(x), iterations=1, residual=0.0,
-                                gap=problem.gap(x), steps=[])
+                                gap=problem.certify(x)[1], steps=[])
     assert planted.f > true.f + 10.0 * trace.eps
     report, (_, gaps, bounds) = verify(trace, problem, planted)
     # measured from f_ref alone, every gap would sit under its bound ...
@@ -838,7 +838,7 @@ def test_golden_sug_bound_curve_is_written_byte_for_byte(tmp_path):
     problem = problem_from_descriptor(trace.problem_meta)
     x = np.asarray(trace.extra_meta["x_star"], dtype=float)
     reference = ReferenceSolution(x=x, f=problem.value(x), iterations=0, residual=0.0,
-                                  gap=problem.gap(x), steps=[])
+                                  gap=problem.certify(x)[1], steps=[])
     _, curve = verify(trace, problem, reference)
     harness._write_bound_curve(tmp_path / "bounds.csv", curve)
     assert (tmp_path / "bounds.csv").read_bytes() == (golden / "bounds.csv").read_bytes()

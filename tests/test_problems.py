@@ -85,6 +85,39 @@ def test_synth_lasso_validation():
         synth_lasso(p=3, n=5, sparsity=1, noise=0.1, seed=-1)
 
 
+@pytest.mark.parametrize("p, n, sparsity, noise, seed", [
+    (1, 1, 1, 0.1, 0), (5, 40, 2, 0.5, 3), (20, 2001, 5, 0.1, 7),
+    (200, 300, 20, 0.1, 11), (3, 9, 0, 0.0, 2**31),
+])
+def test_generators_draw_what_rng_normal_drew(p, n, sparsity, noise, seed):
+    """standard_normal gives the bits and the stream of the normal(size=...)
+    draws the generators made before it."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, p))
+    x_true = np.zeros(p)
+    if sparsity > 0:
+        support = rng.choice(p, size=sparsity, replace=False)
+        x_true[support] = rng.normal(size=sparsity)
+    b = A @ x_true + noise * rng.normal(size=n)
+    inst = synth_lasso(p=p, n=n, sparsity=sparsity, noise=noise, seed=seed)
+    for got, want in ((inst.A, A), (inst.x_true, x_true), (inst.b, b)):
+        assert got.tobytes() == want.tobytes()
+    centers = np.random.default_rng(seed).normal(size=(n, p))
+    assert synth_steiner(p=p, m=n, seed=seed).centers.tobytes() == centers.tobytes()
+
+
+def test_certify_gives_the_smooth_average_bit_for_bit():
+    """The certificate's pass yields mean_smooth_value's value, so f(x*)
+    and its gap take one pass over the data."""
+    x = np.random.default_rng(8).normal(size=4)
+    for problem in (lasso_problem(synth_lasso(p=4, n=30, sparsity=2, noise=0.1, seed=8,
+                                              l1_weight=0.1)),
+                    lasso_problem(synth_lasso(p=4, n=30, sparsity=2, noise=0.1, seed=8,
+                                              l1_weight=0.1, ridge_weight=2.0)),
+                    steiner_problem(synth_steiner(p=4, m=30, seed=8))):
+        assert problem.certify(x)[0] == problem.mean_smooth_value(x)
+
+
 def test_synth_steiner_shapes_and_determinism():
     a = synth_steiner(p=3, m=7, seed=1)
     b = synth_steiner(p=3, m=7, seed=1)
@@ -357,7 +390,7 @@ def test_certificate_bounds_the_gap_to_a_polished_optimum(family):
     problem = CERTIFIED[family]()
     ref = reference_solution(problem, tol=1e-10)
     f_star = reference_solution(problem, tol=1e-13).f
-    assert ref.gap == problem.gap(ref.x) >= 0.0
+    assert ref.gap == problem.certify(ref.x)[1] >= 0.0
     # f - f* at the reference is rounding-sized: allow the rounding of the
     # two objective sums
     rounding = 4.0 * np.finfo(float).eps * (1.0 + abs(f_star))
@@ -370,7 +403,7 @@ def test_certificate_bounds_the_gap_to_a_polished_optimum(family):
     rng = np.random.default_rng(0)
     for scale in (1e-4, 1e-2, 1.0):
         x = ref.x + scale * rng.normal(size=problem.dimension)
-        assert problem.value(x) - f_star <= problem.gap(x)
+        assert problem.value(x) - f_star <= problem.certify(x)[1]
 
 
 @pytest.mark.parametrize("l1_weight, ridge_weight", [(0.1, 0.0), (0.1, 1.0), (0.0, 2.0),
@@ -390,7 +423,7 @@ def test_lasso_certificate_is_the_duality_gap(l1_weight, ridge_weight):
         u *= min(1.0, l1_weight / np.abs(A.T @ u).max())
         conjugate = 0.0
     dual = -(u @ b + 0.25 * n * (u @ u)) - conjugate
-    assert lasso_problem(inst).gap(x) == pytest.approx(primal - dual, rel=1e-12)
+    assert lasso_problem(inst).certify(x)[1] == pytest.approx(primal - dual, rel=1e-12)
 
 
 def test_steiner_certificate_at_a_center():
@@ -400,14 +433,14 @@ def test_steiner_certificate_at_a_center():
     # minimizer: its unit-ball share 5/8 covers the other three unit vectors
     centers = np.array([[0.0, 0.0]] * 5 + [[1.0, 0.0], [0.0, 2.0], [-3.0, -1.0]])
     problem = steiner_problem(SteinerInstance(centers=centers))
-    assert problem.gap(centers[0]) == 0.0
+    assert problem.certify(centers[0])[1] == 0.0
     # at a center that is not the minimizer, one unit ball of the eight
     # does not cover g, and the bound holds against a polished f*
     f_star = reference_solution(problem, tol=1e-13).f
     assert f_star == pytest.approx(problem.value(centers[0]), abs=1e-12)
     for c in centers[5:]:
-        assert 0.0 < problem.value(c) - f_star <= problem.gap(c)
+        assert 0.0 < problem.value(c) - f_star <= problem.certify(c)[1]
     problem = CERTIFIED["steiner"]()
     f_star = reference_solution(problem, tol=1e-13).f
     for c in synth_steiner(p=5, m=50, seed=1).centers[:5]:
-        assert 0.0 < problem.value(c) - f_star <= problem.gap(c)
+        assert 0.0 < problem.value(c) - f_star <= problem.certify(c)[1]

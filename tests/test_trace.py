@@ -214,6 +214,37 @@ def test_parse_requires_every_header_key_the_writer_writes(key, tmp_path):
         parse_trace_csv(path)
 
 
+def _set_header(key, text):
+    """An edit of a trace's lines that sets header key's value to text."""
+    def edit(lines):
+        k = next(k for k, line in enumerate(lines) if line.startswith(f"# {key}="))
+        lines[k] = f"# {key}={text}"
+    return edit
+
+
+@pytest.mark.parametrize("key, text, kind", [
+    ("eps", "null", "number"), ("eps", "true", "number"), ("eps", '"0.1"', "number"),
+    ("T", "null", "integer"), ("T", "1.5", "integer"), ("T", "false", "integer"),
+    ("L0", "[1.0]", "number"), ("seed", "2.0", "integer"),
+])
+def test_parse_refuses_a_header_scalar_of_the_wrong_type(key, text, kind, tmp_path):
+    path, _ = _edited_trace(tmp_path, _set_header(key, text))
+    message = rf"^{re.escape(str(path))}: metadata '{key}' is not a JSON {kind}: {re.escape(text)}$"
+    with pytest.raises(ValueError, match=message):
+        parse_trace_csv(path)
+
+
+def test_parse_reads_an_integer_eps_and_null_L0_and_seed(tmp_path):
+    def edit(lines):
+        for key, text in (("eps", "1"), ("L0", "null"), ("seed", "null")):
+            _set_header(key, text)(lines)
+
+    path, _ = _edited_trace(tmp_path, edit)
+    trace = parse_trace_csv(path)
+    assert (trace.eps, trace.L0, trace.seed) == (1.0, None, None)
+    assert type(trace.eps) is float
+
+
 @pytest.mark.parametrize("edit, found", [
     (lambda lines: lines.pop(0), "no schema line"),
     (lambda lines: lines.__setitem__(0, "# schema=2"), "schema=2"),
