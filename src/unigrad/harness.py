@@ -609,14 +609,13 @@ def _write_bound_curve(path, curve) -> None:
         raise ValueError("bound curve contains a non-finite gap")
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)
-    fmt = repr if bounds is None or np.isfinite(bounds).all() else (
-        lambda b: repr(b) if math.isfinite(b) else "")
     step = block_rows()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,gap,bound\n")
         for s in range(0, len(gaps), step):
             block = slice(s, s + step)
-            texts = repeat("") if bounds is None else map(fmt, bounds[block].tolist())
+            texts = repeat("") if bounds is None else (
+                repr(b) if math.isfinite(b) else "" for b in bounds[block].tolist())
             columns = (map(str, ks[block]), map(repr, gaps[block].tolist()), texts)
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 

@@ -110,15 +110,17 @@ def _lipschitz_modulus(A: np.ndarray) -> float:
 
 
 def _residual_sums(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """sum_t (a_t' x - b_t)^2 at each row x of X, blocked over the rows of A
-    so that no temporary outgrows BLOCK_BYTES."""
+    """sum_t (a_t' x - b_t)^2 at each row x of X, blocked over the points and
+    over the rows of A so that no temporary outgrows BLOCK_BYTES and each
+    block of rows is multiplied by up to 256 points at once."""
     total = np.zeros(X.shape[0])
-    rows = block_len(8 * X.shape[0])
-    for q in range(0, A.shape[0], rows):
-        R = A[q:q + rows] @ X.T
-        R -= b[q:q + rows, None]
-        np.square(R, out=R)
-        total += R.sum(axis=0)
+    for block in point_blocks(len(X), A.shape[1]):
+        rows = block_len(8 * len(total[block]))
+        for q in range(0, A.shape[0], rows):
+            R = A[q:q + rows] @ X[block].T
+            R -= b[q:q + rows, None]
+            np.square(R, out=R)
+            total[block] += R.sum(axis=0)
     return total
 
 

@@ -8,7 +8,8 @@ first `# schema=1`, then the fixed column header
 and one line a row.  The parser refuses another schema or none, a missing
 header key, an algorithm other than oupgm, oudgm, sug and batch, a
 problem or extra value that is not a JSON object, a header scalar of
-another JSON type, and a line among the rows that is not a row, naming it.
+another JSON type or, for eps and L0, not finite, and a line among the
+rows that is not a row, naming it.
 Floats are written with shortest round-trip formatting, so writing and
 re-parsing a trace reproduces it exactly; every float field is finite.
 In memory each column is one numpy array (int64 for t and i_t, float64
@@ -35,6 +36,7 @@ the prefix-bound checks need; those extras are not part of the CSV schema.
 """
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -283,6 +285,10 @@ def parse_trace_csv(path) -> RunTrace:
                                  ("seed", (int, type(None)), "integer")):  # bool is neither
             if type(meta[key]) not in kinds:
                 raise ValueError(f"{path}: metadata {key!r} is not a JSON {kind}: "
+                                 f"{json.dumps(meta[key])}")
+            # JSON reads 1e400 as inf and NaN as nan; float() refuses 10**400
+            if kind == "number" and not abs(meta[key] or 0) <= sys.float_info.max:
+                raise ValueError(f"{path}: metadata {key!r} is not a finite number: "
                                  f"{json.dumps(meta[key])}")
         for key in ("problem", "extra"):
             if not isinstance(meta[key], dict):

@@ -192,15 +192,18 @@ def _refused_after(flags, edit, tmp_path, capsys):
     (OUPGM, _with_header("eps", lambda _: True), "metadata 'eps' is not a JSON number: true"),
     (OUPGM, _with_header("T", lambda _: None), "metadata 'T' is not a JSON integer: null"),
     (OUPGM, _with_header("T", lambda _: 1.5), "metadata 'T' is not a JSON integer: 1.5"),
+    (OUPGM, _with_header("eps", lambda _: 10**400),
+     f"metadata 'eps' is not a finite number: {10**400}"),
 ], ids=["no-schema", "schema-2", "no-x_star", "sug-no-M", "fixed-step-no-Mv",
         "lasso-csv-no-data_sha256", "unknown-algorithm", "extra-null", "eps-null", "eps-true",
-        "T-null", "T-1.5"])
+        "T-null", "T-1.5", "eps-past-float"])
 def test_check_bounds_refuses_a_trace_off_the_schema(tmp_path, capsys, flags, edit, message):
     """A trace of no or another schema, with an algorithm it does not know,
-    an extra that is not an object or a header scalar of the wrong JSON
-    type, or without an extra key its run writes, exits 2 naming the
-    schema, the value or the key: never 1, the status of a violated bound,
-    never a pass as a run of no bound, and never with a traceback."""
+    an extra that is not an object, a header scalar of the wrong JSON type
+    or past float's range, or without an extra key its run writes, exits 2
+    naming the schema, the value or the key: never 1, the status of a
+    violated bound, never a pass as a run of no bound, and never with a
+    traceback."""
     path, err = _refused_after(flags, edit, tmp_path, capsys)
     assert err == f"error: {path}: {message}\n"
 

@@ -196,6 +196,25 @@ def test_f_full_of_a_run_is_accurate_to_rounding(solver, ridge, fallback_rows):
     assert fallback_rows == []
 
 
+def test_residual_form_multiplies_up_to_256_points_at_once():
+    """A lasso with 2p >= n sums every iterate in residual form.  The 601
+    iterates of a run go 256 at a time, each block against the 200 rows of A
+    at once, not all 601 against blocks of block_len(8 * 601) = 109 rows,
+    which would read A once per 109 rows for every 601 points."""
+    inst = synth_lasso(p=100, n=200, sparsity=5, noise=0.1, seed=4, l1_weight=0.1)
+    problem = lasso_problem(inst)
+    x0 = np.zeros(inst.p)
+    trace = upgm_run(problem, sample_order("random", inst.n, 600, seed=4), x0, 1.0, 1e-3, 600)[1]
+    X = np.stack([x0, *trace.x_next[:-1]])
+    want = []
+    for s in range(0, len(X), 256):
+        R = inst.A @ X[s:s + 256].T
+        R -= inst.b[:, None]
+        want.extend(np.square(R).sum(axis=0) / inst.n
+                    + problem.regularizer.values(X[s:s + 256]))
+    assert np.array_equal(trace.f_full, want)
+
+
 @needs_long_double
 def test_single_point_block_is_accurate_to_rounding(fallback_rows):
     """A first block of 64 points builds A'A; the single point after it is

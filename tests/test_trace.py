@@ -1,6 +1,7 @@
 """Run-trace recording, CSV serialization, and parsing."""
 
 import dataclasses
+import json
 import re
 import tracemalloc
 import warnings
@@ -223,13 +224,18 @@ def _set_header(key, text):
 
 
 @pytest.mark.parametrize("key, text, kind", [
-    ("eps", "null", "number"), ("eps", "true", "number"), ("eps", '"0.1"', "number"),
-    ("T", "null", "integer"), ("T", "1.5", "integer"), ("T", "false", "integer"),
-    ("L0", "[1.0]", "number"), ("seed", "2.0", "integer"),
+    ("eps", "null", "a JSON number"), ("eps", "true", "a JSON number"),
+    ("eps", '"0.1"', "a JSON number"), ("T", "null", "a JSON integer"),
+    ("T", "1.5", "a JSON integer"), ("T", "false", "a JSON integer"),
+    ("L0", "[1.0]", "a JSON number"), ("seed", "2.0", "a JSON integer"),
+    # numbers JSON reads but float() cannot hold
+    ("eps", "1" + "0" * 400, "a finite number"), ("eps", "Infinity", "a finite number"),
+    ("L0", "-1e400", "a finite number"), ("L0", "NaN", "a finite number"),
 ])
 def test_parse_refuses_a_header_scalar_of_the_wrong_type(key, text, kind, tmp_path):
     path, _ = _edited_trace(tmp_path, _set_header(key, text))
-    message = rf"^{re.escape(str(path))}: metadata '{key}' is not a JSON {kind}: {re.escape(text)}$"
+    shown = json.dumps(json.loads(text))  # 1e400 reads, and so shows, as Infinity
+    message = rf"^{re.escape(str(path))}: metadata '{key}' is not {kind}: {re.escape(shown)}$"
     with pytest.raises(ValueError, match=message):
         parse_trace_csv(path)
 
