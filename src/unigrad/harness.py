@@ -3,13 +3,14 @@
 A run produces three artifacts in the output directory:
 
     trace.csv   per-round scalars plus replay metadata (schema in trace.py)
-    report.json theorem left/right-hand sides, slacks, satisfaction flags,
-                and the verdict: `checked` names the bound judged, `ok`
-                says whether it holds
-    bounds.csv  plotting curve "k,gap,bound": objective gap f(x^k) - f*
-                and, for sug, its bound at k; for oupgm and oudgm the
-                prefix-k right-hand side of thm1 or thm2, which bounds the
-                weighted prefix regret, not the gap beside it
+    report.json the verdict: `checked` names the bound judged, `ok` says
+                whether it holds; for oupgm and oudgm also the judged
+                bound's two sides and slack at T and its smallest margin
+                over the prefixes
+    bounds.csv  plotting curve: for oupgm and oudgm "k,lhs,bound", the two
+                sides at prefix k of the bound the run is judged by (thm1,
+                thm2 or the fixed-step corollary); else "k,gap,bound", the
+                objective gap f(x^k) - f* and, for sug, its bound at k
 
 Both `run` and `check-bounds` judge a trace with the one function verify,
 which reads only the trace, its metadata and the reference, so a saved
@@ -24,8 +25,8 @@ its run writes (EXTRA_KEYS):
     x_star    the reference minimizer, floats written to round-trip (every run)
     reference_gap, reference_iterations, reference_residual
               the reference's certificate, step count and last residual
-    fixed_step, Mv, v
-              fixed-step runs: the Holder modulus and degree used (solver)
+    fixed_step  oupgm and oudgm: whether the run took fixed steps (solver)
+    Mv, v     fixed-step runs: the Holder modulus and degree used (solver)
     data_sha256  lasso-csv: the data file's sha256 at run time
     M         sug: the surrogate modulus (solver)
     dist0_sq  sug: the ||x0 - x*||^2 the run used (--dist0 or the reference's)
@@ -50,7 +51,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -205,28 +206,6 @@ def sample_order(kind: str, n: int, T: int, seed: int | None) -> np.ndarray:
     raise ValueError(f"unknown order kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class RegretReport:
-    """Theorem ledger for one online run."""
-
-    algorithm: str
-    eps: float
-    T: int
-    S_T: float
-    r0: float
-    regret_as_defined: float
-    regret_shifted: float
-    weighted_lhs_thm1: float
-    rhs_thm1: float
-    thm1_slack: float
-    thm1_satisfied: bool
-    weighted_lhs_thm2: float
-    rhs_thm2: float
-    thm2_slack: float
-    thm2_satisfied: bool
-    weighted_lhs_thm2_iterates: float
-
-
 def _trace_components(trace: RunTrace, problem: CompositeProblem) -> np.ndarray:
     comps = (trace.component if len(trace.component) == trace.n_rows
              else sample_order(trace.order_kind, problem.n_components, trace.T, trace.seed))
@@ -235,62 +214,48 @@ def _trace_components(trace: RunTrace, problem: CompositeProblem) -> np.ndarray:
     return comps
 
 
-def evaluate_regret(
-    trace: RunTrace,
-    problem: CompositeProblem,
-    x_star: np.ndarray,
-) -> RegretReport:
-    """Compute both regret readings and both aggregate theorem checks.
+def _fixed_step_modulus(trace: RunTrace) -> float:
+    """gamma(M_v, v, eps) of a fixed-step run, from its trace."""
+    extra = trace.extra_meta
+    return gamma(float(extra["Mv"]), float(extra["v"]), trace.eps)
 
-    The prime-method bound is evaluated at the accepted iterates x_{t+1}
-    (f_gt_xnext).  The dual-method bound is evaluated at the accepted
-    descent points y_t (f_gt_yt): the model aggregation argument controls
-    the weighted objective at those points, not at the raw dual iterates,
-    which need not converge when the smooth parts are nonsmooth (v = 0)
-    and the weights stay order one.  The weighted sum at the raw iterates
-    is still reported (weighted_lhs_thm2_iterates) for diagnostics.
 
-    Every reading uses the trace's own eps; satisfaction allows the slack
-    SLACK_SCALE * (1 + |RHS|).
+# The regret bounds of the online methods, each one inequality at every
+# prefix k = 0..T at a comparator x:
+#     sum_{t<=k} w_t (F_t - f_{i_t}(x)) <= 0.5 eps sum_{t<=k} w_t + 2 c r0(x)
+# bound -> (the trace column of F_t, w_t of L_{t+1}, c of the trace).  thm1
+# reads the accepted iterates x_{t+1}; thm2, as the paper states it, the
+# accepted descent points y_t, since the dual iterates need not converge
+# when v = 0 and the weights stay order one.  The fixed-step corollaries read
+# the points the primal method steps to and the dual method plays.
+REGRET_BOUNDS = {
+    "thm1": ("f_gt_xnext", lambda L: 1.0 / L, lambda trace: 1.0),
+    "thm2": ("f_gt_yt", lambda L: 0.5 / L, lambda trace: 0.5),
+    "oupgm corollary": ("f_gt_xnext", np.ones_like, _fixed_step_modulus),
+    "oudgm corollary": ("f_gt_xt", np.ones_like, _fixed_step_modulus),
+}
+
+
+def evaluate_regret(trace: RunTrace, problem: CompositeProblem, x: np.ndarray,
+                    bound: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """(r0, lhs, rhs) of a REGRET_BOUNDS bound at the comparator x: r0 =
+    dist(x0, x), and lhs[k], rhs[k] the two sides at prefix k = 0..T.
+
+    f_{i_t}(x) comes from one values call over the rows; eps is the trace's.
     """
     if trace.n_rows != trace.T + 1:
         raise ValueError(
             f"trace incomplete: {trace.n_rows} rows for T = {trace.T}"
         )
-    eps = trace.eps
-    x_star = np.asarray(x_star, dtype=float)
-    comps = _trace_components(trace, problem)
-    f_star_rows = problem.components.values(comps, x_star)
-    f_star_rows += problem.regularizer.value(x_star)
-    f_xt, f_xnext, f_yt = trace.f_gt_xt, trace.f_gt_xnext, trace.f_gt_yt
-    inv_L = 1.0 / trace.L_next
-    S_T = float(inv_L.sum())
-    r0 = problem.geometry.bregman(trace.x0, x_star)
-    lhs1 = float((inv_L * (f_xnext - f_star_rows)).sum())
-    rhs1 = 0.5 * eps * S_T + 2.0 * r0
-    lhs2 = float((0.5 * inv_L * (f_yt - f_star_rows)).sum())
-    lhs2_iter = float((0.5 * inv_L * (f_xt - f_star_rows)).sum())
-    rhs2 = 0.25 * eps * S_T + r0
-    slack1 = SLACK_SCALE * (1.0 + abs(rhs1))
-    slack2 = SLACK_SCALE * (1.0 + abs(rhs2))
-    return RegretReport(
-        algorithm=trace.algorithm,
-        eps=eps,
-        T=trace.T,
-        S_T=S_T,
-        r0=r0,
-        regret_as_defined=float((f_xt - f_star_rows).sum()),
-        regret_shifted=float((f_xnext - f_star_rows).sum()),
-        weighted_lhs_thm1=lhs1,
-        rhs_thm1=rhs1,
-        thm1_slack=slack1,
-        thm1_satisfied=bool(lhs1 <= rhs1 + slack1),
-        weighted_lhs_thm2=lhs2,
-        rhs_thm2=rhs2,
-        thm2_slack=slack2,
-        thm2_satisfied=bool(lhs2 <= rhs2 + slack2),
-        weighted_lhs_thm2_iterates=lhs2_iter,
-    )
+    column, weight, c = REGRET_BOUNDS[bound]
+    x = np.asarray(x, dtype=float)
+    f_x_rows = problem.components.values(_trace_components(trace, problem), x)
+    f_x_rows += problem.regularizer.value(x)
+    w = weight(trace.L_next)
+    r0 = problem.geometry.bregman(trace.x0, x)
+    lhs = np.cumsum(w * (getattr(trace, column) - f_x_rows))
+    rhs = 0.5 * trace.eps * np.cumsum(w) + 2.0 * c(trace) * r0
+    return r0, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +379,14 @@ def resolve_eps(cfg: RunConfig, problem: CompositeProblem) -> float:
 
 
 # The `extra` keys a run writes and check_bounds requires: those of every run,
-# then of a sug run, a fixed-step run (its solver writes them) and a lasso-csv run.
+# then of an online run, a sug run, a fixed-step run (the solvers write these)
+# and a lasso-csv run.
 EXTRA_KEYS = {
     "every": ("tol", "x_star", "reference_gap", "reference_iterations", "reference_residual"),
+    "oupgm": ("fixed_step",),
+    "oudgm": ("fixed_step",),
     "sug": ("M", "dist0_sq", "f_final"),
-    "fixed_step": ("fixed_step", "Mv", "v"),
+    "fixed_step": ("Mv", "v"),
     "lasso-csv": ("data_sha256",),
 }
 
@@ -497,47 +465,43 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
     Reads only the trace, its metadata and the reference, so a live run and
     check-bounds on its saved trace build the same report.  The report ends
     in the verdict: `checked` names the bound judged and `ok` is False only
-    when it fails.  curve holds the bounds.csv columns (k, gap, bound): a
-    range, an array, and an array or None when no bound applies, the gaps
-    measured from the reference's f; the sug verdict measures them from
-    the certified lower bound f - gap on f*, so a reference that stopped
-    short of f* cannot pass a run.
+    when it fails.  An online run is judged by its REGRET_BOUNDS bound at x*
+    at every prefix k.  curve holds the bounds.csv header name of the middle
+    column and the columns: a range, an array, and an array or None when no
+    bound applies.  Online they are (k, lhs, rhs) of the judged bound; else
+    (k, gap, bound), the gaps measured from the reference's f, though the
+    sug verdict measures them from the certified lower bound f - gap on f*,
+    so a reference that stopped short of f* cannot pass a run.
     """
     f_star = reference.f
     extra = trace.extra_meta
-    first, gaps, bounds = 0, trace.f_full - f_star, None
+    first, name, gaps, bounds = 0, "gap", trace.f_full - f_star, None
     if trace.algorithm in ("oupgm", "oudgm"):
-        rep = evaluate_regret(trace, problem, reference.x)
-        fixed = bool(extra.get("fixed_step", False))
+        fixed = bool(extra["fixed_step"])
+        bound = (f"{trace.algorithm} corollary" if fixed
+                 else {"oupgm": "thm1", "oudgm": "thm2"}[trace.algorithm])
+        r0, lhs, rhs = evaluate_regret(trace, problem, reference.x, bound)
+        slack = SLACK_SCALE * (1.0 + np.abs(rhs))
+        ok = bool(np.all(lhs <= rhs + slack))
         report = {
-            **asdict(rep),
+            "algorithm": trace.algorithm,
+            "eps": trace.eps,
+            "T": trace.T,
             "problem": trace.problem_meta,
-            "fixed_step": fixed,
             "order": trace.order_kind,
             "seed": trace.seed,
             "f_star": f_star,
+            "fixed_step": fixed,
+            "r0": r0,
+            "lhs": float(lhs[-1]),
+            "rhs": float(rhs[-1]),
+            "slack": float(slack[-1]),
+            "min_prefix_margin": float(np.min(rhs - lhs)),
+            "checked": "fixed-step regret corollary" if fixed else bound,
         }
-        primal = trace.algorithm == "oupgm"
         if fixed:
-            # Fixed-step runs are governed by the regret corollary; the trace
-            # has no line-search descent points to feed the aggregate bound.
-            step = gamma(float(extra["Mv"]), float(extra["v"]), trace.eps)
-            rhs = 0.5 * trace.eps * (trace.T + 1) + 2.0 * rep.r0 * step
-            lhs = rep.regret_shifted if primal else rep.regret_as_defined
-            ok = bool(lhs <= rhs + SLACK_SCALE * (1.0 + abs(rhs)))
-            report.update(
-                fixed_step_modulus=step, corollary_lhs=lhs, corollary_rhs=rhs,
-                corollary_satisfied=ok, checked="fixed-step regret corollary",
-            )
-        else:
-            ok = rep.thm1_satisfied if primal else rep.thm2_satisfied
-            report["checked"] = "thm1" if primal else "thm2"
-        # prefix k of thm1 (oupgm) or thm2 (oudgm)
-        weights = np.cumsum(1.0 / trace.L_next)
-        if primal:
-            bounds = 0.5 * trace.eps * weights + 2.0 * rep.r0
-        else:
-            bounds = 0.25 * trace.eps * weights + rep.r0
+            report["fixed_step_modulus"] = _fixed_step_modulus(trace)
+        name, gaps, bounds = "lhs", lhs, rhs
     elif trace.algorithm == "sug":
         mu_h = problem.regularizer.strong_convexity
         n = problem.n_components
@@ -592,7 +556,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
         "residual": reference.residual,
     }
     report["ok"] = bool(ok)
-    return report, (range(first, first + len(gaps)), gaps, bounds)
+    return report, (name, range(first, first + len(gaps)), gaps, bounds)
 
 
 def _sha256(path) -> str:
@@ -600,18 +564,18 @@ def _sha256(path) -> str:
 
 
 def _write_bound_curve(path, curve) -> None:
-    """Write the columns (k, gap, bound) of verify's curve by column, a
+    """Write verify's curve, the columns (k, <name>, bound), by column, a
     block of rows at a time; with no bounds, or where a bound is not
     finite, the field is empty."""
-    ks, gaps, bounds = curve
+    name, ks, gaps, bounds = curve
     gaps = np.asarray(gaps, dtype=float)
     if not np.isfinite(gaps).all():
-        raise ValueError("bound curve contains a non-finite gap")
+        raise ValueError(f"bound curve contains a non-finite {name}")
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)
     step = block_rows()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,gap,bound\n")
+        fh.write(f"k,{name},bound\n")
         for s in range(0, len(gaps), step):
             block = slice(s, s + step)
             texts = repeat("") if bounds is None else (
@@ -641,7 +605,7 @@ def check_bounds(trace_path) -> tuple[dict, bool]:
         raise ValueError(f"{trace_path}: trace has no problem descriptor metadata")
     extra = trace.extra_meta
     kind = trace.problem_meta.get("kind")
-    for run in ("every", trace.algorithm, "fixed_step" if "fixed_step" in extra else None, kind):
+    for run in ("every", trace.algorithm, "fixed_step" if extra.get("fixed_step") else None, kind):
         for key in EXTRA_KEYS.get(run, ()):
             if key not in extra:
                 raise ValueError(f"{trace_path}: extra metadata key {key!r} missing")

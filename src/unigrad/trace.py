@@ -30,9 +30,10 @@ stored iterates (RunTrace.fill_f_full), so elapsed_s is solver-only wall
 time: it excludes that diagnostic.  elapsed_s is a whole number of
 nanoseconds of time.perf_counter_ns, in seconds.
 
-In-memory traces additionally record the visited component index and the
+In-memory traces additionally record the visited component index, which
+the regret ledger reads in place of regenerating the order, and the
 post-round iterate, row t + 1 of a (rows + 1, p) array led by x0, which
-the prefix-bound checks need; those extras are not part of the CSV schema.
+the f_full pass reads; those extras are not part of the CSV schema.
 """
 
 import json

@@ -76,7 +76,8 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
 
     A trial costs one bregman_map, one value of g_t and one difference
     y - x for both terms of the descent test; h at the round's point is
-    carried from the last round, and each row is recorded once.
+    carried from the last round, and each row is recorded once.  The
+    trace's extra records fixed_step, and Mv and v at a fixed step.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -88,15 +89,15 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
             f"order indexes components outside [0, {problem.n_components})"
         )
     algorithm = "oupgm" if model is None else "oudgm"
-    trace = RunTrace(algorithm, eps, T, x0, L0)
     fixed = L0 is None
+    trace = RunTrace(algorithm, eps, T, x0, L0, extra_meta={"fixed_step": fixed})
     if fixed:
         if holder_modulus is None or holder_degree is None:
             degree, modulus = problem.holder_constants()
             holder_degree = degree if holder_degree is None else holder_degree
             holder_modulus = modulus if holder_modulus is None else holder_modulus
         L = gamma(holder_modulus, holder_degree, eps)
-        trace.extra_meta = {"fixed_step": True, "Mv": holder_modulus, "v": holder_degree}
+        trace.extra_meta.update(Mv=holder_modulus, v=holder_degree)
     elif not 0 < L0 < math.inf:
         raise ValueError(f"L0 must be positive and finite, got {L0}")
     else:

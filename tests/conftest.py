@@ -83,8 +83,10 @@ def online_battery():
 
 @pytest.fixture(scope="session")
 def battery_reports(online_battery):
-    """RegretReport per battery run, keyed by list position."""
+    """Per battery run, in list position, thm1 and thm2 as evaluate_regret
+    gives them: bound -> (r0, prefix lhs, prefix rhs)."""
     return [
-        evaluate_regret(run.trace, run.problem, run.x_star)
+        {bound: evaluate_regret(run.trace, run.problem, run.x_star, bound)
+         for bound in ("thm1", "thm2")}
         for run in online_battery.runs
     ]

@@ -2,8 +2,8 @@
 updates for the shipped problem families, an l1 optimality residual, the
 dual model's value, a replay of the dual method's rounds and the prefix
 bound it certifies, a sample writer, the individual and averaged surrogate
-values, the from-scratch surrogate aggregate, the sug bound at one iterate
-and a zero-objective problem.
+values, the from-scratch surrogate aggregate, the sug bound at one iterate,
+a zero-objective problem, and the prefix verdict of a regret bound.
 The library does not use them; the tests cross-check the library against
 them.  evaluate_regret also checks the eps its callers name against the
 trace's."""
@@ -17,12 +17,18 @@ from unigrad.oracles import ComponentOracle, CompositeProblem, Regularizer, soft
 from unigrad.sug import sug_bounds
 
 
-def evaluate_regret(trace, problem, x_star, eps):
+def evaluate_regret(trace, problem, x_star, eps, bound):
     """harness.evaluate_regret, for callers that also name the eps the
     trace was run at; the library reads it from the trace."""
     if eps != trace.eps:
         raise ValueError(f"eps {eps} differs from the trace's eps {trace.eps}")
-    return harness.evaluate_regret(trace, problem, x_star)
+    return harness.evaluate_regret(trace, problem, x_star, bound)
+
+
+def regret_holds(lhs, rhs) -> bool:
+    """lhs <= rhs at every prefix, within the slack SLACK_SCALE (1 + |rhs|)
+    that verify allows."""
+    return bool(np.all(lhs <= rhs + harness.SLACK_SCALE * (1.0 + np.abs(rhs))))
 
 
 class ModelSolveError(RuntimeError):

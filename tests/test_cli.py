@@ -183,6 +183,8 @@ def _refused_after(flags, edit, tmp_path, capsys):
     (["--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10", "--M", "1"],
      _without_extra_key("M"), "extra metadata key 'M' missing"),
     ([*OUPGM, "--fixed-step"], _without_extra_key("Mv"), "extra metadata key 'Mv' missing"),
+    ([*OUPGM, "--fixed-step"], _without_extra_key("fixed_step"),
+     "extra metadata key 'fixed_step' missing"),
     (["--algorithm", "oupgm", "--problem", "lasso-csv"], _without_extra_key("data_sha256"),
      "extra metadata key 'data_sha256' missing"),
     (OUPGM, _with_header("algorithm", lambda _: "oupgmx"),
@@ -195,6 +197,7 @@ def _refused_after(flags, edit, tmp_path, capsys):
     (OUPGM, _with_header("eps", lambda _: 10**400),
      f"metadata 'eps' is not a finite number: {10**400}"),
 ], ids=["no-schema", "schema-2", "no-x_star", "sug-no-M", "fixed-step-no-Mv",
+        "fixed-step-no-fixed_step",
         "lasso-csv-no-data_sha256", "unknown-algorithm", "extra-null", "eps-null", "eps-true",
         "T-null", "T-1.5", "eps-past-float"])
 def test_check_bounds_refuses_a_trace_off_the_schema(tmp_path, capsys, flags, edit, message):

@@ -214,7 +214,7 @@ def _scalar_problem(a=1.0, b=0.0):
 def _fabricated_trace(rows, T, x0=(0.0,), eps=0.1):
     trace = RunTrace(
         algorithm="oupgm", eps=eps, T=T, x0=np.asarray(x0, dtype=float),
-        L0=1.0, seed=0, order_kind=None,
+        L0=1.0, seed=0, order_kind=None, extra_meta={"fixed_step": False},
     )
     for r in rows:
         trace.add_row(*r[:8], component=r[8] if len(r) > 8 else None)
@@ -224,47 +224,75 @@ def _fabricated_trace(rows, T, x0=(0.0,), eps=0.1):
 def test_regret_zero_when_sitting_at_comparator():
     prob = _scalar_problem()
     rows = [(t, 0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0) for t in range(3)]
-    rep = evaluate_regret(_fabricated_trace(rows, T=2), prob, np.zeros(1))
-    assert rep.regret_as_defined == 0.0
-    assert rep.regret_shifted == 0.0
-    assert rep.r0 == 0.0
-    assert rep.S_T == pytest.approx(1.5)
-    assert rep.thm1_satisfied and rep.thm2_satisfied
+    trace = _fabricated_trace(rows, T=2)
+    trace.extra_meta.update(Mv=3.0, v=1.0)
+    for bound, S_k in (("thm1", [0.5, 1.0, 1.5]), ("thm2", [0.25, 0.5, 0.75]),
+                       ("oupgm corollary", [1.0, 2.0, 3.0]),
+                       ("oudgm corollary", [1.0, 2.0, 3.0])):
+        r0, lhs, rhs = evaluate_regret(trace, prob, np.zeros(1), bound)
+        assert r0 == 0.0
+        assert lhs.tolist() == [0.0, 0.0, 0.0]
+        assert rhs == pytest.approx(0.5 * 0.1 * np.array(S_k)), bound
 
 
+# g(x) = (2x - 1)^2 at x* = 0.25, where g(x*) = 0.25; the one row plays
+# x_t with g 3.0, steps to x_{t+1} with g 1.0 through y_t with g 2.0 at
+# L_{t+1} = 4, from x0 = 1 (r0 = 0.5 * 0.75^2), at eps 0.1 and, for the
+# corollaries, gamma(3, 1, eps) = 3: w (F - 0.25) <= 0.05 w + 2 c r0
 def test_regret_single_row_weighted_identity():
-    prob = _scalar_problem(a=2.0, b=1.0)  # g(x) = (2x - 1)^2
-    x_star = np.array([0.25])             # g(x*) = 0.25
+    prob = _scalar_problem(a=2.0, b=1.0)
     rows = [(0, 0, 4.0, 3.0, 1.0, 2.0, 3.0, 0.0, 0)]
-    rep = evaluate_regret(_fabricated_trace(rows, T=0, x0=(1.0,)), prob, x_star)
-    assert rep.weighted_lhs_thm1 == pytest.approx(0.25 * (1.0 - 0.25))
-    assert rep.weighted_lhs_thm2 == pytest.approx(0.5 * 0.25 * (2.0 - 0.25))
-    assert rep.weighted_lhs_thm2_iterates == pytest.approx(0.5 * 0.25 * (3.0 - 0.25))
-    r0 = 0.5 * (1.0 - 0.25) ** 2
-    assert rep.r0 == pytest.approx(r0)
-    assert rep.rhs_thm1 == pytest.approx(0.5 * 0.1 * 0.25 + 2.0 * r0)
-    assert rep.rhs_thm2 == pytest.approx(0.25 * 0.1 * 0.25 + r0)
+    trace = _fabricated_trace(rows, T=0, x0=(1.0,))
+    trace.extra_meta.update(fixed_step=True, Mv=3.0, v=1.0)
+    for bound, lhs, rhs in (
+        ("thm1", 0.25 * (1.0 - 0.25), 0.5 * 0.1 * 0.25 + 2.0 * 0.5 * 0.75**2),
+        ("thm2", 0.125 * (2.0 - 0.25), 0.25 * 0.1 * 0.25 + 0.5 * 0.75**2),
+        ("oupgm corollary", 1.0 - 0.25, 0.5 * 0.1 + 2.0 * 3.0 * 0.5 * 0.75**2),
+        ("oudgm corollary", 3.0 - 0.25, 0.5 * 0.1 + 2.0 * 3.0 * 0.5 * 0.75**2),
+    ):
+        r0, got_lhs, got_rhs = evaluate_regret(trace, prob, np.array([0.25]), bound)
+        assert r0 == pytest.approx(0.5 * 0.75**2), bound
+        assert got_lhs.tolist() == [pytest.approx(lhs)], bound
+        assert got_rhs.tolist() == [pytest.approx(rhs)], bound
+
+
+def test_verify_judges_every_prefix_of_the_regret_bound():
+    """g_0 = (x - 1)^2 and g_1 = (x + 1)^2, so x* = 0 with g_i(x*) = 1 and
+    r0 = 0 from x0 = 0.  Round 0 reads F = 3 at weight 1: its prefix breaks
+    thm1 (2 > 0.05); round 1 reads F = 0.5 at weight 10, which brings the
+    sum back under (-3 <= 0.55).  The run fails though its last prefix holds."""
+    prob = lasso_problem(LassoInstance(A=np.array([[1.0], [1.0]]), b=np.array([1.0, -1.0])))
+    rows = [(0, 0, 1.0, 3.0, 3.0, 3.0, 1.0, 0.0, 0), (1, 0, 0.1, 0.5, 0.5, 0.5, 1.0, 0.0, 1)]
+    reference = ReferenceSolution(x=np.zeros(1), f=1.0, iterations=1, residual=0.0, gap=0.0,
+                                  steps=[])
+    report, (name, ks, lhs, rhs) = verify(_fabricated_trace(rows, T=1), prob, reference)
+    assert (name, list(ks)) == ("lhs", [0, 1])
+    assert lhs.tolist() == pytest.approx([2.0, -3.0])
+    assert rhs.tolist() == pytest.approx([0.05, 0.55])
+    assert (report["lhs"], report["rhs"]) == (lhs[-1], rhs[-1])
+    assert report["min_prefix_margin"] == pytest.approx(0.05 - 2.0)
+    assert (report["checked"], report["ok"]) == ("thm1", False)
 
 
 def test_regret_rejects_incomplete_trace():
     prob = _scalar_problem()
     rows = [(0, 0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)]
     with pytest.raises(ValueError, match="incomplete"):
-        evaluate_regret(_fabricated_trace(rows, T=5), prob, np.zeros(1))
+        evaluate_regret(_fabricated_trace(rows, T=5), prob, np.zeros(1), "thm1")
 
 
 def test_regret_needs_components_or_order():
     prob = _scalar_problem()
     rows = [(0, 0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0)]  # no component recorded
     with pytest.raises(ValueError, match="unknown order kind: None"):
-        evaluate_regret(_fabricated_trace(rows, T=0), prob, np.zeros(1))
+        evaluate_regret(_fabricated_trace(rows, T=0), prob, np.zeros(1), "thm1")
 
 
 def test_regret_rejects_foreign_components():
     prob = _scalar_problem()
     rows = [(0, 0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5)]
     with pytest.raises(ValueError, match="components"):
-        evaluate_regret(_fabricated_trace(rows, T=0), prob, np.zeros(1))
+        evaluate_regret(_fabricated_trace(rows, T=0), prob, np.zeros(1), "thm1")
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +465,17 @@ def test_run_experiment_online_artifacts(tmp_path):
     assert set(paths) == {"trace", "report", "bounds"}
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["algorithm"] == "oupgm"
-    assert report["thm1_satisfied"] is True
+    assert (report["checked"], report["ok"]) == ("thm1", True)
     assert report["T"] == 50
     lines = (tmp_path / "run" / "bounds.csv").read_text().strip().splitlines()
-    assert lines[0] == "k,gap,bound"
+    assert lines[0] == "k,lhs,bound"
     assert len(lines) == 52  # header plus T + 1 prefix rows
-    # every prefix bound dominates its gap for a theorem-satisfying run
+    # thm1 holds at every prefix, as the verdict says; the last row is the
+    # report's
     for line in lines[1:]:
-        _, gap, bound = line.split(",")
-        assert float(gap) <= float(bound) + 1e-9
+        _, lhs, bound = map(float, line.split(","))
+        assert lhs <= bound + 1e-9 * (1.0 + abs(bound))
+    assert [float(v) for v in lines[-1].split(",")[1:]] == [report["lhs"], report["rhs"]]
 
     rep = _recheck(paths)
     assert rep["ok"] and rep["checked"] == "thm1"
@@ -465,7 +495,8 @@ def test_run_experiment_fixed_step_and_recheck(tmp_path, algorithm):
     paths = run_experiment(cfg)
     report = json.loads(Path(paths["report"]).read_text())
     assert report["fixed_step"] is True
-    assert report["corollary_satisfied"] is True
+    assert report["ok"] is True and report["min_prefix_margin"] > 0.0
+    assert report["fixed_step_modulus"] > 0.0
     rep = _recheck(paths)
     assert rep["ok"] and rep["checked"] == "fixed-step regret corollary"
 
@@ -566,8 +597,8 @@ REFERENCE_KEYS = {"tol", "x_star", "reference_gap", "reference_iterations",
 @pytest.mark.parametrize(
     "algorithm, fixed_step, extra",
     [
-        ("oupgm", False, REFERENCE_KEYS),
-        ("oudgm", False, REFERENCE_KEYS),
+        ("oupgm", False, REFERENCE_KEYS | {"fixed_step"}),
+        ("oudgm", False, REFERENCE_KEYS | {"fixed_step"}),
         ("oupgm", True, REFERENCE_KEYS | {"fixed_step", "Mv", "v"}),
         ("oudgm", True, REFERENCE_KEYS | {"fixed_step", "Mv", "v"}),
         ("sug", False, REFERENCE_KEYS | {"M", "dist0_sq", "f_final"}),
@@ -726,7 +757,7 @@ def test_sug_verdict_measures_gaps_from_the_certified_lower_bound(tmp_path):
     planted = ReferenceSolution(x=x, f=problem.value(x), iterations=1, residual=0.0,
                                 gap=problem.certify(x)[1], steps=[])
     assert planted.f > true.f + 10.0 * trace.eps
-    report, (_, gaps, bounds) = verify(trace, problem, planted)
+    report, (_, _, gaps, bounds) = verify(trace, problem, planted)
     # measured from f_ref alone, every gap would sit under its bound ...
     assert all(gap <= bound for gap, bound in zip(gaps, bounds))
     # ... but measured from the certified lower bound f_ref - gap <= f*,
@@ -801,7 +832,7 @@ def test_golden_runs_replay_from_their_metadata(path, tmp_path):
 ], ids=["mixed", "finite", "infinite", "none"])
 def test_bound_curve_writes_each_bound_and_leaves_infinite_ones_empty(bounds, tmp_path):
     gaps = [0.5, 0.25, 0.0, -0.0, np.float64(1e-300), 2]
-    harness._write_bound_curve(tmp_path / "bounds.csv", (range(1, 7), gaps, bounds))
+    harness._write_bound_curve(tmp_path / "bounds.csv", ("gap", range(1, 7), gaps, bounds))
     texts = [""] * 6 if bounds is None else [
         repr(float(b)) if math.isfinite(b) else "" for b in bounds]
     want = [f"{k},{float(g)!r},{b}" for k, g, b in zip(range(1, 7), gaps, texts)]

@@ -175,7 +175,7 @@ def test_regret_ledger_reads_f_star_in_one_batched_call(family):
         return oracle.values(idx, x)
 
     problem.components = dataclasses.replace(oracle, values=values)
-    harness.evaluate_regret(trace, problem, x_star)
+    harness.evaluate_regret(trace, problem, x_star, "thm1")
     assert counts == {"value": 0, "grad": 0}
     assert batches == [T + 1]
 

@@ -7,7 +7,7 @@ import pytest
 
 from unigrad.bregman import gamma
 from unigrad.harness import evaluate_regret, reference_solution, sample_order
-from helpers import zero_problem
+from helpers import regret_holds, zero_problem
 from unigrad.oracles import Regularizer, soft_threshold
 from unigrad.problems import (
     LassoInstance,
@@ -89,8 +89,8 @@ def test_run_satisfies_aggregate_bound_on_lasso_stream():
     order = sample_order("sequential", 501, 500, seed=None)
     _, trace = upgm_run(prob, order, np.zeros(8), 1.0, 1e-3, 500)
     ref = reference_solution(prob, tol=1e-10)
-    rep = evaluate_regret(trace, prob, ref.x)
-    assert rep.thm1_satisfied
+    _, lhs, rhs = evaluate_regret(trace, prob, ref.x, "thm1")
+    assert regret_holds(lhs, rhs)
 
 
 def test_run_is_deterministic():
