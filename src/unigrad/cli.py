@@ -18,6 +18,9 @@ import os
 import sys
 
 from .harness import (
+    ALGORITHMS,
+    ORDERS,
+    PROBLEM_FIELDS,
     REFERENCE_TOL,
     RunConfig,
     check_bounds,
@@ -28,7 +31,7 @@ from .harness import (
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", default=None, metavar="PATH",
+    parser.add_argument("--data", dest="path", default=None, metavar="PATH",
                         help="sample CSV for lasso-csv (rows: b,a_1,...,a_p)")
     parser.add_argument("--p", type=int, default=20, help="dimension (generators)")
     parser.add_argument("--n", type=int, default=100, help="sample count for synth-lasso")
@@ -56,10 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment and write artifacts")
-    run_p.add_argument("--algorithm", required=True,
-                       choices=["oupgm", "oudgm", "sug", "batch"])
-    run_p.add_argument("--problem", required=True,
-                       choices=["synth-lasso", "lasso-csv", "steiner"])
+    run_p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    run_p.add_argument("--problem", required=True, choices=PROBLEM_FIELDS)
     run_p.add_argument("--fixed-step", action="store_true",
                        help="replace the line search with the fixed accuracy-matched modulus")
     run_p.add_argument("--eps", default="1e-2",
@@ -71,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--L0", type=float, default=1.0, help="initial modulus guess")
     run_p.add_argument("--M", type=float, default=None, help="surrogate modulus (sug)")
     run_p.add_argument("--T", type=int, default=1000, help="round/iteration budget")
-    run_p.add_argument("--order", choices=["sequential", "cyclic", "random"],
-                       default="random")
+    run_p.add_argument("--order", choices=ORDERS, default="random")
     run_p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default runs/<algorithm>)")
     run_p.add_argument("--dist0", type=float, default=None,
@@ -84,34 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
     chk_p.add_argument("trace", help="path to a trace.csv written by run")
 
     ref_p = sub.add_parser("reference", help="solve a problem to high accuracy")
-    ref_p.add_argument("problem", choices=["synth-lasso", "lasso-csv", "steiner"])
+    ref_p.add_argument("problem", choices=PROBLEM_FIELDS)
     _add_problem_flags(ref_p)
 
     return parser
 
 
 def _problem_descriptor(args) -> dict:
-    kind = args.problem
-    if kind == "synth-lasso":
-        return {
-            "kind": kind,
-            "p": args.p,
-            "n": args.n,
-            "sparsity": args.sparsity,
-            "noise": args.noise,
-            "seed": args.seed,
-            "mu": args.mu,
-            "ridge": args.ridge,
-        }
-    if kind == "lasso-csv":
-        if not args.data:
-            raise ValueError("data is required when problem is lasso-csv (flag --data)")
+    """The descriptor of the chosen problem: each field of its kind in
+    PROBLEM_FIELDS from the flag of its name, path from --data."""
+    desc = {"kind": args.problem}
+    desc.update((key, getattr(args, key)) for key in PROBLEM_FIELDS[args.problem])
+    if "path" in desc:
+        if not desc["path"]:
+            raise ValueError(f"data is required when problem is {args.problem} (flag --data)")
         # absolute, so check-bounds can rebuild the problem from any directory
-        path = os.path.abspath(args.data)
-        return {"kind": kind, "path": path, "mu": args.mu, "ridge": args.ridge}
-    if kind == "steiner":
-        return {"kind": kind, "p": args.p, "m": args.m, "seed": args.seed}
-    raise ValueError(f"unknown problem: {kind!r}")
+        desc["path"] = os.path.abspath(desc["path"])
+    return desc
 
 
 def _parse_eps(text):

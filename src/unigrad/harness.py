@@ -181,6 +181,9 @@ def _finite_smooth_value(value: float, it: int) -> float:
     return value
 
 
+ORDERS = ("sequential", "cyclic", "random")  # the order kinds sample_order draws
+
+
 def sample_order(kind: str, n: int, T: int, seed: int | None) -> np.ndarray:
     """Component visit order of length T + 1.
 
@@ -262,56 +265,59 @@ def evaluate_regret(trace: RunTrace, problem: CompositeProblem, x: np.ndarray,
 # Problem descriptors (serialized into trace metadata, rebuilt by check-bounds)
 
 
-def _descriptor_field(desc: dict, key: str, kind, default=None):
-    """desc[key] converted by kind, or default when the key is absent and a
-    default is given; ValueError naming the field when it is missing or
-    kind refuses it."""
-    if key not in desc:
-        if default is None:
-            raise ValueError(f"{desc['kind']} problem descriptor lacks the field {key!r}")
-        return default
-    try:
-        return kind(desc[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"problem descriptor field {key!r} is {desc[key]!r}, not of type {kind.__name__}"
-        ) from exc
+# kind -> its fields, each field -> (JSON type, default), the default None
+# when the field is required.  The CLI fills each field from the flag of its
+# name, path from --data.
+PROBLEM_FIELDS = {
+    "synth-lasso": {"p": (int, None), "n": (int, None), "sparsity": (int, None),
+                    "noise": (float, None), "seed": (int, None), "mu": (float, 0.0),
+                    "ridge": (float, 0.0)},
+    "lasso-csv": {"path": (str, None), "mu": (float, 0.0), "ridge": (float, 0.0)},
+    "steiner": {"p": (int, None), "m": (int, None), "seed": (int, None)},
+}
+
+
+def _descriptor_fields(desc: dict) -> tuple[str, dict]:
+    """(kind, fields) of a problem descriptor, every field of its kind in
+    PROBLEM_FIELDS read and typed: an int field takes a JSON integer, a
+    float field any JSON number, neither a bool.  ValueError names an
+    unknown kind, or the field that is missing or of another type."""
+    if not isinstance(desc, dict) or "kind" not in desc:
+        raise ValueError("problem descriptor must be a dict with a 'kind' key")
+    kind = desc["kind"]
+    if not isinstance(kind, str) or kind not in PROBLEM_FIELDS:
+        raise ValueError(f"unknown problem kind: {kind!r}")
+    fields = {}
+    for key, (json_type, default) in PROBLEM_FIELDS[kind].items():
+        if key not in desc:
+            if default is None:
+                raise ValueError(f"{kind} problem descriptor lacks the field {key!r}")
+            fields[key] = default
+            continue
+        value = desc[key]
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if json_type is float else json_type):
+            raise ValueError(f"problem descriptor field {key!r} is {value!r}, "
+                             f"not of type {json_type.__name__}")
+        fields[key] = json_type(value)
+    return kind, fields
 
 
 def problem_from_descriptor(desc: dict) -> CompositeProblem:
     """Rebuild a problem from its trace-metadata descriptor; a field its
     kind needs that is missing or of the wrong type raises ValueError
     naming it."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ValueError("problem descriptor must be a dict with a 'kind' key")
-    kind = desc["kind"]
-    if kind == "synth-lasso":
-        inst = synth_lasso(
-            p=_descriptor_field(desc, "p", int),
-            n=_descriptor_field(desc, "n", int),
-            sparsity=_descriptor_field(desc, "sparsity", int),
-            noise=_descriptor_field(desc, "noise", float),
-            seed=_descriptor_field(desc, "seed", int),
-            l1_weight=_descriptor_field(desc, "mu", float, 0.0),
-            ridge_weight=_descriptor_field(desc, "ridge", float, 0.0),
-        )
-        return lasso_problem(inst)
-    if kind == "lasso-csv":
-        l1_weight = _descriptor_field(desc, "mu", float, 0.0)
-        ridge_weight = _descriptor_field(desc, "ridge", float, 0.0)
-        # before reading a data file of any size
-        check_nonnegative("l1_weight (--mu)", l1_weight)
-        check_nonnegative("ridge_weight (--ridge)", ridge_weight)
-        inst = load_samples(_descriptor_field(desc, "path", str))
-        inst = LassoInstance(A=inst.A, b=inst.b, l1_weight=l1_weight,
-                             ridge_weight=ridge_weight)
-        return lasso_problem(inst)
+    kind, fields = _descriptor_fields(desc)
     if kind == "steiner":
-        inst = synth_steiner(p=_descriptor_field(desc, "p", int),
-                             m=_descriptor_field(desc, "m", int),
-                             seed=_descriptor_field(desc, "seed", int))
-        return steiner_problem(inst)
-    raise ValueError(f"unknown problem kind: {kind!r}")
+        return steiner_problem(synth_steiner(**fields))
+    weights = {"l1_weight": fields.pop("mu"), "ridge_weight": fields.pop("ridge")}
+    if kind == "synth-lasso":
+        return lasso_problem(synth_lasso(**fields, **weights))
+    # before reading a data file of any size
+    check_nonnegative("l1_weight (--mu)", weights["l1_weight"])
+    check_nonnegative("ridge_weight (--ridge)", weights["ridge_weight"])
+    inst = load_samples(fields["path"])
+    return lasso_problem(LassoInstance(A=inst.A, b=inst.b, **weights))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +352,8 @@ class RunConfig:
             raise ValueError(f"T must be nonnegative, got {self.T}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.order not in ("sequential", "cyclic", "random"):
-            raise ValueError(f"order must be sequential|cyclic|random, got {self.order!r}")
+        if self.order not in ORDERS:
+            raise ValueError(f"order must be {'|'.join(ORDERS)}, got {self.order!r}")
         if self.algorithm == "sug" and self.M is None:
             raise ValueError("M must be a positive float for the sug algorithm")
         for name, value in (
@@ -603,16 +609,16 @@ def check_bounds(trace_path) -> tuple[dict, bool]:
     trace = parse_trace_csv(trace_path)
     if not trace.problem_meta:
         raise ValueError(f"{trace_path}: trace has no problem descriptor metadata")
+    kind, fields = _descriptor_fields(trace.problem_meta)
     extra = trace.extra_meta
-    kind = trace.problem_meta.get("kind")
     for run in ("every", trace.algorithm, "fixed_step" if extra.get("fixed_step") else None, kind):
         for key in EXTRA_KEYS.get(run, ()):
             if key not in extra:
                 raise ValueError(f"{trace_path}: extra metadata key {key!r} missing")
-    if kind == "lasso-csv":
-        path = _descriptor_field(trace.problem_meta, "path", str)
-        if _sha256(path) != extra["data_sha256"]:
-            raise ValueError(f"{path}: data file changed since the run wrote {trace_path}")
+    if "path" in fields:
+        if _sha256(fields["path"]) != extra["data_sha256"]:
+            raise ValueError(f"{fields['path']}: data file changed since the run wrote "
+                             f"{trace_path}")
     problem = problem_from_descriptor(trace.problem_meta)
     x = np.asarray(extra["x_star"], dtype=float)
     smooth, gap = problem.certify(x)

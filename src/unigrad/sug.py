@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import (CompositeProblem, Regularizer, block_len, check_answer, oracle_grad,
-                      oracle_value)
+from .oracles import CompositeProblem, Regularizer, check_answer, oracle_grad, oracle_value
 from .trace import RunTrace
 
 
@@ -137,22 +136,20 @@ def sug_run(
     regularizer, value = problem.regularizer, problem.components.value
     table = sug_init(problem, trace.x0, cfg.M)
     rng = np.random.default_rng(cfg.seed)
-    K, step = cfg.max_iters, block_len(8)
     x = trace.x0
     h_x = regularizer.value(x)  # h at the iterate, carried from the last iteration
     start = time.perf_counter_ns()
-    for s in range(0, K, step):
-        # a block of draws is the stream of as many scalar draws
-        for k, j in enumerate(rng.integers(0, table.n, size=min(step, K - s)).tolist(), s):
-            x_next = sug_subproblem(table, regularizer)
-            g_x = float(value(j, x))
-            if not math.isfinite(g_x):
-                check_answer(j, k, g_x)
-            f_x, h_x = g_x + h_x, regularizer.value(x_next)
-            f_next = sug_update(table, j, x_next, k) + h_x
-            trace.add_row(k, 0, cfg.M, f_x, f_next, f_next, math.nan,
-                          (time.perf_counter_ns() - start) / 1e9, j, x_next)
-            x = x_next
+    # one draw of K indices is the stream of K scalar draws
+    for k, j in enumerate(rng.integers(0, table.n, size=cfg.max_iters).tolist()):
+        x_next = sug_subproblem(table, regularizer)
+        g_x = float(value(j, x))
+        if not math.isfinite(g_x):
+            check_answer(j, k, g_x)
+        f_x, h_x = g_x + h_x, regularizer.value(x_next)
+        f_next = sug_update(table, j, x_next, k) + h_x
+        trace.add_row(k, 0, cfg.M, f_x, f_next, f_next, math.nan,
+                      (time.perf_counter_ns() - start) / 1e9, j, x_next)
+        x = x_next
     trace.fill_f_full(problem.values)
     return x.copy(), trace
 

@@ -9,12 +9,13 @@ backtracks a modulus M = 2^i * L_t until the Bregman point at the current
 iterate passes the inexact descent test, exactly as in upgm (the model
 value at that point certifies the per-round progress the aggregate bound
 needs).  With L_{t+1} = M / 2 the round's linearization is folded into the
-model with coefficient 1 / M = 1 / (2 L_{t+1}), and the next iterate is
+model with coefficient 1 / M = 1 / (2 L_{t+1}),
 
-    x_{t+1} = argmin_x phi_t(x) + (1/M) [g_t(x_t) + <grad g_t(x_t), x - x_t> + h(x)],
+    phi_{t+1}(x) = phi_t(x) + (1/M) [g_t(x_t) + <grad g_t(x_t), x - x_t> + h(x)],
 
-which minimizes phi_{t+1} exactly.  It is computed once per round, at the
-accepted modulus.  The rounds run in the driver shared with upgm.
+and the next iterate is its minimizer, x_{t+1} = argmin_x phi_{t+1}(x),
+computed once per round, at the accepted modulus.  The rounds run in the
+driver shared with upgm.
 
 The constant c = sum_t (1/M_t) [g_t(x_t) - <grad g_t(x_t), x_t>] belongs to
 the model but not to its minimizer, which depends on s and A alone; so
@@ -33,48 +34,28 @@ from .upgm import _run_rounds
 @dataclass
 class DualModel:
     """The part of phi(x) = dist(anchor, x) + <s, x> + A h(x) + c that its
-    minimizer reads: the anchor, s and A.
-
-    A round minimizes the model with its linearization added, then folds
-    that linearization in: argmin keeps the sum s + coeff * grad it builds,
-    and fold takes it over when handed the same s, coeff and grad, so the
-    sum is computed once a round."""
+    minimizer reads: the anchor, s and A, starting from the empty model
+    s = 0, A = 0."""
 
     anchor: np.ndarray
-    s: np.ndarray = field(default=None)  # type: ignore[assignment]
-    A: float = 0.0
-    _sum: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    s: np.ndarray = field(init=False)
+    A: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         self.anchor = np.asarray(self.anchor, dtype=float).copy()
-        if self.s is None:
-            self.s = np.zeros_like(self.anchor)
-
-    def argmin(
-        self, regularizer: Regularizer, extra_coeff: float, extra_grad: np.ndarray
-    ) -> np.ndarray:
-        """Minimizer of the model plus the linearization term
-        extra_coeff * [<extra_grad, x> + h(x)].
-
-        With w = s + extra_coeff * extra_grad and B = A + extra_coeff, the
-        minimizer is prox_{B h}(anchor - w).
-        """
-        if extra_coeff < 0:
-            raise ValueError(f"extra_coeff must be nonnegative, got {extra_coeff}")
-        w = self.s + extra_coeff * np.asarray(extra_grad, dtype=float)
-        self._sum = (self.s, extra_coeff, extra_grad, w)
-        return regularizer.prox(self.anchor - w, self.A + extra_coeff)
+        self.s = np.zeros_like(self.anchor)
 
     def fold(self, coeff: float, g_grad: np.ndarray) -> None:
         """Add coeff * [<grad g(x_t), x> + h(x)] to the model: the round's
         linearization without its constant."""
-        last = self._sum
-        self._sum = None
-        if last is not None and last[0] is self.s and last[1] == coeff and last[2] is g_grad:
-            self.s = last[3]
-        else:
-            self.s = self.s + coeff * np.asarray(g_grad, dtype=float)
+        if not 0 <= coeff < np.inf:
+            raise ValueError(f"coeff must be nonnegative and finite, got {coeff}")
+        self.s = self.s + coeff * np.asarray(g_grad, dtype=float)
         self.A += coeff
+
+    def argmin(self, regularizer: Regularizer) -> np.ndarray:
+        """The model's minimizer, prox_{A h}(anchor - s)."""
+        return regularizer.prox(self.anchor - self.s, self.A)
 
 
 def udgm_run(

@@ -70,9 +70,10 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
     accepted trial at 2 gamma(M_v, v, eps), the Holder constants defaulting
     to the problem's.  Without a model (oupgm) the Bregman point is the next
     iterate and the weighted average is returned.  With a DualModel (oudgm)
-    the next iterate is the model's minimizer after folding in the round's
-    linearization at the accepted modulus, and the final iterate is returned;
-    the fixed-step dual round computes no Bregman point.
+    the round folds its linearization into the model at the accepted
+    modulus, the next iterate is the model's minimizer, and the final
+    iterate is returned; the fixed-step dual round computes no Bregman
+    point.
 
     A trial costs one bregman_map, one value of g_t and one difference
     y - x for both terms of the descent test; h at the round's point is
@@ -152,9 +153,8 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
             weight_sum += weight
             weighted_x += weight * y
         else:
-            coeff = 0.5 / L  # the accepted modulus is 2 L, so coeff = 1 / M
-            x = model.argmin(regularizer, coeff, g_grad)
-            model.fold(coeff, g_grad)
+            model.fold(0.5 / L, g_grad)  # the accepted modulus is 2 L: coeff = 1 / M
+            x = model.argmin(regularizer)
             g_next = float(value(k, x))
             if not math.isfinite(g_next):
                 check_answer(k, t, g_next)

@@ -224,6 +224,26 @@ def test_check_bounds_refuses_a_descriptor_without_a_field(tmp_path, capsys, fla
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, edit, message", [
+    (OUPGM, _with_header("problem", lambda desc: dict(desc, p=20.9)),
+     "problem descriptor field 'p' is 20.9, not of type int"),
+    (OUPGM, _with_header("problem", lambda desc: dict(desc, seed=False)),
+     "problem descriptor field 'seed' is False, not of type int"),
+    (["--algorithm", "oupgm", "--problem", "lasso-csv"],
+     _with_header("problem", lambda desc: dict(desc, path=3)),
+     "problem descriptor field 'path' is 3, not of type str"),
+    (OUPGM, _with_header("problem", lambda desc: dict(desc, kind=[desc["kind"]])),
+     "unknown problem kind: ['synth-lasso']"),
+], ids=["float-p", "bool-seed", "int-path", "list-kind"])
+def test_check_bounds_refuses_a_descriptor_field_of_another_type(tmp_path, capsys, flags, edit,
+                                                                 message):
+    """A descriptor field of another JSON type exits 2 naming it: check-bounds
+    never judges the run on data rebuilt from a coerced value, and a kind
+    that is not a string is an unknown kind, not a traceback."""
+    _, err = _refused_after(flags, edit, tmp_path, capsys)
+    assert err == f"error: {message}\n"
+
+
 def test_check_bounds_missing_file_exits_2(tmp_path, capsys):
     code = main(["check-bounds", str(tmp_path / "nope.csv")])
     assert code == 2

@@ -397,10 +397,25 @@ def _cfg(**kw):
     ({"kind": "steiner", "p": 2, "seed": 0}, "steiner problem descriptor lacks the field 'm'"),
     (dict(SYNTH_DESC, n=None), "problem descriptor field 'n' is None, not of type int"),
     (dict(SYNTH_DESC, mu=[0.1]), r"problem descriptor field 'mu' is \[0.1\], not of type float"),
-], ids=["synth-lasso-no-p", "lasso-csv-no-path", "steiner-no-m", "null-n", "list-mu"])
+    # checked, not coerced: int() would read each of these as an integer
+    (dict(SYNTH_DESC, p=20.9), "problem descriptor field 'p' is 20.9, not of type int"),
+    (dict(SYNTH_DESC, p="20"), "problem descriptor field 'p' is '20', not of type int"),
+    (dict(SYNTH_DESC, seed=False), "problem descriptor field 'seed' is False, not of type int"),
+    (dict(SYNTH_DESC, mu=True), "problem descriptor field 'mu' is True, not of type float"),
+    (dict(SYNTH_DESC, noise="0.1"), "problem descriptor field 'noise' is '0.1', not of type float"),
+    ({"kind": "lasso-csv", "path": 3}, "problem descriptor field 'path' is 3, not of type str"),
+], ids=["synth-lasso-no-p", "lasso-csv-no-path", "steiner-no-m", "null-n", "list-mu",
+        "float-p", "str-p", "bool-seed", "bool-mu", "str-noise", "int-path"])
 def test_descriptor_names_a_missing_or_malformed_field(desc, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         problem_from_descriptor(desc)
+
+
+def test_descriptor_float_field_takes_a_json_integer():
+    whole = problem_from_descriptor(dict(SYNTH_DESC, noise=0, mu=1))
+    want = problem_from_descriptor(dict(SYNTH_DESC, noise=0.0, mu=1.0))
+    x = np.linspace(-1.0, 1.0, SYNTH_DESC["p"])
+    assert whole.value(x) == want.value(x)
 
 
 @pytest.mark.parametrize(

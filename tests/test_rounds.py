@@ -62,23 +62,28 @@ def test_adaptive_rounds_record_the_accepted_bregman_point(runner):
 
 
 def test_adaptive_oudgm_minimizes_the_model_once_per_round(monkeypatch):
-    coeffs = []
-    argmin = DualModel.argmin
+    calls = []
+    fold, argmin = DualModel.fold, DualModel.argmin
 
-    def spy(self, regularizer, extra_coeff, extra_grad):
-        coeffs.append(extra_coeff)
-        return argmin(self, regularizer, extra_coeff, extra_grad)
+    def fold_spy(self, coeff, g_grad):
+        calls.append(coeff)
+        fold(self, coeff, g_grad)
 
-    monkeypatch.setattr(DualModel, "argmin", spy)
+    def argmin_spy(self, regularizer):
+        calls.append("argmin")
+        return argmin(self, regularizer)
+
+    monkeypatch.setattr(DualModel, "fold", fold_spy)
+    monkeypatch.setattr(DualModel, "argmin", argmin_spy)
     prob = lasso_problem(synth_lasso(p=5, n=40, sparsity=2, noise=0.2, seed=1,
                                      l1_weight=0.1))
     T = 60
     order = sample_order("random", 40, T, seed=2)
     _, trace = udgm_run(prob, order, np.zeros(5), 1.0, 1e-2, T)
     assert sum(i + 1 for i in trace.i_t) > T + 1  # some rounds backtracked
-    assert len(coeffs) == T + 1
-    # each minimizer is taken at the accepted modulus 2 L_next
-    assert coeffs == [0.5 / L for L in trace.L_next]
+    # each round folds its linearization at the accepted modulus 2 L_next,
+    # then minimizes the model once
+    assert calls == [c for L in trace.L_next for c in (0.5 / L, "argmin")]
 
 
 def _with_bad_component(bad, value_fn):

@@ -36,7 +36,7 @@ def _fresh_model(dim=2, x0=None):
 
 def test_empty_model_minimized_at_anchor():
     model = _fresh_model(x0=np.array([1.5, -2.0]))
-    got = model.argmin(Regularizer(), 0.0, np.zeros(2))
+    got = model.argmin(Regularizer())
     np.testing.assert_array_equal(got, np.array([1.5, -2.0]))
 
 
@@ -45,47 +45,26 @@ def test_argmin_without_regularizer_is_anchor_minus_aggregate():
     rng = np.random.default_rng(0)
     for _ in range(5):
         model.fold(float(rng.uniform(0.1, 1.0)), rng.normal(size=3))
-    grad = rng.normal(size=3)
-    coeff = 0.4
-    got = model.argmin(Regularizer(), coeff, grad)
-    np.testing.assert_allclose(got, model.anchor - model.s - coeff * grad,
-                               rtol=1e-15)
+    s, grad, coeff = model.s, rng.normal(size=3), 0.4
+    model.fold(coeff, grad)
+    got = model.argmin(Regularizer())
+    np.testing.assert_allclose(got, model.anchor - s - coeff * grad, rtol=1e-15)
 
 
 def test_argmin_scalar_l1_case():
-    model = DualModel(anchor=np.array([2.0]), s=np.array([1.0]), A=0.5)
-    got = model.argmin(Regularizer(1.0), 0.0, np.zeros(1))
+    model = DualModel(anchor=np.array([2.0]))
+    model.fold(0.5, np.array([2.0]))  # s = 1, A = 0.5
+    got = model.argmin(Regularizer(1.0))
     np.testing.assert_allclose(got, np.array([0.5]))
 
 
-def test_argmin_validates_extra_term():
+@pytest.mark.parametrize("coeff", [-0.1, float("nan"), float("inf")])
+def test_fold_refuses_a_negative_or_non_finite_coeff(coeff):
     model = _fresh_model()
-    with pytest.raises(ValueError):
-        model.argmin(Regularizer(), -0.1, np.zeros(2))
-
-
-def test_fold_takes_over_the_sum_argmin_built():
-    rng = np.random.default_rng(4)
-    model = _fresh_model(3, x0=rng.normal(size=3))
-    model.fold(0.3, rng.normal(size=3))
-    grad, coeff = rng.normal(size=3), 0.7
-    want = model.s + coeff * grad
-    model.argmin(Regularizer(0.1), coeff, grad)
-    built = model._sum[3]
-    model.fold(coeff, grad)
-    assert model.s is built
-    np.testing.assert_array_equal(model.s, want)
-    # another coefficient, another gradient array, another s, or no argmin
-    # since the last fold: the sum is built afresh
-    for args, s in (((0.5, grad), None), ((0.2, grad.copy()), None),
-                    ((0.2, grad), rng.normal(size=3)), (None, None)):
-        if args is not None:
-            model.argmin(Regularizer(0.1), *args)
-        if s is not None:
-            model.s = s
-        before = model.s
-        model.fold(0.2, grad)
-        np.testing.assert_array_equal(model.s, before + 0.2 * grad)
+    with pytest.raises(ValueError, match=f"^coeff must be nonnegative and finite, got {coeff}$"):
+        model.fold(coeff, np.zeros(2))
+    np.testing.assert_array_equal(model.s, np.zeros(2))
+    assert model.A == 0.0
 
 
 def test_model_value_reconstruction():
@@ -125,7 +104,7 @@ def test_model_strong_convexity_around_its_minimizer():
         g_grad, x_t = rng.normal(size=4), rng.normal(size=4)
         model.fold(coeff, g_grad)
         c += coeff * (g_val - float(g_grad @ x_t))
-    xbar = model.argmin(h, 0.0, np.zeros(4))
+    xbar = model.argmin(h)
     geom = ProxFunction(4)
 
     def phi(y):
