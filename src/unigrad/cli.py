@@ -64,19 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--fixed-step", action="store_true",
                        help="replace the line search with the fixed accuracy-matched modulus")
     run_p.add_argument("--eps", default="1e-2",
-                       help="accuracy parameter: a positive float, or 'auto' for T^(-(1+v)/2)")
-    run_p.add_argument("--v", type=float, default=None,
-                       help="Holder degree override (fixed-step / eps auto)")
-    run_p.add_argument("--Mv", type=float, default=None,
-                       help="Holder modulus override (fixed-step)")
+                       help="accuracy parameter: a positive float, or 'auto' for "
+                            "T^(-(1+v)/2), v the stream's Holder degree")
     run_p.add_argument("--L0", type=float, default=1.0, help="initial modulus guess")
     run_p.add_argument("--M", type=float, default=None, help="surrogate modulus (sug)")
     run_p.add_argument("--T", type=int, default=1000, help="round/iteration budget")
     run_p.add_argument("--order", choices=ORDERS, default="random")
     run_p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default runs/<algorithm>)")
-    run_p.add_argument("--dist0", type=float, default=None,
-                       help="override for ||x0 - x*||^2 in the sug bound")
     _add_problem_flags(run_p)
 
     chk_p = sub.add_parser("check-bounds",
@@ -113,21 +108,11 @@ def _parse_eps(text):
 
 
 def _cmd_run(args) -> int:
+    # every other field from the flag of its name
     cfg = RunConfig(
-        algorithm=args.algorithm,
-        problem=_problem_descriptor(args),
-        out=args.out or f"runs/{args.algorithm}",
-        eps=_parse_eps(args.eps),
-        T=args.T,
-        L0=args.L0,
-        M=args.M,
-        order=args.order,
-        seed=args.seed,
-        fixed_step=args.fixed_step,
-        holder_modulus=args.Mv,
-        holder_degree=args.v,
-        tol=args.tol,
-        dist0_sq=args.dist0,
+        problem=_problem_descriptor(args), out=args.out or f"runs/{args.algorithm}",
+        eps=_parse_eps(args.eps), **{key: getattr(args, key) for key in (
+            "algorithm", "T", "L0", "M", "order", "seed", "fixed_step", "tol")},
     )
     paths = run_experiment(cfg)
     print(json.dumps(paths, indent=2, sort_keys=True))

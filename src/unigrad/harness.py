@@ -19,17 +19,17 @@ only what they alone know; after the run, run_experiment stamps the trace
 with the problem descriptor, the seed, the order kind (none for batch) and
 its own `extra` keys.  The trace's `extra` metadata carries what the bounds
 need beyond the columns, and check-bounds refuses a trace that lacks a key
-its run writes (EXTRA_KEYS):
+its run writes, or holds one of another JSON type (EXTRA_KEYS):
 
     tol       residual tolerance of the reference solve (every run)
     x_star    the reference minimizer, floats written to round-trip (every run)
     reference_gap, reference_iterations, reference_residual
               the reference's certificate, step count and last residual
     fixed_step  oupgm and oudgm: whether the run took fixed steps (solver)
-    Mv, v     fixed-step runs: the Holder modulus and degree used (solver)
+    Mv, v     fixed-step runs: the stream's Holder certificate (solver)
     data_sha256  lasso-csv: the data file's sha256 at run time
     M         sug: the surrogate modulus (solver)
-    dist0_sq  sug: the ||x0 - x*||^2 the run used (--dist0 or the reference's)
+    dist0_sq  sug: ||x0 - x*||^2 at the reference minimizer
     f_final   sug: the objective at the final iterate, the last point judged
 
 Reference minimizers always come from the one batch proximal-gradient
@@ -67,8 +67,9 @@ from .problems import (
     synth_lasso,
     synth_steiner,
 )
-from .sug import SugConfig, sug_bounds, sug_iteration_estimate, sug_rho, sug_run
-from .trace import ALGORITHMS, RunTrace, block_rows, parse_trace_csv, write_trace_csv
+from .sug import sug_bounds, sug_iteration_estimate, sug_rho, sug_run
+from .trace import (ALGORITHMS, JSON_NAMES, RunTrace, block_rows, of_json_type,
+                    parse_trace_csv, write_trace_csv)
 from .udgm import udgm_fixed_step_run, udgm_run
 from .upgm import upgm_fixed_step_run, upgm_run
 
@@ -279,8 +280,7 @@ PROBLEM_FIELDS = {
 
 def _descriptor_fields(desc: dict) -> tuple[str, dict]:
     """(kind, fields) of a problem descriptor, every field of its kind in
-    PROBLEM_FIELDS read and typed: an int field takes a JSON integer, a
-    float field any JSON number, neither a bool.  ValueError names an
+    PROBLEM_FIELDS read and typed (of_json_type).  ValueError names an
     unknown kind, or the field that is missing or of another type."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ValueError("problem descriptor must be a dict with a 'kind' key")
@@ -295,8 +295,7 @@ def _descriptor_fields(desc: dict) -> tuple[str, dict]:
             fields[key] = default
             continue
         value = desc[key]
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float) if json_type is float else json_type):
+        if not of_json_type(value, json_type):
             raise ValueError(f"problem descriptor field {key!r} is {value!r}, "
                              f"not of type {json_type.__name__}")
         fields[key] = json_type(value)
@@ -338,10 +337,7 @@ class RunConfig:
     order: str = "random"
     seed: int = 0
     fixed_step: bool = False
-    holder_modulus: float | None = None
-    holder_degree: float | None = None
     tol: float = REFERENCE_TOL
-    dist0_sq: float | None = None
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -361,39 +357,32 @@ class RunConfig:
             ("L0", self.L0),
             ("M", self.M),
             ("tol", self.tol),
-            ("holder_modulus (--Mv)", self.holder_modulus),
-            ("dist0", self.dist0_sq),
         ):
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.holder_degree is not None and not 0 <= self.holder_degree <= 1:
-            raise ValueError(
-                f"holder_degree (--v) must lie in [0, 1], got {self.holder_degree}"
-            )
 
 
 def resolve_eps(cfg: RunConfig, problem: CompositeProblem) -> float:
     """eps 'auto' means T^(-(1+v)/2) with the stream's Holder degree."""
     if cfg.eps != "auto":
         return float(cfg.eps)
-    v = cfg.holder_degree
-    if v is None:
-        v, _ = problem.holder_constants()
+    v, _ = problem.holder_constants()
     if cfg.T < 1:
         raise ValueError("eps 'auto' needs T >= 1")
     return float(cfg.T) ** (-(1.0 + v) / 2.0)
 
 
-# The `extra` keys a run writes and check_bounds requires: those of every run,
-# then of an online run, a sug run, a fixed-step run (the solvers write these)
-# and a lasso-csv run.
+# The `extra` keys a run writes and check_bounds requires, each with its JSON
+# type (of_json_type): those of every run, then of an online run, a sug run,
+# a fixed-step run (the solvers write these) and a lasso-csv run.
 EXTRA_KEYS = {
-    "every": ("tol", "x_star", "reference_gap", "reference_iterations", "reference_residual"),
-    "oupgm": ("fixed_step",),
-    "oudgm": ("fixed_step",),
-    "sug": ("M", "dist0_sq", "f_final"),
-    "fixed_step": ("Mv", "v"),
-    "lasso-csv": ("data_sha256",),
+    "every": {"tol": float, "x_star": list, "reference_gap": float,
+              "reference_iterations": int, "reference_residual": float},
+    "oupgm": {"fixed_step": bool},
+    "oudgm": {"fixed_step": bool},
+    "sug": {"M": float, "dist0_sq": float, "f_final": float},
+    "fixed_step": {"Mv": float, "v": float},
+    "lasso-csv": {"data_sha256": str},
 }
 
 
@@ -423,23 +412,13 @@ def run_experiment(cfg: RunConfig) -> dict:
         order = sample_order(cfg.order, problem.n_components, cfg.T, cfg.seed)
         if cfg.fixed_step:
             run = upgm_fixed_step_run if cfg.algorithm == "oupgm" else udgm_fixed_step_run
-            _, trace = run(problem, order, x0, eps, cfg.T, cfg.holder_modulus,
-                           cfg.holder_degree)
+            _, trace = run(problem, order, x0, eps, cfg.T)
         else:
             run = upgm_run if cfg.algorithm == "oupgm" else udgm_run
             _, trace = run(problem, order, x0, cfg.L0, eps, cfg.T)
     elif cfg.algorithm == "sug":
-        dist0_sq = cfg.dist0_sq
-        if dist0_sq is None:
-            dist0_sq = float(np.sum((reference.x - x0) ** 2))
-        extra["dist0_sq"] = dist0_sq
-        sug_cfg = SugConfig(
-            M=float(cfg.M),  # type: ignore[arg-type]
-            eps=eps,
-            seed=cfg.seed,
-            max_iters=max(cfg.T, 1),
-        )
-        x_out, trace = sug_run(problem, x0, sug_cfg)
+        extra["dist0_sq"] = float(np.sum((reference.x - x0) ** 2))
+        x_out, trace = sug_run(problem, x0, float(cfg.M), eps, max(cfg.T, 1), cfg.seed)
         extra["f_final"] = problem.value(x_out)
     else:  # batch: the reference solve's own steps, stopped at T
         steps = reference.steps[: max(cfg.T, 1)]
@@ -597,24 +576,26 @@ def _write_bound_curve(path, curve) -> None:
 def check_bounds(trace_path) -> tuple[dict, bool]:
     """Rebuild the problem from trace metadata and verify the trace.
 
-    A trace that lacks an `extra` key its run writes (EXTRA_KEYS) raises
-    ValueError naming the key.  The reference is the run's: x* as the trace
-    stores it, with f = f(x*) and the certificate recomputed on the rebuilt
-    problem, so both judge against the same f*.  A trace whose x* the
+    A trace that lacks an `extra` key its run writes (EXTRA_KEYS), or holds
+    one of another JSON type, raises ValueError naming the key.  The
+    reference is the run's: x* as the trace stores it, with f = f(x*) and
+    the certificate recomputed on the rebuilt problem, so both judge
+    against the same f*.  A trace whose x* the
     rebuilt problem certifies worse than the run did is judged against a
     new solve at the tol the run recorded.  A lasso-csv file whose sha256
     is not the run's raises ValueError naming it.  Returns the report verify
     builds, as in the run's report.json, and its verdict `ok`.
     """
     trace = parse_trace_csv(trace_path)
-    if not trace.problem_meta:
-        raise ValueError(f"{trace_path}: trace has no problem descriptor metadata")
     kind, fields = _descriptor_fields(trace.problem_meta)
     extra = trace.extra_meta
     for run in ("every", trace.algorithm, "fixed_step" if extra.get("fixed_step") else None, kind):
-        for key in EXTRA_KEYS.get(run, ()):
+        for key, json_type in EXTRA_KEYS.get(run, {}).items():
             if key not in extra:
                 raise ValueError(f"{trace_path}: extra metadata key {key!r} missing")
+            if not of_json_type(extra[key], json_type):
+                raise ValueError(f"{trace_path}: extra metadata key {key!r} is not a JSON "
+                                 f"{JSON_NAMES[json_type]}: {json.dumps(extra[key])}")
     if "path" in fields:
         if _sha256(fields["path"]) != extra["data_sha256"]:
             raise ValueError(f"{fields['path']}: data file changed since the run wrote "

@@ -84,22 +84,6 @@ def check_answer(k: int, t: int, value: float = 0.0, grad=None, x=None) -> None:
         )
 
 
-def oracle_value(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> float:
-    """g_k(x) as a float, read in round t and vetted by check_answer."""
-    value = float(components.value(k, x))
-    if not math.isfinite(value):
-        check_answer(k, t, value)
-    return value
-
-
-def oracle_grad(components: ComponentOracle, k: int, x: np.ndarray, t: int) -> np.ndarray:
-    """grad g_k(x) as a float array, read in round t and vetted by check_answer."""
-    grad = np.asarray(components.grad(k, x), dtype=float)
-    if grad.shape != x.shape:
-        check_answer(k, t, grad=grad, x=x)
-    return grad
-
-
 def check_nonnegative(name: str, value: float) -> None:
     """Raise ValueError, naming the field, unless 0 <= value < inf (NaN
     fails too)."""

@@ -20,7 +20,8 @@ gap is within eps after
     k >= log[(delta - 3/4 - 3 / (4 (mu_h - M))) eps / (M dist0_sq)]
          / log(rho) + 1
 
-iterations, where the log argument is positive.
+iterations, where the log argument is positive.  dist0_sq is ||x0 - x*||^2
+at the reference minimizer x*, which the harness measures.
 """
 
 import math
@@ -29,26 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import CompositeProblem, Regularizer, check_answer, oracle_grad, oracle_value
+from .oracles import CompositeProblem, Regularizer, check_answer
 from .trace import RunTrace
-
-
-@dataclass
-class SugConfig:
-    """Solver knobs: surrogate modulus, target accuracy, sampling seed."""
-
-    M: float
-    eps: float
-    seed: int
-    max_iters: int
-
-    def __post_init__(self):
-        if not 0 < self.M < math.inf:
-            raise ValueError(f"M must be positive and finite, got {self.M}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -77,12 +60,17 @@ class SurrogateTable:
 
 def sug_init(problem: CompositeProblem, x0: np.ndarray, M: float) -> SurrogateTable:
     """Anchor every surrogate at x0 with the one modulus M."""
-    if not M > 0:
-        raise ValueError(f"surrogate modulus must be positive, got {M}")
+    if not 0 < M < math.inf:
+        raise ValueError(f"surrogate modulus M must be positive and finite, got {M}")
     x0 = np.asarray(x0, dtype=float)
     n = problem.n_components
-    oracle = problem.components
-    grads = np.stack([oracle_grad(oracle, i, x0, 0) for i in range(n)])
+    grad = problem.components.grad
+    grads = np.empty((n, *x0.shape))
+    for i in range(n):
+        g = np.asarray(grad(i, x0), dtype=float)
+        if g.shape != x0.shape:
+            check_answer(i, 0, grad=g, x=x0)
+        grads[i] = g
     anchors = np.tile(x0, (n, 1))
     return SurrogateTable(problem=problem, anchors=anchors, grads=grads, M=float(M))
 
@@ -107,8 +95,10 @@ def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> 
     x_new = np.asarray(x_new, dtype=float)
     old_lin = table.grads[j] - table.M * table.anchors[j]
     oracle = table.problem.components
-    new_grad = oracle_grad(oracle, j, x_new, t)
-    value = oracle_value(oracle, j, x_new, t)
+    new_grad = np.asarray(oracle.grad(j, x_new), dtype=float)
+    value = float(oracle.value(j, x_new))
+    if not math.isfinite(value) or new_grad.shape != x_new.shape:
+        check_answer(j, t, value, new_grad, x_new)
     table.anchors[j] = x_new
     table.grads[j] = new_grad
     # lin + (new_grad - M x_new - old_lin), in that float order, in place
@@ -121,33 +111,40 @@ def sug_update(table: SurrogateTable, j: int, x_new: np.ndarray, t: int = 0) -> 
 def sug_run(
     problem: CompositeProblem,
     x0: np.ndarray,
-    cfg: SugConfig,
+    M: float,
+    eps: float,
+    T: int,
+    seed: int,
 ) -> tuple[np.ndarray, RunTrace]:
-    """Iterate the surrogate scheme cfg.max_iters times, re-anchoring one
-    sampled component per step.
+    """Iterate the surrogate scheme T >= 1 times at the modulus M and
+    accuracy eps, both positive and finite, re-anchoring one component per
+    step, drawn by a generator of the given seed.
 
     Trace row k records f(x^k) in its full-objective column and the sampled
     component's round values; a non-finite component value raises
     NonFiniteOracleValue naming the iteration and the component.  The trace
     records the modulus M and the sampling seed.
     """
-    trace = RunTrace("sug", cfg.eps, cfg.max_iters, x0, seed=cfg.seed,
-                     extra_meta={"M": cfg.M}, rows=cfg.max_iters)
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    trace = RunTrace("sug", eps, T, x0, seed=seed, extra_meta={"M": M}, rows=T)
+    table = sug_init(problem, trace.x0, M)  # refuses a bad M
     regularizer, value = problem.regularizer, problem.components.value
-    table = sug_init(problem, trace.x0, cfg.M)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     x = trace.x0
     h_x = regularizer.value(x)  # h at the iterate, carried from the last iteration
     start = time.perf_counter_ns()
     # one draw of K indices is the stream of K scalar draws
-    for k, j in enumerate(rng.integers(0, table.n, size=cfg.max_iters).tolist()):
+    for k, j in enumerate(rng.integers(0, table.n, size=T).tolist()):
         x_next = sug_subproblem(table, regularizer)
         g_x = float(value(j, x))
         if not math.isfinite(g_x):
             check_answer(j, k, g_x)
         f_x, h_x = g_x + h_x, regularizer.value(x_next)
         f_next = sug_update(table, j, x_next, k) + h_x
-        trace.add_row(k, 0, cfg.M, f_x, f_next, f_next, math.nan,
+        trace.add_row(k, 0, M, f_x, f_next, f_next, math.nan,
                       (time.perf_counter_ns() - start) / 1e9, j, x_next)
         x = x_next
     trace.fill_f_full(problem.values)

@@ -7,9 +7,10 @@ first `# schema=1`, then the fixed column header
 
 and one line a row.  The parser refuses another schema or none, a missing
 header key, an algorithm other than oupgm, oudgm, sug and batch, a
-problem or extra value that is not a JSON object, a header scalar of
-another JSON type or, for eps and L0, not finite, and a line among the
-rows that is not a row, naming it.
+header value of another JSON type (a problem or extra that is not an
+object, an x0 that is not a list of finite numbers), an eps or L0 that is
+not positive and finite, and a line among the rows that is not a row,
+naming it.
 Floats are written with shortest round-trip formatting, so writing and
 re-parsing a trace reproduces it exactly; every float field is finite.
 In memory each column is one numpy array (int64 for t and i_t, float64
@@ -56,6 +57,26 @@ _KINDS = (int, int) + (float,) * (len(CSV_COLUMNS) - 2)  # also the column dtype
 _ROW_DTYPE = np.dtype([(name, "i8" if kind is int else "f8")
                        for name, kind in zip(CSV_COLUMNS, _KINDS)])
 _ROW_CHARS = b"0123456789.e+-,\n"
+
+
+# JSON type -> its name in messages
+JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
+              list: "list of finite numbers", dict: "object"}
+# header key after algorithm -> its JSON type; L0, seed and order may be null
+_HEADER_TYPES = {"eps": float, "T": int, "L0": float, "seed": int, "order": str,
+                 "problem": dict, "x0": list, "extra": dict}
+
+
+def of_json_type(value, json_type) -> bool:
+    """Whether a JSON value is of json_type, a key of JSON_NAMES: for int a
+    JSON integer, for float any JSON number, neither a bool; for list a
+    list of finite numbers; else an instance of it."""
+    if json_type is list:
+        return isinstance(value, list) and all(
+            of_json_type(v, float) and abs(v) <= sys.float_info.max for v in value)
+    if isinstance(value, bool):
+        return json_type is bool
+    return isinstance(value, (int, float) if json_type is float else json_type)
 
 
 def block_rows() -> int:
@@ -242,9 +263,9 @@ def parse_trace_csv(path) -> RunTrace:
     time.
 
     Raises ValueError naming the schema found if it is not SCHEMA, a missing
-    header key, an unknown algorithm, a problem or extra value that is not
-    an object, a header scalar of another JSON type, or the offending line
-    of any other violation.
+    header key, an unknown algorithm, a header value of another JSON type
+    (_HEADER_TYPES) or an eps or L0 that is not positive and finite, or the
+    offending line of any other violation.
     """
     with open(path, "rb") as fh:
         # sizes the columns: each line ends in \n, \r or both, the last
@@ -275,26 +296,24 @@ def parse_trace_csv(path) -> RunTrace:
         if schema != SCHEMA:
             found = f"schema={json.dumps(schema)}" if "schema" in meta else "no schema line"
             raise ValueError(f"{path}: trace has {found}; this version reads schema={SCHEMA}")
-        for key in ("algorithm", "eps", "T", "L0", "seed", "order", "problem", "x0", "extra"):
+        for key in ("algorithm", *_HEADER_TYPES):
             if key not in meta:
                 raise ValueError(f"{path}: metadata key {key!r} missing")
         if meta["algorithm"] not in ALGORITHMS:
             raise ValueError(f"{path}: unknown algorithm {json.dumps(meta['algorithm'])}; "
                              f"this version reads {', '.join(ALGORITHMS)}")
-        for key, kinds, kind in (("eps", (int, float), "number"), ("T", (int,), "integer"),
-                                 ("L0", (int, float, type(None)), "number"),
-                                 ("seed", (int, type(None)), "integer")):  # bool is neither
-            if type(meta[key]) not in kinds:
-                raise ValueError(f"{path}: metadata {key!r} is not a JSON {kind}: "
-                                 f"{json.dumps(meta[key])}")
+        for key, json_type in _HEADER_TYPES.items():
+            value = meta[key]
+            if value is None and key in ("L0", "seed", "order"):
+                continue
+            if not of_json_type(value, json_type):
+                raise ValueError(f"{path}: metadata {key!r} is not a JSON "
+                                 f"{JSON_NAMES[json_type]}: {json.dumps(value)}")
             # JSON reads 1e400 as inf and NaN as nan; float() refuses 10**400
-            if kind == "number" and not abs(meta[key] or 0) <= sys.float_info.max:
-                raise ValueError(f"{path}: metadata {key!r} is not a finite number: "
-                                 f"{json.dumps(meta[key])}")
-        for key in ("problem", "extra"):
-            if not isinstance(meta[key], dict):
-                raise ValueError(f"{path}: metadata {key!r} is not a JSON object: "
-                                 f"{json.dumps(meta[key])}")
+            if json_type is float and not 0 < value <= sys.float_info.max:
+                what = "positive" if abs(value) <= sys.float_info.max else "finite"
+                raise ValueError(f"{path}: metadata {key!r} is not a {what} number: "
+                                 f"{json.dumps(value)}")
         columns = [np.empty(lines - lineno, kind) for kind in _KINDS]
         n, step = 0, block_rows()
         while block := list(islice(fh, step)):

@@ -79,12 +79,9 @@ def udgm_fixed_step_run(
     x0: np.ndarray,
     eps: float,
     T: int,
-    holder_modulus: float | None = None,
-    holder_degree: float | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Fixed-step variant: every round folds its linearization with the
-    constant coefficient 1 / (2 gamma(M_v, v, eps)); no line search.
+    constant coefficient 1 / (2 gamma(M_v, v, eps)), (v, M_v) the problem's
+    Holder certificate; no line search.
     """
-    return _run_rounds(problem, order, x0, eps, T,
-                       holder_modulus=holder_modulus, holder_degree=holder_degree,
-                       model=DualModel(anchor=x0))
+    return _run_rounds(problem, order, x0, eps, T, model=DualModel(anchor=x0))

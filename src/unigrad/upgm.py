@@ -14,7 +14,9 @@ MAX_DOUBLINGS rejected doublings the round raises LineSearchOverflow, and
 a round whose L_{t+1} falls below the smallest normal float raises
 ModulusUnderflow before any weight 1 / L_{t+1} overflows.  The fixed-step
 variant replaces the search by one always-accepted trial at
-M = 2 gamma(M_v, v, eps), recorded as i_t = 0 and L_{t+1} = gamma.
+M = 2 gamma(M_v, v, eps), recorded as i_t = 0 and L_{t+1} = gamma, with
+(v, M_v) the stream's Holder certificate (problem.holder_constants): the
+fixed-step corollary holds only for constants the components satisfy.
 """
 
 import math
@@ -50,25 +52,20 @@ def upgm_fixed_step_run(
     x0: np.ndarray,
     eps: float,
     T: int,
-    holder_modulus: float | None = None,
-    holder_degree: float | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
     """Fixed-step variant: every round applies the Bregman mapping with
-    modulus 2 * gamma(M_v, v, eps), no line search.
-
-    Holder constants default to the problem's stream-level certificate.
+    modulus 2 * gamma(M_v, v, eps), no line search, (v, M_v) the problem's
+    Holder certificate.
     """
-    return _run_rounds(problem, order, x0, eps, T,
-                       holder_modulus=holder_modulus, holder_degree=holder_degree)
+    return _run_rounds(problem, order, x0, eps, T)
 
 
-def _run_rounds(problem, order, x0, eps, T, L0=None,
-                holder_modulus=None, holder_degree=None, model=None):
+def _run_rounds(problem, order, x0, eps, T, L0=None, model=None):
     """The round loop of both online methods and their fixed-step variants.
 
     With L0 each round backtracks from L_t; without it each round takes one
-    accepted trial at 2 gamma(M_v, v, eps), the Holder constants defaulting
-    to the problem's.  Without a model (oupgm) the Bregman point is the next
+    accepted trial at 2 gamma(M_v, v, eps), (v, M_v) the problem's Holder
+    certificate.  Without a model (oupgm) the Bregman point is the next
     iterate and the weighted average is returned.  With a DualModel (oudgm)
     the round folds its linearization into the model at the accepted
     modulus, the next iterate is the model's minimizer, and the final
@@ -93,12 +90,9 @@ def _run_rounds(problem, order, x0, eps, T, L0=None,
     fixed = L0 is None
     trace = RunTrace(algorithm, eps, T, x0, L0, extra_meta={"fixed_step": fixed})
     if fixed:
-        if holder_modulus is None or holder_degree is None:
-            degree, modulus = problem.holder_constants()
-            holder_degree = degree if holder_degree is None else holder_degree
-            holder_modulus = modulus if holder_modulus is None else holder_modulus
-        L = gamma(holder_modulus, holder_degree, eps)
-        trace.extra_meta.update(Mv=holder_modulus, v=holder_degree)
+        v, Mv = problem.holder_constants()
+        L = gamma(Mv, v, eps)
+        trace.extra_meta.update(Mv=Mv, v=v)
     elif not 0 < L0 < math.inf:
         raise ValueError(f"L0 must be positive and finite, got {L0}")
     else:

@@ -44,7 +44,6 @@ from unigrad.problems import (
     synth_steiner,
 )
 from unigrad.sug import (
-    SugConfig,
     sug_init,
     sug_iteration_estimate,
     sug_rho,
@@ -215,8 +214,7 @@ def test_criterion_06_sug_linear_rate():
     K = budget + 2
     gaps_by_seed = []
     for seed in range(20):
-        cfg = SugConfig(M=M, eps=eps, seed=seed, max_iters=K)
-        x_fin, trace = sug_run(problem, x0, cfg)
+        x_fin, trace = sug_run(problem, x0, M, eps, K, seed)
         gaps = list(np.asarray(trace.f_full) - ref.f)
         gaps.append(problem.value(x_fin) - ref.f)
         hit = next((k for k, gp in enumerate(gaps) if gp <= eps), None)

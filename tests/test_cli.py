@@ -75,16 +75,31 @@ def test_run_lasso_csv_requires_data_flag(capsys):
     assert "data" in capsys.readouterr().err
 
 
-def test_run_eps_auto_with_degree_override(tmp_path, capsys):
+def test_run_eps_auto_reads_the_stream_degree(tmp_path, capsys):
+    # a lasso stream has degree v = 1, so auto is T^(-1)
     out = tmp_path / "auto"
     code = main([
         "run", "--algorithm", "oupgm", "--problem", "synth-lasso",
         "--p", "4", "--n", "30", "--sparsity", "2", "--T", "25",
-        "--eps", "auto", "--v", "1.0", "--seed", "2", "--out", str(out),
+        "--eps", "auto", "--seed", "2", "--out", str(out),
     ])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["eps"] == pytest.approx(25.0 ** -1.0)
+
+
+@pytest.mark.parametrize("flag", ["--Mv", "--v", "--dist0"])
+def test_run_refuses_a_bound_constant_override(tmp_path, capsys, flag):
+    """The Holder constants and ||x0 - x*||^2 come from the problem's
+    certificate and the reference: run takes no flag for them."""
+    out = tmp_path / "art"
+    value = {"--Mv": "3", "--v": "0.5", "--dist0": "1"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--algorithm", "oupgm", "--problem", "synth-lasso", "--T", "10",
+              flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_bounds_round_trip(tmp_path, capsys):
@@ -153,6 +168,7 @@ def _without(field):
 
 
 OUPGM = ["--algorithm", "oupgm", "--problem", "synth-lasso"]
+SUG = ["--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10", "--M", "1"]
 
 
 def _refused_after(flags, edit, tmp_path, capsys):
@@ -180,8 +196,7 @@ def _refused_after(flags, edit, tmp_path, capsys):
     (OUPGM, lambda lines: lines.__setitem__(0, "# schema=2"),
      "trace has schema=2; this version reads schema=1"),
     (OUPGM, _without_extra_key("x_star"), "extra metadata key 'x_star' missing"),
-    (["--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10", "--M", "1"],
-     _without_extra_key("M"), "extra metadata key 'M' missing"),
+    (SUG, _without_extra_key("M"), "extra metadata key 'M' missing"),
     ([*OUPGM, "--fixed-step"], _without_extra_key("Mv"), "extra metadata key 'Mv' missing"),
     ([*OUPGM, "--fixed-step"], _without_extra_key("fixed_step"),
      "extra metadata key 'fixed_step' missing"),
@@ -196,17 +211,34 @@ def _refused_after(flags, edit, tmp_path, capsys):
     (OUPGM, _with_header("T", lambda _: 1.5), "metadata 'T' is not a JSON integer: 1.5"),
     (OUPGM, _with_header("eps", lambda _: 10**400),
      f"metadata 'eps' is not a finite number: {10**400}"),
+    (OUPGM, _with_header("eps", lambda _: -1), "metadata 'eps' is not a positive number: -1"),
+    (OUPGM, _with_header("eps", lambda _: 0), "metadata 'eps' is not a positive number: 0"),
+    (OUPGM, _with_header("L0", lambda _: -3), "metadata 'L0' is not a positive number: -3"),
+    (OUPGM, _with_header("x0", lambda _: {}),
+     "metadata 'x0' is not a JSON list of finite numbers: {}"),
+    (OUPGM, _with_header("extra", lambda extra: dict(extra, reference_gap="x")),
+     "extra metadata key 'reference_gap' is not a JSON number: \"x\""),
+    (OUPGM, _with_header("extra", lambda extra: dict(extra, x_star=[0.0, None])),
+     "extra metadata key 'x_star' is not a JSON list of finite numbers: [0.0, null]"),
+    (SUG, _with_header("extra", lambda extra: dict(extra, dist0_sq="x")),
+     "extra metadata key 'dist0_sq' is not a JSON number: \"x\""),
+    (SUG, _with_header("extra", lambda extra: dict(extra, f_final=None)),
+     "extra metadata key 'f_final' is not a JSON number: null"),
+    ([*OUPGM, "--fixed-step"], _with_header("extra", lambda extra: dict(extra, fixed_step=1)),
+     "extra metadata key 'fixed_step' is not a JSON boolean: 1"),
 ], ids=["no-schema", "schema-2", "no-x_star", "sug-no-M", "fixed-step-no-Mv",
         "fixed-step-no-fixed_step",
         "lasso-csv-no-data_sha256", "unknown-algorithm", "extra-null", "eps-null", "eps-true",
-        "T-null", "T-1.5", "eps-past-float"])
+        "T-null", "T-1.5", "eps-past-float", "eps-negative", "eps-0", "L0-negative",
+        "x0-object", "reference_gap-str", "x_star-null-entry", "sug-dist0_sq-str",
+        "sug-f_final-null", "fixed_step-int"])
 def test_check_bounds_refuses_a_trace_off_the_schema(tmp_path, capsys, flags, edit, message):
     """A trace of no or another schema, with an algorithm it does not know,
-    an extra that is not an object, a header scalar of the wrong JSON type
-    or past float's range, or without an extra key its run writes, exits 2
-    naming the schema, the value or the key: never 1, the status of a
-    violated bound, never a pass as a run of no bound, and never with a
-    traceback."""
+    an extra that is not an object, a header value of the wrong JSON type,
+    an eps or L0 past float's range or not positive, or without an extra key
+    its run writes or with one of the wrong JSON type, exits 2 naming the
+    schema, the value or the key: never 1, the status of a violated bound,
+    never a pass as a run of no bound, and never with a traceback."""
     path, err = _refused_after(flags, edit, tmp_path, capsys)
     assert err == f"error: {path}: {message}\n"
 
@@ -343,33 +375,21 @@ def test_check_bounds_exits_2_naming_a_csv_that_changed(tmp_path, capsys):
 
 
 def test_check_bounds_judges_the_sug_run_dist0(tmp_path, capsys):
-    # the bound fails for this tiny --dist0; check-bounds must judge the
-    # dist0 the run used, not one recomputed from the reference
+    # the bound fails for this tiny dist0_sq; check-bounds must judge the
+    # dist0_sq the trace records, not one recomputed from the reference
     out = tmp_path / "art"
-    assert main([
-        "run", "--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10",
-        "--M", "1", "--eps", "1e-2", "--T", "300", "--dist0", "1e-6",
-        "--out", str(out),
-    ]) == 0
+    assert main(["run", *SUG, "--eps", "1e-2", "--T", "300", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads((out / "report.json").read_text())
-    assert report["bound_satisfied"] is False
-    assert main(["check-bounds", str(out / "trace.csv")]) == 1
+    assert report["bound_satisfied"] is True
+    path = out / "trace.csv"
+    lines = path.read_text().splitlines()
+    _with_header("extra", lambda extra: dict(extra, dist0_sq=1e-6))(lines)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check-bounds", str(path)]) == 1
     checked = json.loads(capsys.readouterr().out)
     assert checked["dist0_sq"] == 1e-6
     assert checked["ok"] is False
-
-
-@pytest.mark.parametrize("dist0", ["0", "-1", "nan"])
-def test_run_rejects_bad_dist0_before_running(tmp_path, capsys, dist0):
-    out = tmp_path / "art"
-    code = main([
-        "run", "--algorithm", "sug", "--problem", "synth-lasso", "--ridge", "10",
-        "--M", "1", "--dist0", dist0, "--T", "10", "--out", str(out),
-    ])
-    assert code == 2
-    assert "dist0" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -377,11 +397,9 @@ def test_run_rejects_bad_dist0_before_running(tmp_path, capsys, dist0):
     [
         (["--algorithm", "oupgm", "--tol", "nan"], "tol must"),
         (["--algorithm", "oupgm", "--L0", "nan"], "L0 must"),
-        (["--algorithm", "oupgm", "--fixed-step", "--Mv", "nan"], "(--Mv) must"),
         (["--algorithm", "sug", "--ridge", "10", "--M", "nan"], "M must"),
         (["--algorithm", "oupgm", "--eps", "nan"], "eps must"),
         (["--algorithm", "oupgm", "--eps", "inf"], "eps must"),
-        (["--algorithm", "oupgm", "--eps", "auto", "--v", "2"], "(--v) must"),
         (["--algorithm", "oupgm", "--mu", "nan"], "(--mu) must"),
         (["--algorithm", "oupgm", "--mu", "inf"], "(--mu) must"),
         (["--algorithm", "sug", "--ridge", "1", "--M", "1", "--mu", "nan"], "(--mu) must"),
@@ -390,7 +408,7 @@ def test_run_rejects_bad_dist0_before_running(tmp_path, capsys, dist0):
         (["--algorithm", "oupgm", "--noise", "inf"], "noise must"),
         (["--algorithm", "oupgm", "--seed", "-1"], "seed must"),
     ],
-    ids=["tol-nan", "L0-nan", "Mv-nan", "M-nan", "eps-nan", "eps-inf", "v-2",
+    ids=["tol-nan", "L0-nan", "M-nan", "eps-nan", "eps-inf",
          "mu-nan", "mu-inf", "sug-mu-nan", "ridge-inf", "noise-nan", "noise-inf",
          "seed-negative"],
 )

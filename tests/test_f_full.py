@@ -16,7 +16,7 @@ from unigrad.problems import (
     synth_lasso,
     synth_steiner,
 )
-from unigrad.sug import SugConfig, sug_run
+from unigrad.sug import sug_run
 from unigrad.trace import RunTrace, parse_trace_csv, write_trace_csv
 from unigrad.udgm import udgm_fixed_step_run, udgm_run
 from unigrad.upgm import upgm_fixed_step_run, upgm_run
@@ -46,8 +46,7 @@ def _run(solver, problem, x0):
     if solver == "oudgm-fixed":
         return udgm_fixed_step_run(problem, order, x0, 1e-1, T)[1]
     _, Mv = problem.holder_constants()
-    cfg = SugConfig(M=1.1 * Mv, eps=1e-2, seed=7, max_iters=T)
-    return sug_run(problem, x0, cfg)[1]
+    return sug_run(problem, x0, 1.1 * Mv, 1e-2, T, 7)[1]
 
 
 @pytest.mark.parametrize("family", sorted(PROBLEMS))
@@ -186,7 +185,7 @@ def test_f_full_of_a_run_is_accurate_to_rounding(solver, ridge, fallback_rows):
     T = 2000
     if solver == "sug":
         _, Mv = problem.holder_constants()
-        trace = sug_run(problem, x0, SugConfig(M=Mv, eps=1e-3, seed=4, max_iters=T))[1]
+        trace = sug_run(problem, x0, Mv, 1e-3, T, 4)[1]
     else:
         run = upgm_run if solver == "oupgm" else udgm_run
         order = sample_order("random", inst.n, T, seed=4)

@@ -437,11 +437,6 @@ def test_descriptor_float_field_takes_a_json_integer():
         ("M", {"algorithm": "sug", "M": 0.0}),
         ("tol", {"tol": float("nan")}),
         ("tol", {"tol": float("inf")}),
-        ("holder_modulus", {"fixed_step": True, "holder_modulus": float("nan")}),
-        ("holder_modulus", {"fixed_step": True, "holder_modulus": -1.0}),
-        ("holder_degree", {"holder_degree": float("nan")}),
-        ("holder_degree", {"holder_degree": 2.0}),
-        ("holder_degree", {"eps": "auto", "holder_degree": -0.5}),
     ],
 )
 def test_run_config_validation_names_the_field(field, kw):
@@ -454,9 +449,9 @@ def test_resolve_eps():
     assert resolve_eps(_cfg(eps=0.5), prob) == 0.5
     # lasso streams have degree 1: auto gives T^(-1)
     assert resolve_eps(_cfg(eps="auto", T=100), prob) == pytest.approx(0.01)
-    # explicit degree override changes the exponent
-    got = resolve_eps(_cfg(eps="auto", T=100, holder_degree=0.0), prob)
-    assert got == pytest.approx(0.1)
+    # steiner streams have degree 0: auto gives T^(-1/2)
+    steiner = problem_from_descriptor({"kind": "steiner", "p": 3, "m": 5, "seed": 1})
+    assert resolve_eps(_cfg(eps="auto", T=100), steiner) == pytest.approx(0.1)
     with pytest.raises(ValueError, match="auto"):
         resolve_eps(_cfg(eps="auto", T=0), prob)
 
@@ -516,17 +511,17 @@ def test_run_experiment_fixed_step_and_recheck(tmp_path, algorithm):
     assert rep["ok"] and rep["checked"] == "fixed-step regret corollary"
 
 
-@pytest.mark.parametrize("dist0_sq", [None, 1e-6], ids=["reference-dist0", "dist0-override"])
-def test_run_experiment_sug_and_recheck(tmp_path, dist0_sq):
+def test_run_experiment_sug_and_recheck(tmp_path):
     desc = dict(SYNTH_DESC, ridge=20.0)
     cfg = _cfg(algorithm="sug", problem=desc, out=str(tmp_path / "run"),
-               eps=1e-2, T=100, M=1.0, seed=4, dist0_sq=dist0_sq)
+               eps=1e-2, T=100, M=1.0, seed=4)
     paths = run_experiment(cfg)
     report = json.loads(Path(paths["report"]).read_text())
     assert report["rho"] is not None and report["rho"] < 1.0
     assert report["bound_satisfied"] is True
-    if dist0_sq is not None:
-        assert report["dist0_sq"] == dist0_sq
+    # ||x0 - x*||^2 at the reference minimizer, x0 = 0
+    x_star = np.asarray(parse_trace_csv(paths["trace"]).extra_meta["x_star"])
+    assert report["dist0_sq"] == float(np.sum(x_star ** 2))
     rep = _recheck(paths)
     assert rep["ok"] and rep["checked"] == "sug bound curve"
 
@@ -828,8 +823,7 @@ def test_golden_runs_replay_from_their_metadata(path, tmp_path):
         algorithm=meta.algorithm, problem=meta.problem_meta, out=str(tmp_path),
         eps=meta.eps, T=meta.T, L0=1.0 if meta.L0 is None else meta.L0,
         M=extra.get("M"), order=meta.order_kind or "random", seed=meta.seed,
-        fixed_step=extra.get("fixed_step", False), holder_modulus=extra.get("Mv"),
-        holder_degree=extra.get("v"), tol=extra["tol"], dist0_sq=extra.get("dist0_sq"),
+        fixed_step=extra.get("fixed_step", False), tol=extra["tol"],
     ))
     assert _without_elapsed(paths["trace"]) == _without_elapsed(path)
     golden_bounds = path.parent / "bounds.csv"

@@ -11,7 +11,7 @@ from unigrad.bregman import bregman_map
 from unigrad.harness import RunConfig, run_experiment, sample_order
 from unigrad.oracles import Regularizer
 from unigrad.problems import lasso_problem, steiner_problem, synth_lasso, synth_steiner
-from unigrad.sug import SugConfig, sug_run
+from unigrad.sug import sug_run
 from unigrad.udgm import udgm_fixed_step_run, udgm_run
 from unigrad.upgm import upgm_fixed_step_run, upgm_run
 
@@ -153,8 +153,7 @@ def test_sug_reads_every_component_once_then_two_values_per_iteration(family, mo
     steps = {name: _spy(monkeypatch, owner, name) for owner, name in
              ((sug, "sug_subproblem"), (sug, "sug_update"), (Regularizer, "prox"))}
     n, K = problem.n_components, 45
-    sug_run(problem, np.zeros(problem.dimension),
-            SugConfig(M=5.0, eps=1e-2, seed=4, max_iters=K))
+    sug_run(problem, np.zeros(problem.dimension), 5.0, 1e-2, K, 4)
     assert counts == {"value": 2 * K, "grad": n + K}
     assert {name: len(calls) for name, calls in steps.items()} == dict.fromkeys(steps, K)
 

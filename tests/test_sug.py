@@ -23,7 +23,6 @@ from unigrad.problems import (
     synth_lasso,
 )
 from unigrad.sug import (
-    SugConfig,
     sug_init,
     sug_iteration_estimate,
     sug_rho,
@@ -169,17 +168,15 @@ def test_subproblem_satisfies_first_order_optimality():
 def test_run_monotone_on_single_component_with_ridge():
     prob = _quadratic_problem(n=1, p=3, seed=14, l1_weight=0.1, ridge_weight=1.0)
     v, Mv = prob.holder_constants()
-    cfg = SugConfig(M=1.1 * Mv, eps=1e-3, seed=0, max_iters=60)
-    _, trace = sug_run(prob, np.array([3.0, -3.0, 3.0]), cfg)
+    _, trace = sug_run(prob, np.array([3.0, -3.0, 3.0]), 1.1 * Mv, 1e-3, 60, 0)
     f = np.asarray(trace.f_full)
     assert np.all(f[1:] <= f[:-1] + 1e-12 * (1.0 + np.abs(f[:-1])))
 
 
 def test_run_seed_determinism():
     prob = _quadratic_problem(n=8, p=3, seed=15, l1_weight=0.1, ridge_weight=2.0)
-    cfg = SugConfig(M=1.0, eps=1e-2, seed=21, max_iters=80)
-    xa, ta = sug_run(prob, np.zeros(3), cfg)
-    xb, tb = sug_run(prob, np.zeros(3), cfg)
+    xa, ta = sug_run(prob, np.zeros(3), 1.0, 1e-2, 80, 21)
+    xb, tb = sug_run(prob, np.zeros(3), 1.0, 1e-2, 80, 21)
     np.testing.assert_array_equal(xa, xb)
     assert ta.f_full.tobytes() == tb.f_full.tobytes()
     assert ta.component.tobytes() == tb.component.tobytes()
@@ -200,7 +197,7 @@ def test_block_draws_are_the_stream_of_scalar_draws(n):
 
 def test_run_samples_the_scalar_stream_of_its_seed():
     prob = _quadratic_problem(n=7, p=3, seed=15, l1_weight=0.1, ridge_weight=2.0)
-    _, trace = sug_run(prob, np.zeros(3), SugConfig(M=1.0, eps=1e-2, seed=21, max_iters=99))
+    _, trace = sug_run(prob, np.zeros(3), 1.0, 1e-2, 99, 21)
     rng = np.random.default_rng(21)
     assert np.array_equal(trace.component, [int(rng.integers(0, 7)) for _ in range(99)])
 
@@ -223,9 +220,8 @@ def test_run_non_finite_component_names_iteration_and_component(value_fn, messag
     prob.components = dataclasses.replace(
         prob.components, value=lambda i, x: value_fn(x) if i == 1 else good(i, x)
     )
-    cfg = SugConfig(M=2.0, eps=1e-2, seed=0, max_iters=50)
     with pytest.raises(NonFiniteOracleValue, match=message):
-        sug_run(prob, np.zeros(2), cfg)
+        sug_run(prob, np.zeros(2), 2.0, 1e-2, 50, 0)
 
 
 @pytest.mark.parametrize("shape", [(1,), (4,)], ids=["short", "long"])
@@ -235,11 +231,10 @@ def test_run_bad_gradient_shape_names_iteration_component_and_shapes(shape):
     prob.components = dataclasses.replace(
         prob.components, grad=lambda i, x: np.ones(shape) if i == 1 else good(i, x)
     )
-    cfg = SugConfig(M=2.0, eps=1e-2, seed=0, max_iters=10)
     message = (rf"component 1 returned a gradient of shape \({shape[0]},\) at round 0; "
                r"the point has shape \(3,\)")
     with pytest.raises(ValueError, match=message):
-        sug_run(prob, np.zeros(3), cfg)
+        sug_run(prob, np.zeros(3), 2.0, 1e-2, 10, 0)
     # past initialization: the bad shape appears only away from x0
     prob.components = dataclasses.replace(
         prob.components,
@@ -247,13 +242,12 @@ def test_run_bad_gradient_shape_names_iteration_component_and_shapes(shape):
     )
     with pytest.raises(ValueError, match=r"component 1 returned a gradient of shape "
                                          rf"\({shape[0]},\) at round [0-9]+"):
-        sug_run(prob, np.zeros(3), cfg)
+        sug_run(prob, np.zeros(3), 2.0, 1e-2, 10, 0)
 
 
 def test_run_trace_schema_for_sampled_rounds():
     prob = _quadratic_problem(n=5, p=2, seed=17, ridge_weight=1.0)
-    cfg = SugConfig(M=2.0, eps=1e-2, seed=1, max_iters=10)
-    _, trace = sug_run(prob, np.zeros(2), cfg)
+    _, trace = sug_run(prob, np.zeros(2), 2.0, 1e-2, 10, 1)
     assert trace.algorithm == "sug"
     assert np.array_equal(trace.i_t, [0] * 10)
     assert all(L == 2.0 for L in trace.L_next)
@@ -353,14 +347,13 @@ def test_iteration_estimate_cross_checks_against_bound():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SugConfig(M=0.0, eps=1e-2, seed=0, max_iters=10)
-    with pytest.raises(ValueError):
-        SugConfig(M=1.0, eps=0.0, seed=0, max_iters=10)
-    with pytest.raises(ValueError):
-        SugConfig(M=1.0, eps=1e-2, seed=0, max_iters=0)
-    for bad in (float("nan"), float("inf")):
+    """sug_run refuses a bad M, eps or T before it reads any oracle."""
+    prob = _quadratic_problem(n=2, p=2)
+    x0 = np.zeros(2)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="M must be"):
-            SugConfig(M=bad, eps=1e-2, seed=0, max_iters=10)
+            sug_run(prob, x0, bad, 1e-2, 10, 0)
         with pytest.raises(ValueError, match="eps must be"):
-            SugConfig(M=1.0, eps=bad, seed=0, max_iters=10)
+            sug_run(prob, x0, 1.0, bad, 10, 0)
+    with pytest.raises(ValueError, match="T must be"):
+        sug_run(prob, x0, 1.0, 1e-2, 0, 0)

@@ -231,6 +231,12 @@ def _set_header(key, text):
     # numbers JSON reads but float() cannot hold
     ("eps", "1" + "0" * 400, "a finite number"), ("eps", "Infinity", "a finite number"),
     ("L0", "-1e400", "a finite number"), ("L0", "NaN", "a finite number"),
+    # RunConfig refuses these at run time
+    ("eps", "-1", "a positive number"), ("eps", "0", "a positive number"),
+    ("eps", "-0.0", "a positive number"), ("L0", "-3", "a positive number"),
+    ("x0", "{}", "a JSON list of finite numbers"),
+    ("x0", '[0.0, "1"]', "a JSON list of finite numbers"),
+    ("x0", "[0.0, 1e400]", "a JSON list of finite numbers"),
 ])
 def test_parse_refuses_a_header_scalar_of_the_wrong_type(key, text, kind, tmp_path):
     path, _ = _edited_trace(tmp_path, _set_header(key, text))

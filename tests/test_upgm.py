@@ -174,11 +174,3 @@ def test_fixed_step_is_constant_step_proximal_gradient():
         x = soft_threshold(x - prob.components.grad(int(order[t]), x) / M,
                            inst.l1_weight / M)
         np.testing.assert_allclose(trace.x_next[t], x, rtol=1e-12, atol=1e-14)
-
-
-def test_fixed_step_accepts_explicit_holder_constants():
-    prob = steiner_problem(synth_steiner(p=3, m=8, seed=9))
-    order = sample_order("random", 8, 40, seed=10)
-    _, trace = upgm_fixed_step_run(prob, order, np.zeros(3), 1e-1, 40,
-                                   holder_modulus=2.0, holder_degree=0.0)
-    assert trace.L_next[0] == pytest.approx(gamma(2.0, 0.0, 1e-1))
