@@ -17,19 +17,19 @@ which reads only the trace, its metadata and the reference, so a saved
 trace re-verifies everything the live run verified.  The solvers record
 only what they alone know; after the run, run_experiment stamps the trace
 with the problem descriptor, the seed, the order kind (none for batch) and
-its own `extra` keys.  The trace's `extra` metadata carries what the bounds
-need beyond the columns, and check-bounds refuses a trace that lacks a key
-its run writes, or holds one of another JSON type (EXTRA_KEYS):
+its own `extra` keys.  The trace's `extra` metadata carries only what the
+bounds need and the code cannot work out (an online run took fixed steps
+when its L0 is null, at the rebuilt stream's certificate; the sug bound's
+||x0 - x*||^2 comes from x0 and x*; other keys are ignored), and check-bounds
+refuses a trace that lacks a key its run writes, or holds one of another
+JSON type (EXTRA_KEYS):
 
     tol       residual tolerance of the reference solve (every run)
     x_star    the reference minimizer, floats written to round-trip (every run)
     reference_gap, reference_iterations, reference_residual
               the reference's certificate, step count and last residual
-    fixed_step  oupgm and oudgm: whether the run took fixed steps (solver)
-    Mv, v     fixed-step runs: the stream's Holder certificate (solver)
     data_sha256  lasso-csv: the data file's sha256 at run time
     M         sug: the surrogate modulus (solver)
-    dist0_sq  sug: ||x0 - x*||^2 at the reference minimizer
     f_final   sug: the objective at the final iterate, the last point judged
 
 Reference minimizers always come from the one batch proximal-gradient
@@ -182,14 +182,14 @@ def _finite_smooth_value(value: float, it: int) -> float:
     return value
 
 
-ORDERS = ("sequential", "cyclic", "random")  # the order kinds sample_order draws
+ORDERS = ("sequential", "random")  # the order kinds sample_order draws
 
 
 def sample_order(kind: str, n: int, T: int, seed: int | None) -> np.ndarray:
     """Component visit order of length T + 1.
 
-    sequential requires n >= T + 1; cyclic wraps modulo n; random draws
-    uniformly with the given seed (required).
+    sequential requires n >= T + 1; random draws uniformly with the given
+    seed (required).
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
@@ -201,8 +201,6 @@ def sample_order(kind: str, n: int, T: int, seed: int | None) -> np.ndarray:
                 f"sequential order needs n >= T + 1 (got n={n}, T={T})"
             )
         return np.arange(T + 1)
-    if kind == "cyclic":
-        return np.arange(T + 1) % n
     if kind == "random":
         if seed is None:
             raise ValueError("random order requires a seed")
@@ -218,23 +216,24 @@ def _trace_components(trace: RunTrace, problem: CompositeProblem) -> np.ndarray:
     return comps
 
 
-def _fixed_step_modulus(trace: RunTrace) -> float:
-    """gamma(M_v, v, eps) of a fixed-step run, from its trace."""
-    extra = trace.extra_meta
-    return gamma(float(extra["Mv"]), float(extra["v"]), trace.eps)
+def _fixed_step_modulus(problem: CompositeProblem, eps: float) -> float:
+    """gamma(M_v, v, eps), (v, M_v) the stream's Holder certificate."""
+    v, Mv = problem.holder_constants()
+    return gamma(Mv, v, eps)
 
 
 # The regret bounds of the online methods, each one inequality at every
 # prefix k = 0..T at a comparator x:
 #     sum_{t<=k} w_t (F_t - f_{i_t}(x)) <= 0.5 eps sum_{t<=k} w_t + 2 c r0(x)
-# bound -> (the trace column of F_t, w_t of L_{t+1}, c of the trace).  thm1
-# reads the accepted iterates x_{t+1}; thm2, as the paper states it, the
-# accepted descent points y_t, since the dual iterates need not converge
-# when v = 0 and the weights stay order one.  The fixed-step corollaries read
-# the points the primal method steps to and the dual method plays.
+# bound -> (the trace column of F_t, w_t of L_{t+1}, c of the problem and
+# eps).  thm1 reads the accepted iterates x_{t+1}; thm2, as the paper states
+# it, the accepted descent points y_t, since the dual iterates need not
+# converge when v = 0 and the weights stay order one.  The fixed-step
+# corollaries read the points the primal method steps to and the dual
+# method plays.
 REGRET_BOUNDS = {
-    "thm1": ("f_gt_xnext", lambda L: 1.0 / L, lambda trace: 1.0),
-    "thm2": ("f_gt_yt", lambda L: 0.5 / L, lambda trace: 0.5),
+    "thm1": ("f_gt_xnext", lambda L: 1.0 / L, lambda problem, eps: 1.0),
+    "thm2": ("f_gt_yt", lambda L: 0.5 / L, lambda problem, eps: 0.5),
     "oupgm corollary": ("f_gt_xnext", np.ones_like, _fixed_step_modulus),
     "oudgm corollary": ("f_gt_xt", np.ones_like, _fixed_step_modulus),
 }
@@ -258,7 +257,7 @@ def evaluate_regret(trace: RunTrace, problem: CompositeProblem, x: np.ndarray,
     w = weight(trace.L_next)
     r0 = problem.geometry.bregman(trace.x0, x)
     lhs = np.cumsum(w * (getattr(trace, column) - f_x_rows))
-    rhs = 0.5 * trace.eps * np.cumsum(w) + 2.0 * c(trace) * r0
+    rhs = 0.5 * trace.eps * np.cumsum(w) + 2.0 * c(problem, trace.eps) * r0
     return r0, lhs, rhs
 
 
@@ -373,15 +372,12 @@ def resolve_eps(cfg: RunConfig, problem: CompositeProblem) -> float:
 
 
 # The `extra` keys a run writes and check_bounds requires, each with its JSON
-# type (of_json_type): those of every run, then of an online run, a sug run,
-# a fixed-step run (the solvers write these) and a lasso-csv run.
+# type (of_json_type): those of every run, then of a sug run and of a
+# lasso-csv run.
 EXTRA_KEYS = {
     "every": {"tol": float, "x_star": list, "reference_gap": float,
               "reference_iterations": int, "reference_residual": float},
-    "oupgm": {"fixed_step": bool},
-    "oudgm": {"fixed_step": bool},
-    "sug": {"M": float, "dist0_sq": float, "f_final": float},
-    "fixed_step": {"Mv": float, "v": float},
+    "sug": {"M": float, "f_final": float},
     "lasso-csv": {"data_sha256": str},
 }
 
@@ -417,14 +413,14 @@ def run_experiment(cfg: RunConfig) -> dict:
             run = upgm_run if cfg.algorithm == "oupgm" else udgm_run
             _, trace = run(problem, order, x0, cfg.L0, eps, cfg.T)
     elif cfg.algorithm == "sug":
-        extra["dist0_sq"] = float(np.sum((reference.x - x0) ** 2))
         x_out, trace = sug_run(problem, x0, float(cfg.M), eps, max(cfg.T, 1), cfg.seed)
         extra["f_final"] = problem.value(x_out)
     else:  # batch: the reference solve's own steps, stopped at T
-        steps = reference.steps[: max(cfg.T, 1)]
-        trace = RunTrace("batch", eps, max(cfg.T, 1), x0, rows=len(steps))
-        for k, (doublings, M, f_x, f_next, elapsed) in enumerate(steps):
-            trace.add_row(k, doublings, M, f_x, f_next, f_next, f_x, elapsed)
+        T = max(cfg.T, 1)
+        doublings, M, f_x, f_next, elapsed = map(np.array, zip(*reference.steps[:T]))
+        trace = RunTrace("batch", eps, T, x0, t=np.arange(len(doublings)), i_t=doublings,
+                         L_next=M, f_gt_xt=f_x, f_gt_xnext=f_next, f_gt_yt=f_next,
+                         f_full=f_x, elapsed_s=elapsed)
     trace.problem_meta = cfg.problem
     trace.seed = cfg.seed
     trace.order_kind = None if cfg.algorithm == "batch" else cfg.order
@@ -451,18 +447,29 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
     check-bounds on its saved trace build the same report.  The report ends
     in the verdict: `checked` names the bound judged and `ok` is False only
     when it fails.  An online run is judged by its REGRET_BOUNDS bound at x*
-    at every prefix k.  curve holds the bounds.csv header name of the middle
+    at every prefix k: the fixed-step corollary when its L0 is None, else
+    its theorem.  curve holds the bounds.csv header name of the middle
     column and the columns: a range, an array, and an array or None when no
     bound applies.  Online they are (k, lhs, rhs) of the judged bound; else
     (k, gap, bound), the gaps measured from the reference's f, though the
     sug verdict measures them from the certified lower bound f - gap on f*,
     so a reference that stopped short of f* cannot pass a run.
+
+    A trace of an unknown algorithm, or whose row count is not what T
+    rounds write, raises ValueError: an online run T + 1, sug T, batch from
+    1 to T (the reference solve may stop sooner).
     """
+    if trace.algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {trace.algorithm!r}")
+    T, rows = trace.T, trace.n_rows
+    fewest, most = {"sug": (T, T), "batch": (1, T)}.get(trace.algorithm, (T + 1, T + 1))
+    if not max(fewest, 1) <= rows <= most:
+        raise ValueError(f"{trace.algorithm} trace has {rows} rows for T = {T}")
     f_star = reference.f
     extra = trace.extra_meta
     first, name, gaps, bounds = 0, "gap", trace.f_full - f_star, None
     if trace.algorithm in ("oupgm", "oudgm"):
-        fixed = bool(extra["fixed_step"])
+        fixed = trace.L0 is None
         bound = (f"{trace.algorithm} corollary" if fixed
                  else {"oupgm": "thm1", "oudgm": "thm2"}[trace.algorithm])
         r0, lhs, rhs = evaluate_regret(trace, problem, reference.x, bound)
@@ -485,13 +492,13 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "checked": "fixed-step regret corollary" if fixed else bound,
         }
         if fixed:
-            report["fixed_step_modulus"] = _fixed_step_modulus(trace)
+            report["fixed_step_modulus"] = _fixed_step_modulus(problem, trace.eps)
         name, gaps, bounds = "lhs", lhs, rhs
     elif trace.algorithm == "sug":
         mu_h = problem.regularizer.strong_convexity
         n = problem.n_components
         M = float(extra["M"])
-        dist0_sq = extra["dist0_sq"]
+        dist0_sq = float(np.sum((reference.x - trace.x0) ** 2))
         report = {
             "algorithm": "sug",
             "eps": trace.eps,
@@ -522,7 +529,7 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             ),
             checked="sug bound curve" if active else "none (bound vacuous)",
         )
-    elif trace.algorithm == "batch":  # no theorem bound applies
+    else:  # batch: no theorem bound applies
         report = {
             "algorithm": trace.algorithm,
             "eps": trace.eps,
@@ -532,8 +539,6 @@ def verify(trace: RunTrace, problem: CompositeProblem, reference: ReferenceSolut
             "checked": "none",
         }
         ok = True
-    else:
-        raise ValueError(f"unknown algorithm {trace.algorithm!r}")
     report["reference"] = {
         "f": reference.f,
         "gap": reference.gap,
@@ -577,7 +582,8 @@ def check_bounds(trace_path) -> tuple[dict, bool]:
     """Rebuild the problem from trace metadata and verify the trace.
 
     A trace that lacks an `extra` key its run writes (EXTRA_KEYS), or holds
-    one of another JSON type, raises ValueError naming the key.  The
+    one of another JSON type, or whose x0 or x_star is not of the rebuilt
+    problem's dimension, raises ValueError naming the key.  The
     reference is the run's: x* as the trace stores it, with f = f(x*) and
     the certificate recomputed on the rebuilt problem, so both judge
     against the same f*.  A trace whose x* the
@@ -589,7 +595,7 @@ def check_bounds(trace_path) -> tuple[dict, bool]:
     trace = parse_trace_csv(trace_path)
     kind, fields = _descriptor_fields(trace.problem_meta)
     extra = trace.extra_meta
-    for run in ("every", trace.algorithm, "fixed_step" if extra.get("fixed_step") else None, kind):
+    for run in ("every", trace.algorithm, kind):
         for key, json_type in EXTRA_KEYS.get(run, {}).items():
             if key not in extra:
                 raise ValueError(f"{trace_path}: extra metadata key {key!r} missing")
@@ -602,6 +608,10 @@ def check_bounds(trace_path) -> tuple[dict, bool]:
                              f"{trace_path}")
     problem = problem_from_descriptor(trace.problem_meta)
     x = np.asarray(extra["x_star"], dtype=float)
+    for key, point in (("x0", trace.x0), ("extra metadata key 'x_star'", x)):
+        if len(point) != problem.dimension:
+            raise ValueError(f"{trace_path}: {key} has length {len(point)}, not the "
+                             f"problem's dimension {problem.dimension}")
     smooth, gap = problem.certify(x)
     if math.isfinite(gap) and gap <= extra["reference_gap"]:
         reference = ReferenceSolution(

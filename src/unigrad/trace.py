@@ -9,8 +9,8 @@ and one line a row.  The parser refuses another schema or none, a missing
 header key, an algorithm other than oupgm, oudgm, sug and batch, a
 header value of another JSON type (a problem or extra that is not an
 object, an x0 that is not a list of finite numbers), an eps or L0 that is
-not positive and finite, and a line among the rows that is not a row,
-naming it.
+not positive and finite, a negative T, and a line among the rows that is
+not a row, naming it.
 Floats are written with shortest round-trip formatting, so writing and
 re-parsing a trace reproduces it exactly; every float field is finite.
 In memory each column is one numpy array (int64 for t and i_t, float64
@@ -89,7 +89,8 @@ def block_rows() -> int:
 class RunTrace:
     """Made without columns, a trace has `rows` rows (T + 1 unless given)
     for add_row to fill, n_rows of them so far, and the in-memory extras
-    component and x_next; made with them, as the parser does, no extras."""
+    component and x_next; made with them, as the parser and the batch run
+    do, no extras."""
 
     algorithm: str
     eps: float
@@ -127,13 +128,9 @@ class RunTrace:
         self.x0, self.x_next = self.iterates[0], self.iterates[1:]
 
     def add_row(self, t: int, i_t: int, L_next: float, f_gt_xt: float, f_gt_xnext: float,
-                f_gt_yt: float, f_full: float, elapsed_s: float, component: int | None = None,
-                x_next: np.ndarray | None = None) -> None:
-        """Write the next row in place, x_next copied into the iterate array.
-
-        A trace keeps component and x_next for every row or for none: the
-        first row without one empties that array.
-        """
+                f_gt_yt: float, f_full: float, elapsed_s: float, component: int,
+                x_next: np.ndarray) -> None:
+        """Write the next row in place, x_next copied into the iterate array."""
         k = self.n_rows
         self.t[k] = t
         self.i_t[k] = i_t
@@ -143,15 +140,8 @@ class RunTrace:
         self.f_gt_yt[k] = f_gt_yt
         self.f_full[k] = f_full
         self.elapsed_s[k] = elapsed_s
-        if component is not None:
-            self.component[k] = component
-        elif len(self.component):
-            self.component = self.component[:0].copy()
-        if x_next is not None:
-            self.x_next[k] = x_next
-        elif len(self.x_next):
-            self.iterates = self.iterates[:1].copy()
-            self.x0, self.x_next = self.iterates[0], self.iterates[1:]
+        self.component[k] = component
+        self.x_next[k] = x_next
         self.n_rows = k + 1
 
     def fill_f_full(self, values) -> None:
@@ -264,8 +254,8 @@ def parse_trace_csv(path) -> RunTrace:
 
     Raises ValueError naming the schema found if it is not SCHEMA, a missing
     header key, an unknown algorithm, a header value of another JSON type
-    (_HEADER_TYPES) or an eps or L0 that is not positive and finite, or the
-    offending line of any other violation.
+    (_HEADER_TYPES), an eps or L0 that is not positive and finite or a
+    negative T, or the offending line of any other violation.
     """
     with open(path, "rb") as fh:
         # sizes the columns: each line ends in \n, \r or both, the last
@@ -314,6 +304,8 @@ def parse_trace_csv(path) -> RunTrace:
                 what = "positive" if abs(value) <= sys.float_info.max else "finite"
                 raise ValueError(f"{path}: metadata {key!r} is not a {what} number: "
                                  f"{json.dumps(value)}")
+        if meta["T"] < 0:
+            raise ValueError(f"{path}: metadata 'T' is not a nonnegative integer: {meta['T']}")
         columns = [np.empty(lines - lineno, kind) for kind in _KINDS]
         n, step = 0, block_rows()
         while block := list(islice(fh, step)):

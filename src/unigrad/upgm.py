@@ -7,8 +7,9 @@ mapping, then steps to that mapping:
 
     x_{t+1} = B_{M, g_t}(x_t),    L_{t+1} = M / 2.
 
-The running output is the step-size weighted average of the produced
-iterates, xbar = sum_t x_{t+1} / L_{t+1} / sum_t 1 / L_{t+1}.  The doubling
+The output is the step-size weighted average of the produced iterates,
+xbar = sum_t x_{t+1} / L_{t+1} / sum_t 1 / L_{t+1}, taken after the rounds
+from the iterates and moduli the trace holds.  The doubling
 cap guarantees 2 L_{t+1} <= 2 gamma(M_v, v, eps) for every round; past
 MAX_DOUBLINGS rejected doublings the round raises LineSearchOverflow, and
 a round whose L_{t+1} falls below the smallest normal float raises
@@ -16,7 +17,8 @@ ModulusUnderflow before any weight 1 / L_{t+1} overflows.  The fixed-step
 variant replaces the search by one always-accepted trial at
 M = 2 gamma(M_v, v, eps), recorded as i_t = 0 and L_{t+1} = gamma, with
 (v, M_v) the stream's Holder certificate (problem.holder_constants): the
-fixed-step corollary holds only for constants the components satisfy.
+fixed-step corollary holds only for constants the components satisfy; a
+null L0 marks its trace.
 """
 
 import math
@@ -74,8 +76,7 @@ def _run_rounds(problem, order, x0, eps, T, L0=None, model=None):
 
     A trial costs one bregman_map, one value of g_t and one difference
     y - x for both terms of the descent test; h at the round's point is
-    carried from the last round, and each row is recorded once.  The
-    trace's extra records fixed_step, and Mv and v at a fixed step.
+    carried from the last round, and each row is recorded once.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -88,11 +89,10 @@ def _run_rounds(problem, order, x0, eps, T, L0=None, model=None):
         )
     algorithm = "oupgm" if model is None else "oudgm"
     fixed = L0 is None
-    trace = RunTrace(algorithm, eps, T, x0, L0, extra_meta={"fixed_step": fixed})
+    trace = RunTrace(algorithm, eps, T, x0, L0)
     if fixed:
         v, Mv = problem.holder_constants()
         L = gamma(Mv, v, eps)
-        trace.extra_meta.update(Mv=Mv, v=v)
     elif not 0 < L0 < math.inf:
         raise ValueError(f"L0 must be positive and finite, got {L0}")
     else:
@@ -101,8 +101,6 @@ def _run_rounds(problem, order, x0, eps, T, L0=None, model=None):
     value, grad = problem.components.value, problem.components.grad
     x = trace.x0.copy()
     h_x = regularizer.value(x)  # h at the round's point, carried from the last round
-    weight_sum = 0.0
-    weighted_x = np.zeros_like(x)
     start = time.perf_counter_ns()
     for t, k in enumerate(order.tolist()):
         g_value = float(value(k, x))
@@ -143,9 +141,6 @@ def _run_rounds(problem, order, x0, eps, T, L0=None, model=None):
             x = y
             h_x = regularizer.value(x)
             f_next = f_y = g_y + h_x
-            weight = 1.0 / L
-            weight_sum += weight
-            weighted_x += weight * y
         else:
             model.fold(0.5 / L, g_grad)  # the accepted modulus is 2 L: coeff = 1 / M
             x = model.argmin(regularizer)
@@ -158,5 +153,6 @@ def _run_rounds(problem, order, x0, eps, T, L0=None, model=None):
         trace.add_row(t, i_t, L, f_xt, f_next, f_y, math.nan,
                       (time.perf_counter_ns() - start) / 1e9, k, x)
     trace.fill_f_full(problem.values)
-    return (weighted_x / weight_sum if model is None else x), trace
+    w = 1.0 / trace.L_next  # the weights of the average oupgm returns
+    return ((w @ trace.x_next) / w.sum() if model is None else x), trace
 

@@ -162,6 +162,16 @@ def _with_header(key, edit):
     return apply
 
 
+def _with_rows_and_T(rows, T):
+    """An edit of a trace's lines that keeps the given rows (indices into
+    its rows) and sets its T header."""
+    def apply(lines):
+        header = lines.index(",".join(CSV_COLUMNS))
+        lines[header + 1:] = [lines[header + 1 + k] for k in rows]
+        _with_header("T", lambda _: T)(lines)
+    return apply
+
+
 def _without(field):
     """An edit of a descriptor that drops field."""
     return lambda desc: {k: v for k, v in desc.items() if k != field}
@@ -197,9 +207,6 @@ def _refused_after(flags, edit, tmp_path, capsys):
      "trace has schema=2; this version reads schema=1"),
     (OUPGM, _without_extra_key("x_star"), "extra metadata key 'x_star' missing"),
     (SUG, _without_extra_key("M"), "extra metadata key 'M' missing"),
-    ([*OUPGM, "--fixed-step"], _without_extra_key("Mv"), "extra metadata key 'Mv' missing"),
-    ([*OUPGM, "--fixed-step"], _without_extra_key("fixed_step"),
-     "extra metadata key 'fixed_step' missing"),
     (["--algorithm", "oupgm", "--problem", "lasso-csv"], _without_extra_key("data_sha256"),
      "extra metadata key 'data_sha256' missing"),
     (OUPGM, _with_header("algorithm", lambda _: "oupgmx"),
@@ -220,25 +227,30 @@ def _refused_after(flags, edit, tmp_path, capsys):
      "extra metadata key 'reference_gap' is not a JSON number: \"x\""),
     (OUPGM, _with_header("extra", lambda extra: dict(extra, x_star=[0.0, None])),
      "extra metadata key 'x_star' is not a JSON list of finite numbers: [0.0, null]"),
-    (SUG, _with_header("extra", lambda extra: dict(extra, dist0_sq="x")),
-     "extra metadata key 'dist0_sq' is not a JSON number: \"x\""),
     (SUG, _with_header("extra", lambda extra: dict(extra, f_final=None)),
      "extra metadata key 'f_final' is not a JSON number: null"),
-    ([*OUPGM, "--fixed-step"], _with_header("extra", lambda extra: dict(extra, fixed_step=1)),
-     "extra metadata key 'fixed_step' is not a JSON boolean: 1"),
-], ids=["no-schema", "schema-2", "no-x_star", "sug-no-M", "fixed-step-no-Mv",
-        "fixed-step-no-fixed_step",
+    (OUPGM, _with_rows_and_T([], -1), "metadata 'T' is not a nonnegative integer: -1"),
+    (["--algorithm", "batch", "--problem", "synth-lasso"], _with_header("T", lambda _: -7),
+     "metadata 'T' is not a nonnegative integer: -7"),
+    (OUPGM, _with_header("x0", lambda _: [0.0]),
+     "x0 has length 1, not the problem's dimension 20"),
+    (SUG, _with_header("x0", lambda _: [0.0]), "x0 has length 1, not the problem's dimension 20"),
+    (SUG, _with_header("extra", lambda extra: dict(extra, x_star=[0.0] * 21)),
+     "extra metadata key 'x_star' has length 21, not the problem's dimension 20"),
+], ids=["no-schema", "schema-2", "no-x_star", "sug-no-M",
         "lasso-csv-no-data_sha256", "unknown-algorithm", "extra-null", "eps-null", "eps-true",
         "T-null", "T-1.5", "eps-past-float", "eps-negative", "eps-0", "L0-negative",
-        "x0-object", "reference_gap-str", "x_star-null-entry", "sug-dist0_sq-str",
-        "sug-f_final-null", "fixed_step-int"])
+        "x0-object", "reference_gap-str", "x_star-null-entry",
+        "sug-f_final-null", "T-negative", "batch-T-negative", "x0-short", "sug-x0-short",
+        "sug-x_star-long"])
 def test_check_bounds_refuses_a_trace_off_the_schema(tmp_path, capsys, flags, edit, message):
     """A trace of no or another schema, with an algorithm it does not know,
     an extra that is not an object, a header value of the wrong JSON type,
-    an eps or L0 past float's range or not positive, or without an extra key
-    its run writes or with one of the wrong JSON type, exits 2 naming the
-    schema, the value or the key: never 1, the status of a violated bound,
-    never a pass as a run of no bound, and never with a traceback."""
+    an eps or L0 past float's range or not positive, a negative T, an x0 or
+    x_star not of the problem's dimension, or without an extra key its run
+    writes or with one of the wrong JSON type, exits 2 naming the schema,
+    the value or the key: never 1, the status of a violated bound, never a
+    pass as a run of no bound, and never with a traceback."""
     path, err = _refused_after(flags, edit, tmp_path, capsys)
     assert err == f"error: {path}: {message}\n"
 
@@ -374,22 +386,67 @@ def test_check_bounds_exits_2_naming_a_csv_that_changed(tmp_path, capsys):
     assert err.startswith(f"error: {path}: data file changed since the run wrote")
 
 
-def test_check_bounds_judges_the_sug_run_dist0(tmp_path, capsys):
-    # the bound fails for this tiny dist0_sq; check-bounds must judge the
-    # dist0_sq the trace records, not one recomputed from the reference
+def _checked_after(flags, edit, tmp_path, capsys):
+    """(report.json, check-bounds report, exit status) of a run with flags
+    whose trace edit changed."""
     out = tmp_path / "art"
-    assert main(["run", *SUG, "--eps", "1e-2", "--T", "300", "--out", str(out)]) == 0
-    capsys.readouterr()
-    report = json.loads((out / "report.json").read_text())
-    assert report["bound_satisfied"] is True
+    assert main(["run", *flags, "--out", str(out)]) == 0
     path = out / "trace.csv"
     lines = path.read_text().splitlines()
-    _with_header("extra", lambda extra: dict(extra, dist0_sq=1e-6))(lines)
+    edit(lines)
     path.write_text("\n".join(lines) + "\n")
-    assert main(["check-bounds", str(path)]) == 1
-    checked = json.loads(capsys.readouterr().out)
-    assert checked["dist0_sq"] == 1e-6
-    assert checked["ok"] is False
+    capsys.readouterr()
+    status = main(["check-bounds", str(path)])
+    return json.loads((out / "report.json").read_text()), json.loads(capsys.readouterr().out), status
+
+
+def test_check_bounds_judges_the_sug_run_dist0(tmp_path, capsys):
+    """The sug bound's ||x0 - x*||^2 is the run's, from the trace's x0 and
+    x*: a dist0_sq the trace records, as older runs wrote one, is ignored,
+    though the bound fails for one this small."""
+    report, checked, status = _checked_after(
+        [*SUG, "--eps", "1e-2", "--T", "300"],
+        _with_header("extra", lambda extra: dict(extra, dist0_sq=1e-6)), tmp_path, capsys)
+    assert report["bound_satisfied"] is True
+    assert (checked, status) == (report, 0)
+
+
+@pytest.mark.parametrize("flags, copies, checked, ok", [
+    (["--algorithm", "oudgm", "--fixed-step", "--problem", "synth-lasso", "--mu", "0.1",
+      "--ridge", "2", "--T", "200"], {"fixed_step": True, "Mv": 1e9, "v": 1.0},
+     "fixed-step regret corollary", False),
+    ([*OUPGM, "--fixed-step", "--T", "50"], {"fixed_step": False},
+     "fixed-step regret corollary", True),
+    ([*OUPGM, "--T", "50"], {"fixed_step": True, "Mv": 1e9, "v": 0.0}, "thm1", True),
+], ids=["ridge-2-forged-Mv", "fixed-step-marked-adaptive", "adaptive-marked-fixed-step"])
+def test_check_bounds_works_out_what_extra_copies(tmp_path, capsys, flags, copies, checked, ok):
+    """Whether an online run took fixed steps is its null L0, and the
+    corollary's (v, M_v) the rebuilt stream's certificate: the copies older
+    runs wrote in extra are ignored, so no edit of them changes the report,
+    and a failing run still exits 1."""
+    report, got, status = _checked_after(
+        flags, _with_header("extra", lambda extra: dict(extra, **copies)), tmp_path, capsys)
+    assert (report["checked"], report["ok"]) == (checked, ok)
+    assert (got, status) == (report, 0 if ok else 1)
+
+
+@pytest.mark.parametrize("flags, edit, message", [
+    (SUG, _with_rows_and_T([], 0), "sug trace has 0 rows for T = 0"),
+    (SUG, _with_rows_and_T(range(30), 5), "sug trace has 30 rows for T = 5"),
+    (SUG, _with_rows_and_T(range(29), 30), "sug trace has 29 rows for T = 30"),
+    (["--algorithm", "batch", "--problem", "synth-lasso"], _with_rows_and_T([], 30),
+     "batch trace has 0 rows for T = 30"),
+    (["--algorithm", "batch", "--problem", "synth-lasso"], _with_rows_and_T(range(30), 29),
+     "batch trace has 30 rows for T = 29"),
+    (OUPGM, _with_rows_and_T(range(31), 31), "oupgm trace has 31 rows for T = 31"),
+], ids=["sug-T-0", "sug-T-short", "sug-row-short", "batch-no-rows", "batch-T-short",
+        "oupgm-row-short"])
+def test_check_bounds_refuses_a_row_count_T_does_not_write(tmp_path, capsys, flags, edit,
+                                                           message):
+    """T rounds write T + 1 rows online, T rows of sug and 1 to T of batch:
+    another count exits 2 naming it and T, never as a judged run."""
+    _, err = _refused_after(flags, edit, tmp_path, capsys)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -212,12 +212,14 @@ def _scalar_problem(a=1.0, b=0.0):
 
 
 def _fabricated_trace(rows, T, x0=(0.0,), eps=0.1):
+    """A line-search oupgm trace of the rows (t, ..., elapsed_s, component),
+    each stepping back to x0."""
     trace = RunTrace(
         algorithm="oupgm", eps=eps, T=T, x0=np.asarray(x0, dtype=float),
-        L0=1.0, seed=0, order_kind=None, extra_meta={"fixed_step": False},
+        L0=1.0, seed=0, order_kind=None,
     )
     for r in rows:
-        trace.add_row(*r[:8], component=r[8] if len(r) > 8 else None)
+        trace.add_row(*r, trace.x0)
     return trace
 
 
@@ -225,7 +227,6 @@ def test_regret_zero_when_sitting_at_comparator():
     prob = _scalar_problem()
     rows = [(t, 0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0) for t in range(3)]
     trace = _fabricated_trace(rows, T=2)
-    trace.extra_meta.update(Mv=3.0, v=1.0)
     for bound, S_k in (("thm1", [0.5, 1.0, 1.5]), ("thm2", [0.25, 0.5, 0.75]),
                        ("oupgm corollary", [1.0, 2.0, 3.0]),
                        ("oudgm corollary", [1.0, 2.0, 3.0])):
@@ -238,17 +239,18 @@ def test_regret_zero_when_sitting_at_comparator():
 # g(x) = (2x - 1)^2 at x* = 0.25, where g(x*) = 0.25; the one row plays
 # x_t with g 3.0, steps to x_{t+1} with g 1.0 through y_t with g 2.0 at
 # L_{t+1} = 4, from x0 = 1 (r0 = 0.5 * 0.75^2), at eps 0.1 and, for the
-# corollaries, gamma(3, 1, eps) = 3: w (F - 0.25) <= 0.05 w + 2 c r0
+# corollaries, the stream's certificate v = 1, M_1 = g'' = 8, so that
+# gamma(8, 1, eps) = 8: w (F - 0.25) <= 0.05 w + 2 c r0
 def test_regret_single_row_weighted_identity():
     prob = _scalar_problem(a=2.0, b=1.0)
+    assert prob.holder_constants() == (1.0, 8.0)
     rows = [(0, 0, 4.0, 3.0, 1.0, 2.0, 3.0, 0.0, 0)]
     trace = _fabricated_trace(rows, T=0, x0=(1.0,))
-    trace.extra_meta.update(fixed_step=True, Mv=3.0, v=1.0)
     for bound, lhs, rhs in (
         ("thm1", 0.25 * (1.0 - 0.25), 0.5 * 0.1 * 0.25 + 2.0 * 0.5 * 0.75**2),
         ("thm2", 0.125 * (2.0 - 0.25), 0.25 * 0.1 * 0.25 + 0.5 * 0.75**2),
-        ("oupgm corollary", 1.0 - 0.25, 0.5 * 0.1 + 2.0 * 3.0 * 0.5 * 0.75**2),
-        ("oudgm corollary", 3.0 - 0.25, 0.5 * 0.1 + 2.0 * 3.0 * 0.5 * 0.75**2),
+        ("oupgm corollary", 1.0 - 0.25, 0.5 * 0.1 + 2.0 * 8.0 * 0.5 * 0.75**2),
+        ("oudgm corollary", 3.0 - 0.25, 0.5 * 0.1 + 2.0 * 8.0 * 0.5 * 0.75**2),
     ):
         r0, got_lhs, got_rhs = evaluate_regret(trace, prob, np.array([0.25]), bound)
         assert r0 == pytest.approx(0.5 * 0.75**2), bound
@@ -283,9 +285,11 @@ def test_regret_rejects_incomplete_trace():
 
 def test_regret_needs_components_or_order():
     prob = _scalar_problem()
-    rows = [(0, 0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0)]  # no component recorded
+    # built from its columns, as the parser builds one: no component recorded
+    columns = {name: np.array([0 if name in ("t", "i_t") else 1.0]) for name in CSV_COLUMNS}
+    trace = RunTrace(algorithm="oupgm", eps=0.1, T=0, x0=np.zeros(1), L0=1.0, **columns)
     with pytest.raises(ValueError, match="unknown order kind: None"):
-        evaluate_regret(_fabricated_trace(rows, T=0), prob, np.zeros(1), "thm1")
+        evaluate_regret(trace, prob, np.zeros(1), "thm1")
 
 
 def test_regret_rejects_foreign_components():
@@ -297,11 +301,6 @@ def test_regret_rejects_foreign_components():
 
 # ---------------------------------------------------------------------------
 # visit orders
-
-
-def test_order_cyclic_wraps():
-    np.testing.assert_array_equal(sample_order("cyclic", 2, 4, None),
-                                  [0, 1, 0, 1, 0])
 
 
 def test_order_sequential_identity_and_cap():
@@ -331,9 +330,9 @@ def test_order_validation():
     with pytest.raises(ValueError, match="unknown order"):
         sample_order("shuffled", 3, 3, 0)
     with pytest.raises(ValueError, match="T"):
-        sample_order("cyclic", 3, -1, 0)
+        sample_order("random", 3, -1, 0)
     with pytest.raises(ValueError, match="n"):
-        sample_order("cyclic", 0, 3, 0)
+        sample_order("random", 0, 3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +606,11 @@ REFERENCE_KEYS = {"tol", "x_star", "reference_gap", "reference_iterations",
 @pytest.mark.parametrize(
     "algorithm, fixed_step, extra",
     [
-        ("oupgm", False, REFERENCE_KEYS | {"fixed_step"}),
-        ("oudgm", False, REFERENCE_KEYS | {"fixed_step"}),
-        ("oupgm", True, REFERENCE_KEYS | {"fixed_step", "Mv", "v"}),
-        ("oudgm", True, REFERENCE_KEYS | {"fixed_step", "Mv", "v"}),
-        ("sug", False, REFERENCE_KEYS | {"M", "dist0_sq", "f_final"}),
+        ("oupgm", False, REFERENCE_KEYS),
+        ("oudgm", False, REFERENCE_KEYS),
+        ("oupgm", True, REFERENCE_KEYS),
+        ("oudgm", True, REFERENCE_KEYS),
+        ("sug", False, REFERENCE_KEYS | {"M", "f_final"}),
         ("batch", False, REFERENCE_KEYS),
     ],
     ids=["oupgm", "oudgm", "oupgm-fixed", "oudgm-fixed", "sug", "batch"],
@@ -619,7 +618,7 @@ REFERENCE_KEYS = {"tol", "x_star", "reference_gap", "reference_iterations",
 def test_trace_header_carries_the_run_metadata(tmp_path, algorithm, fixed_step, extra):
     desc = dict(SYNTH_DESC, ridge=20.0)
     paths = run_experiment(_cfg(algorithm=algorithm, problem=desc, fixed_step=fixed_step,
-                                M=1.0, T=20, order="cyclic", seed=9,
+                                M=1.0, T=20, order="sequential", seed=9,
                                 out=str(tmp_path / "run")))
     header = {}
     for line in Path(paths["trace"]).read_text().splitlines():
@@ -628,16 +627,18 @@ def test_trace_header_carries_the_run_metadata(tmp_path, algorithm, fixed_step, 
             header[key] = json.loads(value)
     assert header["problem"] == desc
     assert header["seed"] == 9
-    assert header["order"] == (None if algorithm == "batch" else "cyclic")
+    assert header["order"] == (None if algorithm == "batch" else "sequential")
+    if algorithm in ("oupgm", "oudgm"):  # a fixed-step run is marked by its null L0 alone
+        assert (header["L0"] is None) is fixed_step
     assert set(header["extra"]) == extra
     # the keys check_bounds requires are the ones the run writes
-    runs = ["every", algorithm] + ["fixed_step"] * fixed_step
-    assert {key for run in runs for key in harness.EXTRA_KEYS.get(run, ())} == extra
+    assert {key for run in ("every", algorithm)
+            for key in harness.EXTRA_KEYS.get(run, ())} == extra
 
 
 def test_check_bounds_needs_problem_metadata(tmp_path):
     trace = RunTrace(algorithm="oupgm", eps=0.1, T=0, x0=np.zeros(1), L0=1.0)
-    trace.add_row(0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, component=0)
+    trace.add_row(0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, np.zeros(1))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     with pytest.raises(ValueError, match="descriptor"):
@@ -823,7 +824,7 @@ def test_golden_runs_replay_from_their_metadata(path, tmp_path):
         algorithm=meta.algorithm, problem=meta.problem_meta, out=str(tmp_path),
         eps=meta.eps, T=meta.T, L0=1.0 if meta.L0 is None else meta.L0,
         M=extra.get("M"), order=meta.order_kind or "random", seed=meta.seed,
-        fixed_step=extra.get("fixed_step", False), tol=extra["tol"],
+        fixed_step=meta.L0 is None, tol=extra["tol"],
     ))
     assert _without_elapsed(paths["trace"]) == _without_elapsed(path)
     golden_bounds = path.parent / "bounds.csv"

@@ -35,8 +35,9 @@ def test_fixed_step_rounds_take_one_accepted_trial_at_twice_gamma(runner):
     assert np.array_equal(trace.i_t, [0] * (T + 1))
     assert np.array_equal(trace.L_next, [gamma(Mv, v, eps)] * (T + 1))
     assert trace.f_gt_yt.tobytes() == trace.f_gt_xnext.tobytes()
-    assert trace.extra_meta == {"fixed_step": True, "Mv": Mv, "v": v}
+    # the null L0 is what marks a fixed-step run; the rounds record no extra
     assert trace.L0 is None
+    assert trace.extra_meta == {}
 
 
 @pytest.mark.parametrize("runner", [upgm_run, udgm_run], ids=["oupgm", "oudgm"])

@@ -40,6 +40,8 @@ def _sample_trace():
             f_gt_yt=float(rng.normal()),
             f_full=float(rng.normal()),
             elapsed_s=float(rng.uniform(0.0, 1.0)),
+            component=t,
+            x_next=np.full(2, float(t)),
         )
     return trace
 

@@ -204,7 +204,8 @@ def test_fixed_step_records_constant_modulus():
     _, trace = udgm_fixed_step_run(prob, order, np.zeros(3), eps, 60)
     step = gamma(2.0, 0.0, eps)
     assert all(L == pytest.approx(step, rel=1e-15) for L in trace.L_next)
-    assert trace.extra_meta["fixed_step"] is True
+    assert trace.L0 is None
+    assert trace.extra_meta == {}
 
 
 def test_fixed_step_iterates_match_aggregated_closed_form():
